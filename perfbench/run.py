@@ -1,17 +1,19 @@
-"""msg-lab benchmark: four workloads driven through msg_lab's public API.
+"""msg-lab benchmark: three workloads driven through msg_lab's public API.
 
 Run from the root of a checkout (the directory that holds src/msg_lab):
 
-    python3 perfbench/run.py --workload {nearroot,prank,enum,gate}
-        [--seed 12345] [--seconds 20] [--trace 0|1]
+    python3 perfbench/run.py --workload {nearroot,prank,enum}
+        [--seed 12345] [--seconds 35] [--trace 0|1]
     python3 perfbench/run.py --compare OLD.jsonl NEW.jsonl
     python3 perfbench/run.py --selftest
     python3 perfbench/run.py --write-reference
 
 A measurement starts fresh worker processes one after the other, each a
 single thread running a closed loop (concurrency 1).  --trace 0 prints the
-end-to-end metrics of BENCHMARK.json; --trace 1 runs the workload once
-untraced and once traced, and prints the per-layer metrics.  The last line
+end-to-end metrics of BENCHMARK.json; --trace 1 runs the workload untraced
+and traced, each for half of --seconds, and prints the per-layer metrics;
+on nearroot it also runs the 11 suites of the gate once, traced, with each
+CSV byte-compared at the default seed.  The last line
 of stdout is one JSON object; the line before it carries the run metadata.
 Every result is also appended to perfbench/out/results.jsonl, the input of
 --compare.  A wrong answer, or a digest that differs from
@@ -29,7 +31,7 @@ import subprocess
 import sys
 import time
 
-from workloads import DEFAULT_SEED, WORKLOADS
+from workloads import DEFAULT_SEED, GATE_HOST, GATE_LAYERS, WORKLOADS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join("perfbench", "out")
@@ -113,8 +115,8 @@ def check_reference(workload, seed, size, digest):
         raise WrongAnswerExit()
 
 
-def gate_expect(workload, seed, size):
-    if workload == "gate" and seed == DEFAULT_SEED and size == "full":
+def gate_expect(seed, size):
+    if seed == DEFAULT_SEED and size == "full":
         return GATE_REFERENCE
     return None
 
@@ -126,7 +128,7 @@ def measure(workload, seed, seconds, size="full"):
                      deadline=deadline)[1]
               for _ in range(SETUP_REPEATS - 1)]
     out, setup_s = worker("run", workload, seed, seconds, size,
-                          gate_expect(workload, seed, size), deadline)
+                          deadline=deadline)
     setups.append(setup_s)
     check_reference(workload, seed, size, out["digest"])
     lat = per_op_latency(out["passes"])
@@ -146,28 +148,41 @@ def measure(workload, seed, seconds, size="full"):
 
 
 def measure_traced(workload, seed, seconds, size="full"):
-    """Per-layer metrics: one untraced and one traced worker."""
+    """Per-layer metrics: one untraced and one traced worker, each for half
+    the run; on GATE_HOST also one traced gate pass, the source of the
+    GATE_LAYERS metrics."""
     deadline = time.monotonic() + WORKER_TIMEOUT
-    expect = gate_expect(workload, seed, size)
-    plain, _ = worker("run", workload, seed, seconds, size, expect, deadline)
-    traced, _ = worker("trace", workload, seed, seconds, size, expect,
-                       deadline)
+    plain, _ = worker("run", workload, seed, seconds / 2, size,
+                      deadline=deadline)
+    traced, _ = worker("trace", workload, seed, seconds / 2, size,
+                       deadline=deadline)
     check_reference(workload, seed, size, plain["digest"])
     if traced["digest"] != plain["digest"]:
         print("%s: traced output differs from the untraced output" % workload,
               file=sys.stderr)
         raise WrongAnswerExit()
     metrics = {name: tuple(v) for name, v in traced["layers"].items()}
+    missing = list(traced["missing"])
+    attempted = plain["attempted"] + traced["attempted"]
+    failed = plain["failed"] + traced["failed"]
+    if workload == GATE_HOST:
+        gate, _ = worker("trace", "gate", seed, 0, size,
+                         gate_expect(seed, size), deadline)
+        check_reference("gate", seed, size, gate["digest"])
+        metrics.update((name, tuple(v)) for name, v in gate["layers"].items()
+                       if name.startswith(GATE_LAYERS))
+        missing += [m for m in gate["missing"] if m not in missing]
+        attempted += gate["attempted"]
+        failed += gate["failed"]
     metrics["trace.overhead_frac"] = (
         pass_seconds(traced["passes"]) / pass_seconds(plain["passes"]) - 1,
         "ratio")
     meta = {"passes": len(traced["passes"]), "ops_per_pass": traced["ops"],
             "untraced_passes": len(plain["passes"]),
-            "missing_targets": traced["missing"],
+            "missing_targets": missing,
             "reach_probes": traced["probes"], "python": traced["python"],
             "numpy": traced["numpy"], "failures": traced["failures"]}
-    return (metrics, meta, plain["attempted"] + traced["attempted"],
-            plain["failed"] + traced["failed"])
+    return metrics, meta, attempted, failed
 
 
 def commit():
@@ -240,7 +255,7 @@ def run_one(workload, seed, seconds, trace, size="full"):
 def write_reference():
     """Record the default-seed digests and gate CSVs of the current code."""
     digests = {}
-    for name in WORKLOADS:
+    for name in list(WORKLOADS) + ["gate"]:
         out, _ = worker("run", name, DEFAULT_SEED, 0)
         if out["failed"]:
             raise BenchError("%s: %d ops failed" % (name, out["failed"]))
@@ -259,7 +274,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--compare", nargs=2, metavar="RESULTS")
     parser.add_argument("--selftest", action="store_true")

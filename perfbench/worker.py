@@ -32,7 +32,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--mode", choices=("setup", "run", "trace"),
                         required=True)
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+    parser.add_argument("--workload",
+                        choices=sorted(workloads.WORKLOADS) + ["gate"],
                         required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -51,12 +52,12 @@ def main():
         from tracer import PROBES, Tracer
         tracer = Tracer()
         tracer.install()
-    cls = workloads.WORKLOADS[args.workload]
-    if cls is workloads.Gate:
-        wl = cls(ml, args.seed, args.size, reference_dir=args.expect,
-                 out_dir=os.path.join(args.out, "gate"))
+    if args.workload == "gate":
+        wl = workloads.Gate(ml, args.seed, args.size,
+                            reference_dir=args.expect,
+                            out_dir=os.path.join(args.out, "gate"))
     else:
-        wl = cls(ml, args.seed, args.size)
+        wl = workloads.WORKLOADS[args.workload](ml, args.seed, args.size)
     for op in wl.warmup:
         wl.run(op)
     ready = time.monotonic()
