@@ -1,5 +1,10 @@
 """Acceptance gate: every verification suite at full scale, one PASS or
-FAIL line per criterion (run with -s to see them as they complete)."""
+FAIL line per criterion (run with -s to see them as they complete).  Each
+suite's CSV must also match its golden file byte for byte: the goldens in
+tests/golden were written at the default seed and full scale, so any change
+in what a suite computes shows up here."""
+
+import os
 
 from msg_lab.suites import (suite_approx_centralize,
                             suite_centralizer_factors,
@@ -8,6 +13,8 @@ from msg_lab.suites import (suite_approx_centralize,
                             suite_fingerprint_family, suite_geodesics,
                             suite_metric_axioms, suite_niceblock,
                             suite_sl_projection, suite_split_prep)
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _report(result, runtime_cap=None):
@@ -20,6 +27,10 @@ def _report(result, runtime_cap=None):
         assert result.elapsed < runtime_cap, (
             "%s took %.1fs, cap is %ds"
             % (result.name, result.elapsed, runtime_cap))
+    with open(os.path.join(GOLDEN_DIR, result.name + ".csv"), "rb") as handle:
+        golden = handle.read()
+    assert result.csv_text.encode("utf-8") == golden, (
+        "%s CSV differs from tests/golden/%s.csv" % (result.name, result.name))
     return result
 
 
