@@ -15,8 +15,8 @@ from .centralizers import (centralizer_factorization,
                            characteristic_fingerprint,
                            perm_centralizer_structure)
 from .constructions import (approx_centralize, build_niceblock,
-                            commutator_witness, prepare_near_root,
-                            project_to_sl)
+                            check_commutator_budget, commutator_witness,
+                            prepare_near_root, project_to_sl)
 from .errors import MsgLabError
 from .experiments import (equivalence_experiment, fingerprint_experiment,
                           parse_family)
@@ -149,14 +149,16 @@ def _cmd_sl_project(args):
 
 def _cmd_commutator(args):
     group = parse_group_descriptor(args.group)
+    if not isinstance(group, AlternatingDescriptor) and group.n != 2:
+        raise ValueError("commutator search enumerates PSL_2 only")
+    # refuse from the descriptor before enumerating anything
+    check_commutator_budget(group.order())
     if isinstance(group, AlternatingDescriptor):
         g = parse_permutation(args.element, n=group.n)
         elements = enumerate_alternating(group.n)
         key_fn = None
         fmt = format_permutation
     else:
-        if group.n != 2:
-            raise ValueError("commutator search enumerates PSL_2 only")
         field = group.field()
         g = _parse_matrix_like(field, args.element)
         if not isinstance(g, Matrix):

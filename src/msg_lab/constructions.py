@@ -35,12 +35,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BoundViolationError, BudgetError, MsgLabError
 from .groups import (SL, SP, ClassicalElement, Permutation, psl_canonical,
                      standard_symplectic_form)
 from .linalg import Matrix, min_rank_shift, primary_blocks
+
+COMMUTATOR_BUDGET = 10**4  # elements in a commutator witness enumeration
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class SplitDecomposition:
             raise ValueError("k must be positive")
         if math.gcd(self.k, field.p) != 1:
             raise ValueError("k must be coprime to the characteristic")
-        if self.alpha == field.zero:
-            raise ValueError("alpha must be nonzero")
+        _check_alpha(field, self.alpha)
         if len(combined) != n:
             raise ValueError("L and S do not fill the space")
         if not self.basis().is_invertible():
@@ -109,10 +108,17 @@ class SplitDecomposition:
         return Matrix.hstack([self.L_matrix(), self.S_matrix()])
 
 
+def _check_alpha(field, alpha):
+    """alpha must be a nonzero packed element of the field."""
+    if not 0 <= alpha < field.q:
+        raise ValueError("alpha = %d is outside [0, %d), the packed "
+                         "elements of %r" % (alpha, field.q, field))
+    if alpha == field.zero:
+        raise ValueError("alpha must be nonzero")
+
+
 def _std_vector(field, n, i):
-    col = np.zeros((n, 1), dtype=np.int64)
-    col[i, 0] = 1
-    return Matrix.from_packed(field, col)
+    return Matrix.identity(field, n).col(i)
 
 
 def _complete_basis(cols):
@@ -153,8 +159,7 @@ def prepare_near_root(y, k, alpha):
         raise ValueError("y must be invertible")
     if k < 1 or math.gcd(k, field.p) != 1:
         raise ValueError("k must be positive and coprime to the characteristic")
-    if alpha == field.zero:
-        raise ValueError("alpha must be nonzero")
+    _check_alpha(field, alpha)
 
     defect = y.matpow(k) - Matrix.scalar(field, n, alpha)
     r = defect.rank()
@@ -387,12 +392,13 @@ def approx_centralize(x, dec, phi):
 
 def _block_diagonal(field, mats):
     total = sum(b.nrows for b in mats)
-    out = np.zeros((total, total, field.e), dtype=field.np_dtype)
+    rows = []
     at = 0
     for b in mats:
-        out[at:at + b.nrows, at:at + b.ncols, :] = b.data
-        at += b.nrows
-    return Matrix(field, out)
+        for row in b.rows:
+            rows.append((0,) * at + row + (0,) * (total - at - b.ncols))
+        at += b.ncols
+    return Matrix(field, tuple(rows), total)
 
 
 def _plain_repair(a):
@@ -451,10 +457,10 @@ def _double_block(field, p_mat, tag, form):
 
 def _perm_matrix(field, images):
     n = len(images)
-    arr = np.zeros((n, n), dtype=np.int64)
+    rows = [[0] * n for _ in range(n)]
     for j, i in enumerate(images):
-        arr[i, j] = 1
-    return Matrix.from_packed(field, arr)
+        rows[i][j] = 1
+    return Matrix.from_packed(field, rows)
 
 
 def _shift_matrix(field, n):
@@ -462,9 +468,9 @@ def _shift_matrix(field, n):
 
 
 def _unit_matrix(field, n, i, j, value=1):
-    arr = np.zeros((n, n), dtype=np.int64)
-    arr[i, j] = value
-    return Matrix.from_packed(field, arr)
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = value
+    return Matrix.from_packed(field, rows)
 
 
 def length_pr(m):
@@ -653,12 +659,18 @@ def _element_ops(sample):
     raise TypeError("unsupported element type %r" % type(sample))
 
 
+def check_commutator_budget(order):
+    """Raise BudgetError when an enumeration of `order` elements is too
+    large for the quadratic commutator table."""
+    if order > COMMUTATOR_BUDGET:
+        raise BudgetError("enumeration of %d elements exceeds the 10^4 budget"
+                          % order)
+
+
 def commutator_witness_table(elements, key_fn=None):
     """First witness pair (a, b) with a^-1 b^-1 a b = g, for every value g
     realized as a commutator over the enumeration.  Exhaustive."""
-    if len(elements) > 10**4:
-        raise BudgetError("enumeration of %d elements exceeds the 10^4 budget"
-                          % len(elements))
+    check_commutator_budget(len(elements))
     mul, inv, key = _element_ops(elements[0])
     if key_fn is not None:
         key = key_fn

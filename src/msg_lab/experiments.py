@@ -209,6 +209,8 @@ def equivalence_experiment(family, trials, seed):
     between the two.  Budget failures on huge conjugacy computations
     become per-row error entries instead of aborting the run.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     rows = []
     for fi, n, q in family.rows():
         if family.kind == ALTERNATING:

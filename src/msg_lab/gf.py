@@ -131,12 +131,8 @@ class Field:
         self._exp = None
         self._log = None
         self._inv_table = None
-        # int64 is exact for the vectorized kernels as long as triple
-        # products (p-1)^3 times the reduction fan-in stay below 2^63
-        if (self.e == 1 and self.p <= 2**25) or (self.e >= 2 and self.p <= 2**16):
-            self.np_dtype = np.int64
-        else:
-            self.np_dtype = object
+        self._pair_tables = None
+        self._packed_tables = None
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -223,9 +219,6 @@ class Field:
             k >>= 1
         return result
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     # -- enumeration and structure ----------------------------------------
 
     def elements(self) -> Iterator[int]:
@@ -233,10 +226,6 @@ class Field:
 
     def nonzero_elements(self) -> Iterator[int]:
         return iter(range(1, self.q))
-
-    # spelling used by callers that treat the field as an arithmetic bundle
-    enumerate_all = elements
-    enumerate_nonzero = nonzero_elements
 
     def multiplicative_generator(self) -> int:
         """Smallest packed element generating the multiplicative group."""
@@ -264,46 +253,28 @@ class Field:
             mult *= self.p
         return packed
 
-    # -- vectorized support -------------------------------------------------
+    # -- lookup tables -----------------------------------------------------
 
-    def unpack_np(self, packed) -> np.ndarray:
-        """Packed array -> coefficient array with a trailing axis of
-        length e."""
-        arr = np.asarray(packed, dtype=self.np_dtype)
-        out = np.empty(arr.shape + (self.e,), dtype=self.np_dtype)
-        work = arr.copy()
-        for i in range(self.e):
-            out[..., i] = work % self.p
-            work //= self.p
-        return out
+    def pair_tables(self):
+        """(add, sub, mul) lookups over packed values, read as t[a][b].
 
-    def pack_np(self, coeffs) -> np.ndarray:
-        arr = np.asarray(coeffs, dtype=self.np_dtype)
-        powers = np.array([self.p**i for i in range(self.e)], dtype=self.np_dtype)
-        return (arr * powers).sum(axis=-1)
-
-    @property
-    def mul_tensor(self) -> np.ndarray:
-        """T[i, j, k] = coefficient of t^k in t^(i+j) mod modulus, so the
-        product of coefficient vectors a, b is einsum('i,j,ijk->k', a, b, T)
-        mod p."""
-        cached = getattr(self, "_mul_tensor", None)
-        if cached is not None:
-            return cached
-        e = self.e
-        base = Field(FieldSpec(self.p, 1, (0, 1))) if e > 1 else self
-        reductions = []
-        for m in range(2 * e - 1):
-            xm = poly.pmod(base, (0,) * m + (1,), self.spec.modulus) if e > 1 else (1,)
-            row = list(xm) + [0] * (e - len(xm))
-            reductions.append(row)
-        T = np.zeros((e, e, e), dtype=self.np_dtype)
-        for i in range(e):
-            for j in range(e):
-                T[i, j, :] = reductions[i + j]
-        T.setflags(write=False)
-        self._mul_tensor = T
-        return T
+        Up to _PAIR_TABLE_MAX they are q x q nested lists; above it each
+        lookup calls the scalar operation, so callers index both the same
+        way."""
+        if self._pair_tables is None:
+            if self.q > _PAIR_TABLE_MAX:
+                self._pair_tables = (_OpTable(self.add), _OpTable(self.sub),
+                                     _OpTable(self.mul))
+            else:
+                # entries point into elems, one int object per value, which
+                # keeps the three tables at 8 bytes an entry
+                elems = list(range(self.q))
+                add = [[elems[self.add(a, b)] for b in elems] for a in elems]
+                neg = [self.neg(b) for b in elems]
+                sub = [[row[nb] for nb in neg] for row in add]
+                mul = [[elems[self.mul(a, b)] for b in elems] for a in elems]
+                self._pair_tables = (add, sub, mul)
+        return self._pair_tables
 
     def inv_table(self) -> np.ndarray:
         """Packed inverses for all nonzero elements (index 0 unused)."""
@@ -318,29 +289,19 @@ class Field:
         return self._inv_table
 
     def packed_tables(self):
-        """(add, sub, mul, neg) lookup tables over packed values, for
-        vectorized arithmetic at small q.  add/sub/mul are (q, q), neg is
-        (q,)."""
-        cached = getattr(self, "_packed_tables_cache", None)
-        if cached is not None:
-            return cached
-        if self.q > _PAIR_TABLE_MAX:
-            raise ValueError(f"packed tables refused for q = {self.q}")
-        q = self.q
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            neg[a] = self.neg(a)
-            for b in range(q):
-                add[a, b] = self.add(a, b)
-                mul[a, b] = self.mul(a, b)
-        sub = add[:, neg]
-        for t in (add, sub, mul, neg):
-            t.setflags(write=False)
-        cached = (add, sub, mul, neg)
-        self._packed_tables_cache = cached
-        return cached
+        """The pair tables as read-only int64 arrays, for vectorized
+        arithmetic at small q: (add, sub, mul, neg), add/sub/mul of shape
+        (q, q) and neg of shape (q,)."""
+        if self._packed_tables is None:
+            if self.q > _PAIR_TABLE_MAX:
+                raise ValueError(f"packed tables refused for q = {self.q}")
+            add, sub, mul = (np.array(t, dtype=np.int64)
+                             for t in self.pair_tables())
+            neg = sub[0].copy()
+            for t in (add, sub, mul, neg):
+                t.setflags(write=False)
+            self._packed_tables = (add, sub, mul, neg)
+        return self._packed_tables
 
     def _tables(self):
         if self._exp is None:
@@ -387,6 +348,22 @@ class Field:
         if self.e == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
+
+
+class _OpTable:
+    """op(a, b) behind the t[a][b] syntax of the pair tables, for fields
+    too large to tabulate."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a=None):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        if self.a is None:
+            return _OpTable(self.op, b)
+        return self.op(self.a, b)
 
 
 def field_arith(spec: FieldSpec) -> Field:

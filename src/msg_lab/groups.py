@@ -287,11 +287,9 @@ def proj_equal(a, b):
     """True when b = alpha * a for some nonzero scalar alpha."""
     if a.field != b.field or a.shape != b.shape:
         return False
-    fa = a.packed().ravel()
-    fb = b.packed().ravel()
     field = a.field
     alpha = None
-    for pa, pb in zip(fa.tolist(), fb.tolist()):
+    for pa, pb in zip(a.key()[1], b.key()[1]):
         if pa != 0 or pb != 0:
             if pa == 0 or pb == 0:
                 return False
@@ -411,19 +409,18 @@ def psl_canonical(m):
     """Canonical coset representative of m modulo the centre of SL_n.
 
     Picks the minimum of {alpha * m : alpha^n = 1} under the flattened
-    packed-entry ordering, so representatives are comparable with ==.
+    packed-entry ordering (row by row, as the rows have equal length), so
+    representatives are comparable with ==.
     """
     field = m.field
     n = m.nrows
     best = None
-    best_key = None
     for alpha in field.nonzero_elements():
         if field.pow(alpha, n) != field.one:
             continue
         cand = m.scale(alpha)
-        key = tuple(cand.packed().ravel().tolist())
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+        if best is None or cand.rows < best.rows:
+            best = cand
     return best
 
 

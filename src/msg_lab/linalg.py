@@ -1,102 +1,113 @@
 """Exact dense linear algebra over GF(p^e).
 
 Matrices are immutable values: every operation returns a fresh Matrix.
-Entries are stored unpacked, as an int array of shape (rows, cols, e)
-holding coefficient vectors; the scalar interface uses the packed-int
-encoding from gf.  The e == 1 case takes plain mod-p numpy paths, the
-extension case reduces products through the field's multiplication
-tensor.  Rank/kernel/det/solve all ride one Gauss-Jordan routine with
-first-nonzero pivot selection, so pivot choice is deterministic.
+Entries are packed field elements, the integer encoding of gf, held as a
+tuple of row tuples of Python ints.  Over a prime field (e == 1) the
+arithmetic is inline mod p, and a dot product is summed before its single
+reduction.  Over an extension field it reads the pair tables of gf, which
+defer to the scalar Field operations above gf._PAIR_TABLE_MAX.  Rank,
+rref, det, inverse, solve, kernel_basis and the commutant bases all ride
+one Gauss-Jordan routine with first-nonzero pivot selection, so pivot
+choice is deterministic.  span_invertible_counts enumerates a span through
+one batched elimination on int64 arrays, the only numpy code here besides
+Matrix.packed().
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import poly
 from .errors import BudgetError, UnsupportedCaseError
-from .gf import Field
+from .gf import _PAIR_TABLE_MAX, _TABLE_MAX, Field
 
 DEFAULT_SHIFT_BUDGET = 2**16
 
 
-def _coeff_array(field: Field, data) -> np.ndarray:
-    arr = np.asarray(data, dtype=field.np_dtype)
-    if arr.ndim != 3 or arr.shape[2] != field.e:
-        raise ValueError(f"expected (rows, cols, {field.e}) coefficient data")
-    return arr % field.p
-
-
-def _scale_rows(field: Field, rows: np.ndarray, packed_scalar: int) -> np.ndarray:
-    """rows (..., e) times a packed scalar."""
-    if field.e == 1:
-        return rows * packed_scalar % field.p
-    svec = np.array(field.coeffs(packed_scalar), dtype=field.np_dtype)
-    return np.einsum("...i,j,ijk->...k", rows, svec, field.mul_tensor) % field.p
-
-
-def _pack_one(field: Field, vec) -> int:
-    out = 0
-    mult = 1
-    for c in vec:
-        out += int(c) * mult
-        mult *= field.p
-    return out
+def _element(field: Field, a) -> int:
+    """a as a packed element of field; ValueError outside [0, q)."""
+    a = operator.index(a)
+    if not 0 <= a < field.q:
+        raise ValueError(f"packed scalar {a} outside [0, {field.q}) in {field!r}")
+    return a
 
 
 class Matrix:
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "rows", "ncols")
 
-    def __init__(self, field: Field, data: np.ndarray):
-        arr = _coeff_array(field, data)
-        arr.setflags(write=False)
+    def __init__(self, field: Field, rows, ncols: int):
+        """Trusted constructor: rows is a tuple of ncols-tuples of packed
+        entries already in range.  Outside data goes through from_packed."""
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
+
+    def _new(self, rows, ncols=None) -> "Matrix":
+        """Same field; rows is an iterable of row lists or tuples.  Every
+        tuple is built from a sized list: tuple() of an iterator allocates
+        a guess and resizes it, which fills CPython's per-size tuple free
+        lists with memory the process then keeps."""
+        return Matrix(self.field, tuple([tuple(row) for row in rows]),
+                      self.ncols if ncols is None else ncols)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_packed(field: Field, rows) -> "Matrix":
-        arr = np.asarray(rows, dtype=field.np_dtype)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array of packed entries")
-        return Matrix(field, field.unpack_np(arr))
+        """Matrix from a 2-d sequence or array of packed entries, each of
+        which must lie in [0, q)."""
+        try:
+            out = tuple([tuple([operator.index(v) for v in row]) for row in rows])
+        except TypeError:
+            raise ValueError("expected a 2-d array of packed entries") from None
+        ncols = len(out[0]) if out else 0
+        if any(len(row) != ncols for row in out):
+            raise ValueError("rows of unequal length")
+        bad = [v for row in out for v in row if not 0 <= v < field.q]
+        if bad:
+            _element(field, bad[0])
+        return Matrix(field, out, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix.from_packed(field, np.eye(n, dtype=np.int64))
+        return Matrix.scalar(field, n, field.one)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, np.zeros((rows, cols, field.e), dtype=field.np_dtype))
+        return Matrix(field, ((0,) * cols,) * rows, cols)
 
     @staticmethod
     def diagonal(field: Field, packed_entries: Sequence[int]) -> "Matrix":
-        n = len(packed_entries)
-        out = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(packed_entries):
-            out[i, i] = a
-        return Matrix.from_packed(field, out)
+        entries = [_element(field, a) for a in packed_entries]
+        n = len(entries)
+        rows = tuple([(0,) * i + (a,) + (0,) * (n - 1 - i)
+                      for i, a in enumerate(entries)])
+        return Matrix(field, rows, n)
 
     @staticmethod
     def scalar(field: Field, n: int, packed: int) -> "Matrix":
-        return Matrix.diagonal(field, [packed] * n)
+        return Matrix.diagonal(field, [_element(field, packed)] * n)
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.concatenate([m.data for m in mats], axis=1))
+        if any(m.nrows != mats[0].nrows for m in mats):
+            raise ValueError("hstack needs equal row counts")
+        rows = [[v for part in parts for v in part]
+                for parts in zip(*[m.rows for m in mats])]
+        return mats[0]._new(rows, sum(m.ncols for m in mats))
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
-        field = mats[0].field
-        return Matrix(field, np.concatenate([m.data for m in mats], axis=0))
+        if any(m.ncols != mats[0].ncols for m in mats):
+            raise ValueError("vstack needs equal column counts")
+        return mats[0]._new([row for m in mats for row in m.rows])
 
     @staticmethod
     def block2(a: "Matrix", b: "Matrix", c: "Matrix", d: "Matrix") -> "Matrix":
@@ -108,67 +119,81 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.data.shape[1]
+        return len(self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.data.shape[0], self.data.shape[1])
+        return (len(self.rows), self.ncols)
 
     def packed(self) -> np.ndarray:
-        return self.field.pack_np(self.data)
+        return np.array(self.rows, dtype=np.int64).reshape(self.shape)
 
     def entry(self, i: int, j: int) -> int:
-        return _pack_one(self.field, self.data[i, j])
+        return self.rows[i][j]
 
     def key(self) -> tuple:
         """Hashable identity, suitable for dict/set membership."""
-        return (self.shape, tuple(int(v) for v in self.packed().ravel()))
+        return (self.shape, tuple([v for row in self.rows for v in row]))
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j : j + 1, :])
+        return self._new(([row[j]] for row in self.rows), 1)
 
     def columns(self) -> list["Matrix"]:
         return [self.col(j) for j in range(self.ncols)]
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self.data[:, list(idx), :])
+        idx = list(idx)
+        return self._new(([row[j] for j in idx] for row in self.rows), len(idx))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(self.field, self.data[r0:r1, c0:c1, :])
+        return self._new((row[c0:c1] for row in self.rows[r0:r1]),
+                         len(range(self.ncols)[c0:c1]))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self.data, other.data))
+            and self.ncols == other.ncols
+            and self.rows == other.rows
         )
 
     def __hash__(self):
         return hash((self.field.spec,) + self.key())
 
     def __repr__(self):
-        return f"Matrix({self.field!r}, {self.packed().tolist()})"
+        return f"Matrix({self.field!r}, {[list(row) for row in self.rows]})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same(other)
-        return Matrix(self.field, (self.data + other.data) % self.field.p)
+        return self._entrywise(other, operator.add, 0)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.sub, 1)
+
+    def _entrywise(self, other: "Matrix", op, table: int) -> "Matrix":
+        """op mod p for e == 1, else pair_tables()[table]."""
         self._check_same(other)
-        return Matrix(self.field, (self.data - other.data) % self.field.p)
+        f = self.field
+        pairs = zip(self.rows, other.rows)
+        if f.e == 1:
+            p = f.p
+            return self._new([op(a, b) % p for a, b in zip(ra, rb)]
+                             for ra, rb in pairs)
+        t = f.pair_tables()[table]
+        return self._new([t[a][b] for a, b in zip(ra, rb)] for ra, rb in pairs)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, (-self.data) % self.field.p)
+        return Matrix.zeros(self.field, *self.shape) - self
 
     def scale(self, packed_scalar: int) -> "Matrix":
-        return Matrix(self.field, _scale_rows(self.field, self.data, packed_scalar))
+        f = self.field
+        s = _element(f, packed_scalar)
+        if f.e == 1:
+            p = f.p
+            return self._new([s * v % p for v in row] for row in self.rows)
+        mul = f.pair_tables()[2][s]
+        return self._new([mul[v] for v in row] for row in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -177,24 +202,21 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
         if f.e == 1:
-            if f.np_dtype is object:
-                # huge primes: keep products exact with Python integers
-                a = self.data[:, :, 0].tolist()
-                b = other.data[:, :, 0].tolist()
-                prod = [
-                    [
-                        sum(ra[m] * b[m][c] for m in range(self.ncols)) % f.p
-                        for c in range(other.ncols)
-                    ]
-                    for ra in a
-                ]
-                return Matrix.from_packed(f, np.array(prod, dtype=object))
-            prod = (self.data[:, :, 0] @ other.data[:, :, 0]) % f.p
-            return Matrix(f, prod[:, :, None])
-        prod = (
-            np.einsum("rmi,mcj,ijk->rck", self.data, other.data, f.mul_tensor) % f.p
-        )
-        return Matrix(f, prod)
+            p = f.p
+            cols = list(zip(*other.rows)) or [()] * other.ncols
+            return self._new(([sum(map(operator.mul, row, col)) % p for col in cols]
+                              for row in self.rows), other.ncols)
+        # row i of the product is the sum over k of row[k] * other.rows[k]
+        add, _, mul = f.pair_tables()
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    m = mul[a]
+                    acc = [add[s][m[b]] for s, b in zip(acc, orow)]
+            out.append(acc)
+        return self._new(out, other.ncols)
 
     def matpow(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -211,7 +233,8 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, np.swapaxes(self.data, 0, 1))
+        return self._new(zip(*self.rows) if self.rows else [()] * self.ncols,
+                         self.nrows)
 
     def _check_same(self, other: "Matrix"):
         if self.field != other.field or self.shape != other.shape:
@@ -222,12 +245,18 @@ class Matrix:
     def _gauss_jordan(self, track_det: bool = False):
         """Reduced row echelon form with first-nonzero pivots.
 
-        Returns (R coeff array, pivot column tuple, det_packed) where
-        det_packed is the determinant when square and track_det is set
-        (0 when singular), else None.
+        Returns (R as a list of row lists, pivot column tuple, det_packed)
+        where det_packed is the determinant when square and track_det is
+        set (0 when singular), else None.  Pivot inverses come from
+        Field.inv.
         """
         f = self.field
-        R = np.array(self.data, copy=True)
+        prime = f.e == 1
+        if prime:
+            p = f.p
+        else:
+            _, sub, mul = f.pair_tables()
+        R = [list(row) for row in self.rows]
         rows, cols = self.shape
         pivots = []
         det = f.one if track_det else None
@@ -235,32 +264,34 @@ class Matrix:
         for c in range(cols):
             if r == rows:
                 break
-            nz = np.flatnonzero((R[r:, c, :] != 0).any(axis=-1))
-            if nz.size == 0:
+            i = next((i for i in range(r, rows) if R[i][c]), None)
+            if i is None:
                 continue
-            i = r + int(nz[0])
             if i != r:
-                R[[r, i]] = R[[i, r]]
+                R[r], R[i] = R[i], R[r]
                 if track_det:
                     det = f.neg(det)
-            pv = _pack_one(f, R[r, c])
+            row = R[r]
+            pv = row[c]
             if track_det:
                 det = f.mul(det, pv)
+            # entries left of column c are zero in every row from r down
             if pv != f.one:
-                R[r] = _scale_rows(f, R[r], f.inv(pv))
-            others = np.flatnonzero((R[:, c, :] != 0).any(axis=-1))
-            others = others[others != r]
-            if others.size:
-                factors = R[others, c, :].copy()
-                if f.e == 1:
-                    R[others, :, 0] = (
-                        R[others, :, 0] - factors[:, 0:1] * R[r, :, 0][None, :]
-                    ) % f.p
+                inv = f.inv(pv)
+                if prime:
+                    row[c:] = [v * inv % p for v in row[c:]]
                 else:
-                    update = np.einsum(
-                        "mi,cj,ijk->mck", factors, R[r], f.mul_tensor
-                    )
-                    R[others] = (R[others] - update) % f.p
+                    m = mul[inv]
+                    row[c:] = [m[v] for v in row[c:]]
+            tail = row[c:]
+            for other in R:
+                a = other[c]
+                if a and other is not row:
+                    if prime:
+                        other[c:] = [(v - a * t) % p for v, t in zip(other[c:], tail)]
+                    else:
+                        m = mul[a]
+                        other[c:] = [sub[v][m[t]] for v, t in zip(other[c:], tail)]
             pivots.append(c)
             r += 1
         if track_det:
@@ -272,7 +303,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         R, pivots, _ = self._gauss_jordan()
-        return Matrix(self.field, R), pivots
+        return self._new(R), pivots
 
     def rank(self) -> int:
         return len(self._gauss_jordan()[1])
@@ -291,7 +322,7 @@ class Matrix:
         R, pivots, _ = aug._gauss_jordan()
         if tuple(pivots) != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, R[:, n:, :])
+        return self._new(row[n:] for row in R)
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """One solution X of self @ X = rhs (free variables set to zero),
@@ -303,11 +334,10 @@ class Matrix:
         R, pivots, _ = aug._gauss_jordan()
         if any(c >= cols for c in pivots):
             return None
-        f = self.field
-        out = np.zeros((cols, rhs.ncols, f.e), dtype=f.np_dtype)
+        out = [[0] * rhs.ncols for _ in range(cols)]
         for row_idx, c in enumerate(pivots):
-            out[c] = R[row_idx, cols:, :]
-        return Matrix(f, out)
+            out[c] = R[row_idx][cols:]
+        return rhs._new(out)
 
     def kernel_basis(self) -> list["Matrix"]:
         """Column vectors spanning the right null space, in the
@@ -318,45 +348,15 @@ class Matrix:
         free = [c for c in range(self.ncols) if c not in pivot_set]
         out = []
         for c in free:
-            vec = np.zeros((self.ncols, 1, f.e), dtype=f.np_dtype)
-            vec[c, 0, 0] = f.one
+            vec = [0] * self.ncols
+            vec[c] = f.one
             for row_idx, pc in enumerate(pivots):
-                vec[pc, 0] = (-R[row_idx, c, :]) % f.p
-            out.append(Matrix(f, vec))
+                vec[pc] = f.neg(R[row_idx][c])
+            out.append(Matrix(f, tuple([(v,) for v in vec]), 1))
         return out
 
 
 # -- derived operations ----------------------------------------------------
-
-# functional spellings of the standard Matrix bundle
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def det(m: Matrix) -> int:
-    return m.det()
-
-
-def kernel_basis(m: Matrix):
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, b: Matrix):
-    return m.solve(b)
-
-
-def invert(m: Matrix) -> Matrix:
-    return m.inverse()
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def matpow(m: Matrix, k: int) -> Matrix:
-    return m.matpow(k)
 
 
 def evaluate_poly_at(f_poly: poly.Poly, x: Matrix) -> Matrix:
@@ -387,21 +387,21 @@ def twisted_commutant_basis(x: Matrix, lam: int) -> list[Matrix]:
     n = x.nrows
     if x.ncols != n:
         raise ValueError("commutant needs a square matrix")
-    # row-major vectorization: vec(M x) = (I (x) x^T) vec M,
-    # vec(x M) = (x (x) I) vec M
-    e = field.e
-    eye = np.zeros((n, n, e), dtype=field.np_dtype)
-    for i in range(n):
-        eye[i, i, 0] = field.one
-    m1 = np.einsum("ac,bdk->abcdk", eye[:, :, 0], np.swapaxes(x.data, 0, 1))
-    m2 = np.einsum("ack,bd->abcdk", x.data, eye[:, :, 0])
-    m2 = _scale_rows(field, m2, lam)
-    system = (m1 - m2).reshape(n * n, n * n, e) % field.p
-    kernel = Matrix(field, system).kernel_basis()
-    out = []
-    for vec in kernel:
-        out.append(Matrix(field, vec.data.reshape(n, n, e)))
-    return out
+    # unknown M[c][d] sits at index c n + d; equation (a, b) reads
+    # (M x)[a][b] - lam (x M)[a][b] = 0
+    minus_lam_x = x.scale(field.neg(lam)).rows
+    system = []
+    for a in range(n):
+        for b in range(n):
+            eq = [0] * (n * n)
+            for d in range(n):
+                eq[a * n + d] = x.rows[d][b]
+            for c in range(n):
+                eq[c * n + b] = field.add(eq[c * n + b], minus_lam_x[a][c])
+            system.append(eq)
+    kernel = x._new(system, n * n).kernel_basis()
+    return [x._new([v for (v,) in vec.rows[i * n:(i + 1) * n]] for i in range(n))
+            for vec in kernel]
 
 
 @dataclass(frozen=True)
@@ -460,120 +460,61 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
     return blocks
 
 
-# -- batched enumeration kernels -------------------------------------------
+# -- batched enumeration kernel --------------------------------------------
 
 
-_FAST_TABLE_Q = 512
+def _array_ops(field: Field):
+    """(mul, fma, inv) on packed int64 arrays, elementwise with
+    broadcasting: mul(a, b) = a b, fma(x, a, b) = x + a b, and inv of
+    nonzero entries.  Mod p when e == 1, the packed tables when e > 1, and
+    the scalar Field operations where gf keeps no table."""
+    if field.q <= _TABLE_MAX:
+        inv = field.inv_table().__getitem__
+    else:
+        inv = _lifted(field.inv, 1)
+    if field.e == 1:
+        p = field.p
+        return (lambda a, b: a * b % p, lambda x, a, b: (x + a * b) % p, inv)
+    if field.q <= _PAIR_TABLE_MAX:
+        add, _, mul, _ = field.packed_tables()
+        return (lambda a, b: mul[a, b], lambda x, a, b: add[x, mul[a, b]], inv)
+    add, mul = _lifted(field.add, 2), _lifted(field.mul, 2)
+    return (mul, lambda x, a, b: add(x, mul(a, b)), inv)
 
 
-def _dets_packed_tables(field: Field, pw: np.ndarray):
-    """Determinants by Gauss elimination on packed entries through q x q
-    lookup tables.  pw: writable (B, n, n) int64 array, consumed."""
-    _, sub_t, mul_t, neg_t = field.packed_tables()
-    inv_t = field.inv_table()
-    B, n = pw.shape[0], pw.shape[1]
-    det = np.full(B, field.one, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
-    idx = np.arange(B)
+def _lifted(op, nargs):
+    """A scalar Field operation applied elementwise, int64 in and out."""
+    ufunc = np.frompyfunc(lambda *args: op(*map(int, args)), nargs, 1)
+    return lambda *arrays: ufunc(*arrays).astype(np.int64)
+
+
+def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
+    """Determinants of a (B, n, n) int64 array of packed matrices, 0 for
+    the singular ones, by one Gaussian elimination over the whole batch
+    with the first nonzero pivot of each column.  mats is overwritten."""
+    mul, fma, inv = _array_ops(field)
+    minus_one = field.neg(field.one)
+    count, n = mats.shape[0], mats.shape[1]
+    det = np.ones(count, dtype=np.int64)
+    members = np.arange(count)
     for j in range(n):
-        nz = pw[:, j:, j] != 0
-        alive &= nz.any(axis=1)
-        if not alive.any():
-            break
-        first = np.argmax(nz, axis=1)
-        first[~alive] = 0
-        rows = j + first
-        swap_needed = (rows != j) & alive
-        if swap_needed.any():
-            tmp = pw[idx, rows].copy()
-            pw[idx, rows] = pw[idx, j]
-            pw[idx, j] = tmp
-            det[swap_needed] = neg_t[det[swap_needed]]
-        pv_safe = np.where(alive, pw[:, j, j], 1)
-        det = mul_t[det, pv_safe]
-        pw[:, j, :] = mul_t[pw[:, j, :], inv_t[pv_safe][:, None]]
+        rows = j + (mats[:, j:, j] != 0).argmax(axis=1)
+        swap = members[rows != j]
+        if swap.size:
+            top = mats[swap, j].copy()
+            mats[swap, j] = mats[swap, rows[swap]]
+            mats[swap, rows[swap]] = top
+            det[swap] = mul(det[swap], minus_one)
+        pivot = mats[:, j, j]
+        # a column with no nonzero entry leaves the pivot, and det, zero
+        det = mul(det, pivot)
         if j + 1 < n:
-            prod = mul_t[pw[:, j + 1 :, j, None], pw[:, j, None, :]]
-            pw[:, j + 1 :, :] = sub_t[pw[:, j + 1 :, :], prod]
-    det[~alive] = 0
-    return alive, det
-
-
-def _batched_invertible_dets(field: Field, batch: np.ndarray):
-    """batch: (B, n, n, e) coefficient arrays.  Returns (invertible mask,
-    packed determinants), determinant 0 for singular members."""
-    if field.q <= _FAST_TABLE_Q:
-        pw = field.pack_np(batch).astype(np.int64)
-        return _dets_packed_tables(field, pw)
-    p = field.p
-    e = field.e
-    B, n = batch.shape[0], batch.shape[1]
-    work = np.array(batch, copy=True)
-    det = np.full(B, field.one, dtype=np.int64)
-    alive = np.ones(B, dtype=bool)
-    if e > 1:
-        inv_t = field.inv_table()
-        powers = np.array([p**i for i in range(e)], dtype=np.int64)
-        T = field.mul_tensor
-    for j in range(n):
-        sub = work[:, j:, j, :]
-        nz = (sub != 0).any(axis=-1)
-        has = nz.any(axis=1)
-        alive &= has
-        det[~alive] = 0
-        if not alive.any():
-            break
-        first = np.argmax(nz, axis=1)
-        first[~alive] = 0
-        rows = j + first
-        idx = np.arange(B)
-        swap_needed = (rows != j) & alive
-        if swap_needed.any():
-            tmp = work[idx, rows].copy()
-            work[idx, rows] = work[idx, j]
-            work[idx, j] = tmp
-            neg_rows = swap_needed
-            if e == 1:
-                det[neg_rows] = (-det[neg_rows]) % p
-            else:
-                det[neg_rows] = np.array(
-                    [field.neg(int(v)) for v in det[neg_rows]], dtype=np.int64
-                )
-        if e == 1:
-            pv = work[:, j, j, 0]
-            det[alive] = det[alive] * pv[alive] % p
-            inv_pv = np.ones(B, dtype=np.int64)
-            pv_alive = pv[alive]
-            inv_pv[alive] = np.array(
-                [pow(int(v), p - 2, p) for v in pv_alive], dtype=np.int64
-            )
-            work[:, j, :, 0] = work[:, j, :, 0] * inv_pv[:, None] % p
-            factors = work[:, j + 1 :, j, 0].copy()
-            work[:, j + 1 :, :, 0] = (
-                work[:, j + 1 :, :, 0] - factors[:, :, None] * work[:, j, None, :, 0]
-            ) % p
-        else:
-            pvp = (work[:, j, j, :] * powers).sum(axis=-1)
-            pvp_safe = np.where(alive, pvp, 1)
-            det_new = _vec_field_mul(field, det, pvp_safe, T, powers, p)
-            det[alive] = det_new[alive]
-            inv_packed = inv_t[pvp_safe]
-            inv_vec = field.unpack_np(inv_packed)
-            work[:, j, :, :] = (
-                np.einsum("bci,bj,ijk->bck", work[:, j, :, :], inv_vec, T) % p
-            )
-            factors = work[:, j + 1 :, j, :].copy()
-            update = np.einsum("bmi,bcj,ijk->bmck", factors, work[:, j, :, :], T)
-            work[:, j + 1 :, :, :] = (work[:, j + 1 :, :, :] - update) % p
-    det[~alive] = 0
-    return alive, det
-
-
-def _vec_field_mul(field: Field, a_packed, b_packed, T, powers, p):
-    av = field.unpack_np(a_packed)
-    bv = field.unpack_np(b_packed)
-    prod = np.einsum("bi,bj,ijk->bk", av, bv, T) % p
-    return (prod * powers).sum(axis=-1).astype(np.int64)
+            neg_inv = inv(mul(np.where(pivot != 0, pivot, 1), minus_one))
+            factor = mul(mats[:, j + 1:, j], neg_inv[:, None])
+            mats[:, j + 1:, j + 1:] = fma(mats[:, j + 1:, j + 1:],
+                                          factor[:, :, None],
+                                          mats[:, j, None, j + 1:])
+    return det
 
 
 def span_invertible_counts(
@@ -587,48 +528,24 @@ def span_invertible_counts(
     if not basis:
         return (0, 0)
     field = basis[0].field
+    q = field.q
     d = len(basis)
-    total = field.q**d
+    total = q**d
     if total > budget:
-        raise BudgetError(f"span has {field.q}^{d} members, budget {budget}")
+        raise BudgetError(f"span has {q}^{d} members, budget {budget}")
     n = basis[0].nrows
-    e = field.e
-    stack = np.stack([b.data for b in basis])  # (d, n, n, e)
-    use_tables = e > 1 and field.q <= _FAST_TABLE_Q
-    if use_tables:
-        add_t, _, mul_t, _ = field.packed_tables()
-        flatp = np.stack([field.pack_np(b.data).reshape(n * n).astype(np.int64)
-                          for b in basis])
+    _, fma, _ = _array_ops(field)
+    flat = [b.packed().reshape(n * n) for b in basis]
     inv_count = 0
     det1_count = 0
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        combos = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, d), dtype=np.int64)
-        work = combos.copy()
-        for i in range(d):
-            digits[:, i] = work % field.q
-            work //= field.q
-        if e == 1:
-            flat = stack[:, :, :, 0].reshape(d, n * n)
-            mats = (digits @ flat) % field.p
-            ok, dets = _dets_packed_tables(
-                field, mats.reshape(-1, n, n).astype(np.int64)
-            ) if field.q <= _FAST_TABLE_Q else _batched_invertible_dets(
-                field, mats.reshape(-1, n, n)[:, :, :, None]
-            )
-        elif use_tables:
-            acc = np.zeros((stop - start, n * n), dtype=np.int64)
-            for i in range(d):
-                acc = add_t[acc, mul_t[digits[:, i, None], flatp[i][None, :]]]
-            ok, dets = _dets_packed_tables(field, acc.reshape(-1, n, n))
-        else:
-            cvec = field.unpack_np(digits)  # (B, d, e)
-            batch = (
-                np.einsum("bdi,dmcj,ijk->bmck", cvec, stack, field.mul_tensor)
-                % field.p
-            )
-            ok, dets = _batched_invertible_dets(field, batch)
-        inv_count += int(ok.sum())
+        # member m takes coefficient (m // q^i) % q on basis[i]
+        digits = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        mats = np.zeros((digits.size, n * n), dtype=np.int64)
+        for b in flat:
+            mats = fma(mats, (digits % q)[:, None], b)
+            digits //= q
+        dets = _batched_dets(field, mats.reshape(-1, n, n))
+        inv_count += int((dets != 0).sum())
         det1_count += int((dets == field.one).sum())
     return inv_count, det1_count

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from msg_lab import cli
 from msg_lab.cli import main
 from msg_lab.experiments import equivalence_experiment, parse_family
 from msg_lab.gf import GF
@@ -123,10 +124,32 @@ def test_commutator_psl2(capsys):
     assert psl_canonical(comm).key() == psl_canonical(target).key()
 
 
+def test_commutator_checks_budget_before_enumerating(capsys, monkeypatch):
+    """|A_12| = 12!/2 is far above the 10^4 budget: the order from the
+    descriptor refuses the run before a single element is built."""
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(cli, "enumerate_alternating", enumerate_nothing)
+    monkeypatch.setattr(cli, "enumerate_psl2", enumerate_nothing)
+    code, _, err = _run(capsys, "commutator", "--group", "A:12",
+                        "1,2,0,3,4,5,6,7,8,9,10,11")
+    assert code == 2 and "budget" in err
+    code, _, err = _run(capsys, "commutator", "--group", "PSL:2:31",
+                        "SL:1,0;0,1")
+    assert code == 2 and "budget" in err
+
+
 def test_commutator_rejects_large_psl(capsys):
     code, _, err = _run(capsys, "commutator", "--group", "PSL:3:2",
                         "SL:1,0,0;0,1,0;0,0,1")
     assert code == 2 and "PSL_2" in err
+
+
+def test_prepare_rejects_alpha_outside_field(capsys):
+    code, out, err = _run(capsys, "prepare", "--field", "5", "--k", "2",
+                          "--alpha", "5", "1,0;0,1")
+    assert code == 2 and out == "" and "alpha" in err
 
 
 def test_factorize_centralizer(capsys):
@@ -221,6 +244,13 @@ def test_experiment_stdout_and_file(capsys, tmp_path):
     assert code == 0
     assert out == "wrote %s\n" % target
     assert target.read_bytes() == expect.encode("utf-8")
+
+
+def test_experiment_rejects_nonpositive_trials(capsys):
+    for trials in ("-1", "0"):
+        code, out, err = _run(capsys, "experiment", "--name", "equivalence",
+                              "--family", "ALT:5,6", "--trials", trials)
+        assert code == 2 and out == "" and "trials" in err
 
 
 def test_experiment_fingerprint(capsys):

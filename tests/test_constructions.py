@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from msg_lab.constructions import (approx_centralize, build_niceblock,
-                                   check_split_condition, commutator_witness,
+from msg_lab.constructions import (SplitDecomposition, approx_centralize,
+                                   build_niceblock, check_split_condition,
+                                   commutator_witness,
                                    commutator_witness_table, length_pr,
                                    prepare_near_root, project_to_sl)
 from msg_lab.gf import GF
@@ -88,6 +89,24 @@ def test_prepare_rejects_bad_inputs():
         prepare_near_root(y, 2, 0)  # alpha = 0
     with pytest.raises(ValueError):
         prepare_near_root(Matrix.diagonal(field, [1, 0]), 2, 1)  # singular
+
+
+def test_packed_scalars_outside_field_rejected():
+    """Packed values must lie in [0, q): nothing reduces them silently."""
+    for field, bad in ((GF(5), 5), (GF(5), -1), (GF(3, 2), 9)):
+        with pytest.raises(ValueError):
+            Matrix.from_packed(field, [[1, bad], [0, 1]])
+        with pytest.raises(ValueError):
+            Matrix.scalar(field, 2, bad)
+        with pytest.raises(ValueError):
+            Matrix.diagonal(field, [1, bad])
+        with pytest.raises(ValueError):
+            Matrix.identity(field, 2).scale(bad)
+        y = Matrix.identity(field, 2)
+        with pytest.raises(ValueError):
+            prepare_near_root(y, 2, bad)
+        with pytest.raises(ValueError):
+            SplitDecomposition(tuple(y.columns()), (), 2, bad)
 
 
 def test_check_split_condition_rejects_tampering():
@@ -233,7 +252,7 @@ def test_niceblock_centralizer_complete_small():
         assert len(centralizer_keys) == expected[q]
         gens = [g.matrix for g in cert.A_generators]
         gens += [g.matrix for g in cert.H_generators]
-        for lam in field.enumerate_nonzero():
+        for lam in field.nonzero_elements():
             if field.pow(lam, 4) == field.one:
                 gens.append(Matrix.scalar(field, 4, lam))
         generated = _closure(gens)

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from msg_lab.gf import GF, Field, FieldSpec, field_arith, find_irreducible
@@ -15,7 +14,7 @@ def test_axioms_exhaustive_small_fields():
     for field in SMALL:
         if field.q > 49:
             continue
-        elems = list(field.enumerate_all())
+        elems = list(field.elements())
         assert len(elems) == field.q
         for a in elems:
             assert field.add(a, field.zero) == a
@@ -55,10 +54,10 @@ def test_frobenius_additive():
     for field in SMALL:
         if field.q > 49:
             continue
-        for a in field.enumerate_all():
-            for b in field.enumerate_all():
-                left = field.frobenius(field.add(a, b))
-                right = field.add(field.frobenius(a), field.frobenius(b))
+        for a in field.elements():
+            for b in field.elements():
+                left = field.pow(field.add(a, b), field.p)
+                right = field.add(field.pow(a, field.p), field.pow(b, field.p))
                 assert left == right
 
 
@@ -81,7 +80,7 @@ def test_multiplicative_group_cyclic():
     the library's own generator search."""
     for field in [GF(7), GF(101), GF(2, 4), GF(3, 4), GF(2, 10), GF(3, 7)]:
         n = field.q - 1
-        assert len(list(field.enumerate_nonzero())) == n
+        assert len(list(field.nonzero_elements())) == n
         g = field.multiplicative_generator()
         assert field.pow(g, n) == field.one
         for r in _prime_divisors(n):
@@ -117,36 +116,26 @@ def test_spec_validation():
 
 def test_coeffs_round_trip():
     for field in FIELDS:
-        for a in field.enumerate_all():
+        for a in field.elements():
             cs = field.coeffs(a)
             assert len(cs) == field.e
             assert all(0 <= c < field.p for c in cs)
             assert field.from_coeffs(cs) == a
 
 
-def test_pack_unpack_np_round_trip(rng):
-    for field in FIELDS:
-        vals = np.array([[rng.randrange(field.q) for _ in range(7)]
-                         for _ in range(5)])
-        coeffs = field.unpack_np(vals)
-        assert coeffs.shape == (5, 7, field.e)
-        back = field.pack_np(coeffs)
-        assert (back == vals).all()
-
-
 def test_inv_table():
     for field in [GF(7), GF(3, 2), GF(2, 4)]:
         table = field.inv_table()
-        for a in field.enumerate_nonzero():
+        for a in field.nonzero_elements():
             assert field.mul(a, int(table[a])) == field.one
 
 
 def test_packed_tables_match_scalar_ops():
     for field in [GF(5), GF(3, 2), GF(2, 3)]:
         add_t, sub_t, mul_t, neg_t = field.packed_tables()
-        for a in field.enumerate_all():
+        for a in field.elements():
             assert int(neg_t[a]) == field.neg(a)
-            for b in field.enumerate_all():
+            for b in field.elements():
                 assert int(add_t[a, b]) == field.add(a, b)
                 assert int(sub_t[a, b]) == field.sub(a, b)
                 assert int(mul_t[a, b]) == field.mul(a, b)
@@ -156,7 +145,7 @@ def test_packed_tables_match_scalar_ops():
 
 def test_pow_agrees_with_repeated_mul():
     field = GF(3, 2)
-    for a in field.enumerate_all():
+    for a in field.elements():
         acc = field.one
         for k in range(9):
             assert field.pow(a, k) == acc

@@ -105,7 +105,7 @@ def test_psl_canonical_centre_invariance(rng):
             g = random_invertible(2, field.spec, rng)
             canon = psl_canonical(g)
             assert psl_canonical(canon) == canon
-            for lam in field.enumerate_nonzero():
+            for lam in field.nonzero_elements():
                 if field.pow(lam, 2) != field.one:
                     continue
                 assert psl_canonical(g.scale(lam)) == canon

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -118,18 +119,6 @@ def test_solve_and_inverse(rng):
                     singular.inverse()
 
 
-def test_functional_bundle_wrappers(rng):
-    field = GF(5)
-    m = random_invertible(3, field.spec, rng)
-    assert L.rank(m) == m.rank()
-    assert L.det(m) == m.det()
-    assert L.invert(m) == m.inverse()
-    assert L.matmul(m, m) == m @ m
-    assert L.matpow(m, 3) == m @ m @ m
-    assert L.solve(m, Matrix.zeros(field, 3, 1)) == Matrix.zeros(field, 3, 1)
-    assert L.kernel_basis(m) == []
-
-
 def test_commutant_contains_identity_and_x(rng):
     for field in FIELDS:
         for _ in range(25):
@@ -205,24 +194,62 @@ def test_span_invertible_counts_commutant_oracle():
     assert invertible == 12096
 
 
+# the batched determinant kernel reads mod-p arithmetic (e == 1), the packed
+# pair tables (e > 1, q <= 2^10) or the scalar field ops (above that cap),
+# and pivot inverses from the inverse table up to q = 2^16
+KERNEL_FIELDS = FIELDS + [GF(509), GF(521), GF(2, 6), GF(3, 4)]
+
+
+def _singular_copy(m):
+    rows = m.packed().tolist()
+    rows[-1] = rows[0]
+    return Matrix.from_packed(m.field, rows)
+
+
 def test_batched_dets_match_scalar_path(rng):
-    for field in FIELDS:
-        mats = [_rand_matrix(field, n, n, rng)
-                for n in (1, 2, 3, 4) for _ in range(12)]
+    for field in KERNEL_FIELDS + [GF(2, 11), GF(65537), GF(2**31 - 1)]:
         for n in (1, 2, 3, 4):
-            batch = np.stack([m.data for m in mats if m.nrows == n])
-            ok, dets = L._batched_invertible_dets(field, batch)
-            subset = [m for m in mats if m.nrows == n]
-            for i, m in enumerate(subset):
-                assert bool(ok[i]) == m.is_invertible()
-                assert int(dets[i]) == m.det()
+            mats = [_rand_matrix(field, n, n, rng) for _ in range(12)]
+            mats += [_singular_copy(m) for m in mats[:4] if n > 1]
+            dets = L._batched_dets(field, np.array([m.packed() for m in mats]))
+            for m, d in zip(mats, dets):
+                assert (int(d) != 0) == m.is_invertible()
+                assert int(d) == m.det()
 
 
-def test_fast_table_path_matches_generic_path(monkeypatch, rng):
-    field = GF(2, 2)
-    x = _rand_matrix(field, 3, 3, rng)
-    basis = commutant_basis(x)
-    fast = span_invertible_counts(basis)
-    monkeypatch.setattr(L, "_FAST_TABLE_Q", 0)
-    slow = span_invertible_counts(basis)
-    assert fast == slow
+def _member_counts(basis):
+    """(invertible, det one) over the span, member by member."""
+    field = basis[0].field
+    n = basis[0].nrows
+    invertible = det_one = 0
+    for combo in itertools.product(range(field.q), repeat=len(basis)):
+        m = Matrix.zeros(field, n, n)
+        for c, b in zip(combo, basis):
+            m = m + b.scale(c)
+        d = m.det()
+        invertible += d != 0
+        det_one += d == 1
+    return invertible, det_one
+
+
+def test_span_invertible_counts_match_member_oracle(rng):
+    for field in KERNEL_FIELDS:
+        dim = max(d for d in (1, 2, 3) if field.q**d <= 5000)
+        for n in (2, 3):
+            basis = [_rand_matrix(field, n, n, rng) for _ in range(dim)]
+            assert span_invertible_counts(basis) == _member_counts(basis)
+        basis = commutant_basis(_rand_matrix(field, 2, 2, rng))
+        if field.q ** len(basis) <= 5000:
+            assert span_invertible_counts(basis) == _member_counts(basis)
+
+
+def test_span_invertible_counts_one_dim_above_table_cap(rng):
+    """GF(2^11) has no pair tables: the span of one invertible matrix B
+    has q - 1 invertible members, and c B has det one iff c^3 det B = 1."""
+    field = GF(2, 11)
+    b = random_invertible(3, field.spec, rng)
+    invertible, det1 = span_invertible_counts([b])
+    assert invertible == field.q - 1
+    d = b.det()
+    assert det1 == sum(field.mul(field.pow(c, 3), d) == field.one
+                       for c in field.nonzero_elements())

@@ -46,7 +46,7 @@ def test_prank_scalar_invariance_exhaustive():
     g = Matrix.from_packed(field, [[1, 2], [3, 4]])
     h = Matrix.from_packed(field, [[0, 1], [2, 0]])
     base = projective_rank_distance(g, h).value
-    for lam in field.enumerate_nonzero():
+    for lam in field.nonzero_elements():
         assert projective_rank_distance(g.scale(lam), h).value == base
         assert projective_rank_distance(g, h.scale(lam)).value == base
 

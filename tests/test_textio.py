@@ -29,7 +29,7 @@ def test_field_parse_errors():
 
 def test_scalar_round_trip():
     field = GF(3, 2)
-    for a in field.enumerate_all():
+    for a in field.elements():
         text = textio.format_scalar(field, a)
         assert textio.parse_scalar(field, text) == a
 
