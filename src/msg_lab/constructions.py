@@ -667,31 +667,40 @@ def check_commutator_budget(order):
                           % order)
 
 
-def commutator_witness_table(elements, key_fn=None):
-    """First witness pair (a, b) with a^-1 b^-1 a b = g, for every value g
-    realized as a commutator over the enumeration.  Exhaustive."""
-    check_commutator_budget(len(elements))
+def _commutators(elements, key_fn):
+    """(key of a^-1 b^-1 a b, a, b) for every pair, a-major in the order
+    of the enumeration."""
     mul, inv, key = _element_ops(elements[0])
     if key_fn is not None:
         key = key_fn
     inverses = [inv(a) for a in elements]
+    for a, ai in zip(elements, inverses):
+        for b, bi in zip(elements, inverses):
+            yield key(mul(mul(ai, bi), mul(a, b))), a, b
+
+
+def commutator_witness_table(elements, key_fn=None):
+    """First witness pair (a, b) with a^-1 b^-1 a b = g, for every value g
+    realized as a commutator over the enumeration.  Exhaustive."""
+    check_commutator_budget(len(elements))
     table = {}
-    for i, a in enumerate(elements):
-        ai = inverses[i]
-        for j, b in enumerate(elements):
-            g = mul(mul(ai, inverses[j]), mul(a, b))
-            gk = key(g)
-            if gk not in table:
-                table[gk] = (a, b)
+    for gk, a, b in _commutators(elements, key_fn):
+        if gk not in table:
+            table[gk] = (a, b)
     return table
 
 
 def commutator_witness(g, elements, key_fn=None, table=None):
     """An exact witness (a, b) with g = a^-1 b^-1 a b, or None after an
-    exhaustive scan of the enumeration."""
-    mul, inv, key = _element_ops(g)
+    exhaustive scan of the enumeration.  Without a table the pairs are
+    scanned in the table's order up to the first hit, so the witness is
+    the one commutator_witness_table records."""
+    _, _, key = _element_ops(g)
     if key_fn is not None:
         key = key_fn
-    if table is None:
-        table = commutator_witness_table(elements, key_fn=key_fn)
-    return table.get(key(g))
+    target = key(g)
+    if table is not None:
+        return table.get(target)
+    check_commutator_budget(len(elements))
+    return next(((a, b) for gk, a, b in _commutators(elements, key_fn)
+                 if gk == target), None)

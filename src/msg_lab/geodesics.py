@@ -27,9 +27,9 @@ scalar.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import ClassicalElement, Permutation, proj_equal
+from .groups import Permutation, proj_equal
 from .linalg import Matrix, min_rank_shift
-from .metrics import (HAMMING, PRANK, hamming_distance,
+from .metrics import (HAMMING, PRANK, _as_matrix, hamming_distance,
                       projective_rank_distance)
 
 
@@ -198,10 +198,6 @@ def _assemble(elements, kind, target, splits, repairs, n, ms):
         splits=splits,
         parity_repairs=repairs,
     )
-
-
-def _as_matrix(g):
-    return g.matrix if isinstance(g, ClassicalElement) else g
 
 
 def _probe_vectors(field, n):

@@ -8,9 +8,12 @@ reduction.  Over an extension field it reads the pair tables of gf, which
 defer to the scalar Field operations above gf._PAIR_TABLE_MAX.  Rank,
 rref, det, inverse, solve, kernel_basis and the commutant bases all ride
 one Gauss-Jordan routine with first-nonzero pivot selection, so pivot
-choice is deterministic.  span_invertible_counts enumerates a span through
-one batched elimination on int64 arrays, the only numpy code here besides
-Matrix.packed().
+choice is deterministic.  charpoly reduces to Hessenberg form with the
+same arithmetic, and min_rank_shift computes ranks only at the roots of
+the characteristic polynomial in F^x, found with the polynomial arithmetic
+of poly, so its cost grows with log q, not q.  span_invertible_counts
+enumerates a span through one batched elimination on int64 arrays, the
+only numpy code here besides Matrix.packed().
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ import numpy as np
 from . import poly
 from .errors import BudgetError, UnsupportedCaseError
 from .gf import _PAIR_TABLE_MAX, _TABLE_MAX, Field
-
-DEFAULT_SHIFT_BUDGET = 2**16
-
 
 def _element(field: Field, a) -> int:
     """a as a packed element of field; ValueError outside [0, q)."""
@@ -404,33 +404,111 @@ def twisted_commutant_basis(x: Matrix, lam: int) -> list[Matrix]:
             for vec in kernel]
 
 
+def charpoly(m: Matrix) -> poly.Poly:
+    """det(T I - m), monic of degree n, constant term first.
+
+    Hessenberg reduction by elementary similarities, then the recurrence
+    for the characteristic polynomials of the leading blocks of the
+    Hessenberg form (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9): O(n^3) field operations.
+    """
+    f = m.field
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("charpoly needs a square matrix")
+    # axpy(ys, c, xs) is ys + c xs entrywise, as long as the shorter list
+    if f.e == 1:
+        p = f.p
+        neg = f.neg
+
+        def axpy(ys, c, xs):
+            return [(y + c * x) % p for y, x in zip(ys, xs)]
+    else:
+        add, sub, mul = f.pair_tables()
+        neg = sub[0].__getitem__
+
+        def axpy(ys, c, xs):
+            mc = mul[c]
+            return [add[y][mc[x]] for y, x in zip(ys, xs)]
+
+    H = [list(row) for row in m.rows]
+    for c in range(n - 2):
+        # clear column c below the subdiagonal with pivot row k
+        k = c + 1
+        i = next((i for i in range(k, n) if H[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            H[k], H[i] = H[i], H[k]
+            for row in H:
+                row[k], row[i] = row[i], row[k]
+        inv = f.inv(H[k][c])
+        for i in range(k + 1, n):
+            if H[i][c]:
+                # row i -= u row k, then column k += u column i
+                u = f.mul(H[i][c], inv)
+                H[i] = axpy(H[i], neg(u), H[k])
+                col = axpy([row[k] for row in H], u, [row[i] for row in H])
+                for row, v in zip(H, col):
+                    row[k] = v
+    # chars[j] = det(T I - H[:j, :j]); chars[j + 1] = (T - H[j][j]) chars[j]
+    # - sum over i < j of H[i+1][i] ... H[j][j-1] H[i][j] chars[i]
+    chars = [[f.one]]
+    for j in range(n):
+        prev = chars[j]
+        nxt = axpy([0] + prev, neg(H[j][j]), prev + [0])
+        t = f.one
+        for i in range(j - 1, -1, -1):
+            t = f.mul(t, H[i + 1][i])
+            if not t:
+                break
+            nxt = axpy(nxt, neg(f.mul(t, H[i][j])), chars[i]) + nxt[i + 1:]
+        chars.append(nxt)
+    return tuple(chars[n])
+
+
 @dataclass(frozen=True)
 class MinRankShift:
+    """r = min rank(g - alpha h); argmins holds the minimizing alpha in
+    ascending packed order, range(1, q) when r is n."""
+
     r: int
-    argmins: tuple[int, ...]
+    argmins: Sequence[int]
 
 
-def min_rank_shift(g: Matrix, h: Matrix, budget: int = DEFAULT_SHIFT_BUDGET) -> MinRankShift:
+def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     """min over alpha in F^x of rank(g - alpha h), with every minimizing
-    alpha in ascending packed order.  Exhaustive over F^x, so the field
-    order is budget-checked."""
-    if g.field != h.field or g.shape != h.shape:
-        raise ValueError("incompatible matrices")
+    alpha in ascending packed order; h must be invertible (ValueError
+    otherwise).
+
+    rank(g - alpha h) = rank(m - alpha I) for m = h^-1 g, which is below n
+    exactly when alpha is an eigenvalue of m.  The eigenvalues in F^x are
+    the roots of gcd(charpoly(m), T^(q-1) - 1), a squarefree product of
+    linear factors that equal-degree splitting separates; a rank is
+    computed at those at most n roots alone, so the cost grows with log q,
+    not q.  With no such root every alpha gives rank n and argmins is
+    range(1, q).
+    """
+    if g.field != h.field or g.shape != h.shape or g.nrows != g.ncols:
+        raise ValueError("need square matrices of equal shape over one field")
     field = g.field
-    if field.q - 1 > budget:
-        raise BudgetError(
-            f"min_rank_shift needs {field.q - 1} rank computations, budget {budget}"
-        )
-    best = None
-    argmins: list[int] = []
-    for alpha in field.nonzero_elements():
-        r = (g - h.scale(alpha)).rank()
-        if best is None or r < best:
-            best = r
-            argmins = [alpha]
-        elif r == best:
-            argmins.append(alpha)
-    return MinRankShift(best, tuple(argmins))
+    n = g.nrows
+    # the rref of [h | g] is [I | h^-1 g] exactly when h is invertible
+    reduced, pivots = Matrix.hstack([h, g]).rref()
+    if pivots != tuple(range(n)):
+        raise ValueError("second element must be invertible")
+    m = reduced.block(0, n, n, 2 * n)
+    chi = charpoly(m)
+    power = poly.ppowmod(field, (0, 1), field.q - 1, chi)
+    split = poly.pgcd(field, poly.psub(field, power, (field.one,)), chi)
+    if poly.pdeg(split) < 1:
+        return MinRankShift(n, range(1, field.q))
+    ranks = {}
+    for factor in poly._edf(field, split, 1):
+        alpha = field.neg(factor[0])
+        ranks[alpha] = (m - Matrix.scalar(field, n, alpha)).rank()
+    r = min(ranks.values())
+    return MinRankShift(r, tuple(sorted(a for a, v in ranks.items() if v == r)))
 
 
 def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matrix]]:

@@ -58,17 +58,14 @@ def _as_matrix(g):
     return g.matrix if isinstance(g, ClassicalElement) else g
 
 
-def projective_rank_distance(g, h, budget=2**16):
-    """(1/n) min_alpha rank(g - alpha h); zero exactly on scalar multiples."""
+def projective_rank_distance(g, h):
+    """(1/n) min_alpha rank(g - alpha h) over alpha in F^x; zero exactly
+    on scalar multiples.  g and h are square matrices of one shape and
+    field and h is invertible (ValueError otherwise).  Ranks are computed
+    only at the eigenvalues of h^-1 g in F^x (see linalg.min_rank_shift),
+    so there is no budget: every field up to gf.MAX_ORDER is served."""
     gm = _as_matrix(g)
-    hm = _as_matrix(h)
-    if gm.field != hm.field:
-        raise ValueError("field mismatch")
-    if gm.shape != hm.shape or gm.nrows != gm.ncols:
-        raise ValueError("need square matrices of equal shape")
-    if not hm.is_invertible():
-        raise ValueError("second element must be invertible")
-    r = min_rank_shift(gm, hm, budget=budget).r
+    r = min_rank_shift(gm, _as_matrix(h)).r
     return MetricValue(Fraction(r, gm.nrows), PRANK)
 
 

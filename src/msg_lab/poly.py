@@ -26,10 +26,6 @@ def pdeg(f: Poly) -> int:
     return len(f) - 1
 
 
-def pconst(K, a: int) -> Poly:
-    return (a,) if a != K.zero else ()
-
-
 def padd(K, f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -228,16 +224,28 @@ def _edf(K, f: Poly, d: int) -> list[Poly]:
 
 
 def psquarefree_part(K, f: Poly) -> Poly:
+    """The radical of f: the product of its distinct monic irreducible
+    factors.
+
+    In characteristic p, f / gcd(f, f') keeps only the factors whose
+    multiplicity p does not divide.  Once their copies are stripped from
+    the gcd, what is left is a p-th power, whose p-th root goes through
+    the same steps (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Alg. 14.21)."""
     f = pmonic(K, f)
-    while True:
-        df = pderiv(K, f)
-        if df:
-            return pdivmod(K, f, pgcd(K, f, df))[0]
-        # f = g(x^p); replace by the p-th root and repeat
-        root = []
-        for i in range(0, len(f), K.p):
-            root.append(K.pow(f[i], K.q // K.p))
-        f = pmonic(K, pnorm(root))
+    g = pgcd(K, f, pderiv(K, f))
+    if pdeg(g) < 1:
+        return f
+    w = pdivmod(K, f, g)[0]
+    y = pgcd(K, g, w)
+    while pdeg(y) > 0:
+        g = pdivmod(K, g, y)[0]
+        y = pgcd(K, g, y)
+    if pdeg(g) < 1:
+        return w
+    # g(T) = h(T)^p with h's coefficients the p-th roots c^(q/p)
+    root = [K.pow(g[i], K.q // K.p) for i in range(0, len(g), K.p)]
+    return pmul(K, w, psquarefree_part(K, pnorm(root)))
 
 
 def pfactor_distinct(K, f: Poly) -> list[Poly]:

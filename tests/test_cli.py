@@ -35,6 +35,13 @@ def test_metric_prank(capsys):
     assert code == 0 and out == "1/2\n"
 
 
+def test_metric_prank_word_size_field(capsys):
+    """No budget on the projective rank metric up to gf.MAX_ORDER."""
+    code, out, _ = _run(capsys, "metric", "--kind", "prank", "--field",
+                        "2147483647", "1,1;0,1", "1,0;0,1")
+    assert code == 0 and out == "1/2\n"
+
+
 def test_metric_conj(capsys):
     code, out, _ = _run(capsys, "metric", "--kind", "conj", "--group", "A:9",
                         "1,2,0,3,4,5,6,7,8")
@@ -228,6 +235,14 @@ def test_chain_prank(capsys):
         assert "length=1/3" in l
     assert "overshoot=0" in lines
     assert not any(l.startswith("splits=") for l in lines)
+
+
+def test_chain_prank_word_size_field(capsys):
+    code, out, _ = _run(capsys, "chain", "--metric", "prank", "--field",
+                        "2147483647", "--max-step", "1/3",
+                        "SL:2,0,0;0,4,0;0,0,268435456")
+    assert code == 0
+    assert "total=2/3" in out.strip().split("\n")
 
 
 def test_experiment_stdout_and_file(capsys, tmp_path):

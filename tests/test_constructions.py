@@ -310,6 +310,25 @@ def test_sl2_3_witnesses_from_ambient_gl():
         assert a.inverse() @ b.inverse() @ a @ b == m
 
 
+def test_commutator_witness_matches_table_lookup():
+    """The early-exit scan returns the pair the table records, for every
+    element of A_5 and of PSL_2(5)."""
+    from msg_lab.groups import enumerate_alternating, enumerate_psl2, psl_canonical
+    key_fn = lambda m: psl_canonical(m).key()
+    for elements, kf in ((enumerate_alternating(5), None),
+                         (enumerate_psl2(GF(5).spec), key_fn)):
+        table = commutator_witness_table(elements, key_fn=kf)
+        for g in elements:
+            expected = table.get((kf or _plain_key)(g))
+            assert commutator_witness(g, elements, key_fn=kf) == expected
+            assert commutator_witness(g, elements, key_fn=kf,
+                                      table=table) == expected
+
+
+def _plain_key(g):
+    return g.images if isinstance(g, Permutation) else g.key()
+
+
 def test_commutator_witness_permutations():
     """Witness search works on permutation groups too."""
     from msg_lab.groups import enumerate_alternating

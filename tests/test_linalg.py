@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msg_lab import linalg as L
+from msg_lab import poly
 from msg_lab.gf import GF
 from msg_lab.groups import random_invertible
 from msg_lab.linalg import (Matrix, commutant_basis, min_rank_shift,
@@ -143,7 +146,7 @@ def test_min_rank_shift_bi_invariance(rng):
         for _ in range(40):
             n = rng.randint(1, 4)
             g = _rand_matrix(field, n, n, rng)
-            h = _rand_matrix(field, n, n, rng)
+            h = random_invertible(n, field.spec, rng)
             u = random_invertible(n, field.spec, rng)
             v = random_invertible(n, field.spec, rng)
             r = min_rank_shift(g, h).r
@@ -157,6 +160,98 @@ def test_min_rank_shift_known_case():
     shift = min_rank_shift(g, Matrix.identity(field, 3))
     assert shift.r == 1
     assert 2 in shift.argmins or 3 in shift.argmins
+
+
+def _scan_min_rank_shift(g, h):
+    """The exhaustive oracle: a rank for every alpha in F^x."""
+    ranks = {a: (g - h.scale(a)).rank() for a in g.field.nonzero_elements()}
+    r = min(ranks.values())
+    return r, tuple(a for a in sorted(ranks) if ranks[a] == r)
+
+
+# prime and extension fields up to q = 2^10; GF(2^10) itself is left out
+# because building its pair tables alone takes about a second
+_ORACLE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
+                  GF(2, 4), GF(5, 2), GF(2, 6), GF(3, 4), GF(251), GF(5, 4),
+                  GF(1021)]
+
+
+def _shift_case(field, n, kind, rng):
+    """(g, h) with h invertible and g random, a scalar multiple of h,
+    h times a diagonalizable matrix, or h times a scaled unipotent one."""
+    h = random_invertible(n, field.spec, rng)
+    if kind == "random":
+        return _rand_matrix(field, n, n, rng), h
+    if kind == "scalar":
+        return h.scale(rng.randrange(field.q)), h
+    if kind == "diagonalizable":
+        p = random_invertible(n, field.spec, rng)
+        d = Matrix.diagonal(field, [rng.randrange(field.q) for _ in range(n)])
+        return h @ p @ d @ p.inverse(), h
+    unipotent = Matrix.from_packed(field, [
+        [rng.randrange(field.q) if j > i else int(i == j) for j in range(n)]
+        for i in range(n)])
+    return h @ unipotent.scale(rng.randrange(1, field.q)), h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_ORACLE_FIELDS), n=st.integers(1, 5),
+       kind=st.sampled_from(["random", "scalar", "diagonalizable",
+                             "unipotent"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_rank_shift_matches_exhaustive_scan(field, n, kind, seed):
+    g, h = _shift_case(field, n, kind, random.Random(seed))
+    shift = min_rank_shift(g, h)
+    assert (shift.r, tuple(shift.argmins)) == _scan_min_rank_shift(g, h)
+
+
+def test_charpoly_is_det_of_shift(rng):
+    """chi is monic of degree n and chi(alpha) = det(alpha I - m) at every
+    alpha, for q <= 9."""
+    for field in [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]:
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            m = _rand_matrix(field, n, n, rng)
+            chi = L.charpoly(m)
+            assert len(chi) == n + 1 and chi[-1] == field.one
+            for a in field.elements():
+                shifted = Matrix.scalar(field, n, a) - m
+                assert poly.peval(field, chi, a) == shifted.det()
+
+
+def test_min_rank_shift_reach_word_size_field(rng):
+    """Over GF(2^31 - 1), where a scan would take 2^31 - 2 ranks: a
+    planted g = h p (alpha I + N) p^-1 with N nilpotent of rank 2 has the
+    single argmin alpha and rank 2; the companion matrix of an irreducible
+    quadratic has no eigenvalue in F, so r = n and every scalar is an
+    argmin."""
+    field = GF(2**31 - 1)
+    n = 4
+    h = random_invertible(n, field.spec, rng)
+    p = random_invertible(n, field.spec, rng)
+    alpha = rng.randrange(1, field.q)
+    nilpotent = Matrix.from_packed(field, [[int(j == i + 1 and i < 2)
+                                            for j in range(n)]
+                                           for i in range(n)])
+    planted = Matrix.scalar(field, n, alpha) + nilpotent
+    g = h @ p @ planted @ p.inverse()
+    shift = min_rank_shift(g, h)
+    assert shift.r == 2 and tuple(shift.argmins) == (alpha,)
+    # T^2 - 7 is irreducible: 7 is a non-residue mod 2^31 - 1
+    assert pow(7, (field.q - 1) // 2, field.q) == field.q - 1
+    companion = Matrix.from_packed(field, [[0, 7], [1, 0]])
+    shift = min_rank_shift(companion, Matrix.identity(field, 2))
+    assert shift.r == 2 and shift.argmins == range(1, field.q)
+    assert len(shift.argmins) == field.q - 1
+
+
+def test_min_rank_shift_rejects_singular_h():
+    field = GF(5)
+    g = Matrix.identity(field, 2)
+    with pytest.raises(ValueError):
+        min_rank_shift(g, Matrix.from_packed(field, [[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        min_rank_shift(g, Matrix.zeros(field, 2, 2))
 
 
 def test_primary_blocks_diagonal_example():

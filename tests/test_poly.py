@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from msg_lab import poly
@@ -73,3 +74,40 @@ def test_factor_product_reassembles(rng):
                     prod = poly.pmul(field, prod, g)
                 assert poly.pmonic(field, prod) == poly.pmonic(field, f)
                 assert len(factors) <= k
+
+
+def _monic_polys(field, degree):
+    """Every monic polynomial of the given degree, in packed order."""
+    for low in itertools.product(range(field.q), repeat=degree):
+        yield tuple(low) + (field.one,)
+
+
+def test_factor_distinct_matches_brute_divisors():
+    """Every monic f of degree <= 4 over every field with q <= 9 against
+    a sieve: degree by degree, the products of the irreducibles found so
+    far are the composites, and every other monic polynomial of that
+    degree is irreducible.  Each product is built once, from a multiset of
+    irreducibles, whose distinct members are the expected factors.
+    Multiplicities divisible by p are included: f / gcd(f, f') drops those
+    factors (defect D1)."""
+    for field in [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]:
+        # degree -> (f, index of its last irreducible, its distinct factors),
+        # multisets taken in non-decreasing index order
+        built = {}
+        irreducible = []
+        for d in range(1, 5):
+            built[d] = [(poly.pmul(field, f, g), k, factors | {g})
+                        for k, g in enumerate(irreducible)
+                        for f, last, factors in built[d - poly.pdeg(g)]
+                        if last <= k]
+            composite = {f for f, _, _ in built[d]}
+            for f in _monic_polys(field, d):
+                if f not in composite:
+                    built[d].append((f, len(irreducible), frozenset([f])))
+                    irreducible.append(f)
+            assert len({f for f, _, _ in built[d]}) == len(built[d]) == field.q**d
+            for f, _, factors in built[d]:
+                assert poly.pfactor_distinct(field, f) == sorted(
+                    factors, key=lambda g: (len(g), g))
+    assert poly.pfactor_distinct(GF(2), (0, 0, 1, 1)) == [(0, 1), (1, 1)]
+    assert (2, 1) in poly.pfactor_distinct(GF(2, 2), (3, 1, 2, 2, 1))
