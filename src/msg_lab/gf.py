@@ -139,6 +139,8 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self.p == 2:  # digitwise mod 2 is xor
+            return a ^ b
         p = self.p
         out = 0
         mult = 1
@@ -152,6 +154,8 @@ class Field:
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         out = 0
         mult = 1
@@ -162,6 +166,8 @@ class Field:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -12,12 +12,15 @@ choice is deterministic.  charpoly reduces to Hessenberg form with the
 same arithmetic, and min_rank_shift computes ranks only at the roots of
 the characteristic polynomial in F^x, found with the polynomial arithmetic
 of poly, so its cost grows with log q, not q.  span_invertible_counts
-enumerates a span through one batched elimination on int64 arrays, the
-only numpy code here besides Matrix.packed().
+enumerates one member per F^x orbit of a span, (q^dim - 1)/(q - 1) in
+all, through one batched elimination on int64 arrays (the only numpy code
+here besides Matrix.packed()), and weights each invertible one by the
+q - 1 members of its orbit; its budget still counts all q^dim members.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -540,6 +543,8 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
 
 # -- batched enumeration kernel --------------------------------------------
 
+_SPAN_CHUNK = 2**14  # span representatives per batched elimination
+
 
 def _array_ops(field: Field):
     """(mul, fma, inv) on packed int64 arrays, elementwise with
@@ -564,6 +569,17 @@ def _lifted(op, nargs):
     """A scalar Field operation applied elementwise, int64 in and out."""
     ufunc = np.frompyfunc(lambda *args: op(*map(int, args)), nargs, 1)
     return lambda *arrays: ufunc(*arrays).astype(np.int64)
+
+
+def _array_pow(mul, a: np.ndarray, k: int) -> np.ndarray:
+    """a^k elementwise, k >= 0, by square and multiply with an array mul."""
+    out = np.ones_like(a)
+    while k:
+        if k & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        k >>= 1
+    return out
 
 
 def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
@@ -598,11 +614,18 @@ def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
 def span_invertible_counts(
     basis: Sequence[Matrix],
     budget: int = 10**6,
-    chunk: int = 2**14,
 ) -> tuple[int, int]:
-    """Exhaustively enumerate the linear span of `basis` and return
-    (number of invertible members, number with determinant one).  Raises
-    BudgetError when q^dim exceeds the budget."""
+    """(number of invertible members, number with determinant one) of the
+    linear span of `basis`, counted over coefficient vectors, so a
+    dependent basis counts a matrix once per vector that reaches it.
+
+    The span is closed under F^x and det(c M) = c^n det(M), so only one
+    member per F^x orbit is enumerated: the one whose last nonzero
+    coefficient is 1, (q^dim - 1)/(q - 1) of them.  An invertible
+    representative of determinant delta stands for q - 1 invertible
+    members, g = gcd(n, q - 1) of them of determinant one if delta is an
+    n-th power (delta^((q-1)/g) = 1) and none otherwise.  The budget still
+    counts all members: BudgetError when q^dim exceeds it."""
     if not basis:
         return (0, 0)
     field = basis[0].field
@@ -612,18 +635,27 @@ def span_invertible_counts(
     if total > budget:
         raise BudgetError(f"span has {q}^{d} members, budget {budget}")
     n = basis[0].nrows
-    _, fma, _ = _array_ops(field)
+    mul, fma, _ = _array_ops(field)
+    g = math.gcd(n, q - 1)
     flat = [b.packed().reshape(n * n) for b in basis]
-    inv_count = 0
-    det1_count = 0
-    for start in range(0, total, chunk):
-        # member m takes coefficient (m // q^i) % q on basis[i]
-        digits = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    # member m < q^d takes coefficient (m // q^i) % q on basis[i]; the
+    # representatives are the m whose top nonzero digit is 1, in ascending
+    # order, so level k (m in [q^k, 2 q^k)) starts at rank (q^k - 1)/(q - 1)
+    reps_total = (total - 1) // (q - 1)
+    level_start = np.array([(q**k - 1) // (q - 1) for k in range(d)])
+    level_base = np.array([q**k for k in range(d)], dtype=np.int64)
+    invertible = nth_powers = 0  # among the representatives
+    for start in range(0, reps_total, _SPAN_CHUNK):
+        reps = np.arange(start, min(start + _SPAN_CHUNK, reps_total))
+        k = np.searchsorted(level_start, reps, side="right") - 1
+        digits = level_base[k] + reps - level_start[k]
         mats = np.zeros((digits.size, n * n), dtype=np.int64)
         for b in flat:
             mats = fma(mats, (digits % q)[:, None], b)
             digits //= q
         dets = _batched_dets(field, mats.reshape(-1, n, n))
-        inv_count += int((dets != 0).sum())
-        det1_count += int((dets == field.one).sum())
-    return inv_count, det1_count
+        dets = dets[dets != 0]
+        invertible += dets.size
+        powered = _array_pow(mul, dets, (q - 1) // g)
+        nth_powers += int((powered == field.one).sum())
+    return (q - 1) * invertible, g * nth_powers

@@ -10,10 +10,12 @@ Three metrics on finite groups, each valued in [0, 1]:
 
 Class sizes are exact integers: the standard cycle-type formula for S_n
 with the odd-distinct splitting rule for A_n, and commutant enumeration
-for matrix groups.  For PSL representatives the centralizer is counted in
-SL and corrected by the number of unit scalars lambda that are realized
-by some SL-conjugation g x g^-1 = lambda x; this is what brute-force
-class enumeration in PSL matches.
+for matrix groups: linalg.span_invertible_counts takes one member of each
+F^x orbit of the commutant and weights it by the orbit, while the budget
+still counts all q^dim members.  For PSL representatives the centralizer
+is counted in SL and corrected by the number of unit scalars lambda that
+are realized by some SL-conjugation g x g^-1 = lambda x; this is what
+brute-force class enumeration in PSL matches.
 """
 
 import math

@@ -429,6 +429,16 @@ def _perms_array(n):
     return np.array(list(itertools.permutations(range(n))), dtype=np.int8)
 
 
+def _partitions(n, cap):
+    """Partitions of n into parts of at most cap, parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
 def _parity_vector(arr):
     """Sign (+1/-1) of every permutation row, by counting transpositions
     of a vectorized selection sort."""
@@ -501,8 +511,9 @@ def _brute_centralizer_counts_all(arr):
 
 def suite_centralizer_structure(seed=DEFAULT_SEED, scale=None):
     """Permutation centralizer orders against brute force (every element
-    for n <= 7, every cycle type for n = 8, 9; the order is a class
-    function, so types cover all elements) and the p-core dichotomy for
+    for n <= 7, one representative per cycle type, built from the
+    partitions of n, for n = 8, 9; the order is a class function, so types
+    cover all elements) and the p-core dichotomy for
     p, char in {2, 3, 5} at matrix sizes up to 4."""
     del scale
     t0 = time.perf_counter()
@@ -519,15 +530,12 @@ def suite_centralizer_structure(seed=DEFAULT_SEED, scale=None):
                 failures.append("S_%d %s order" % (n, row.tolist()))
     for n in (8, 9):
         arr = _perms_array(n)
-        seen_types = set()
-        reps = []
-        for row in arr:
-            ct = Permutation(row.tolist()).cycle_type()
-            if ct not in seen_types:
-                seen_types.add(ct)
-                reps.append(row)
-        for rep in reps:
-            sigma = Permutation(rep.tolist())
+        for parts in _partitions(n, n):
+            # one cycle per part, on consecutive points
+            ends = itertools.accumulate(parts)
+            sigma = Permutation.from_cycles(
+                n, [range(end - k, end) for k, end in zip(parts, ends)])
+            rep = np.array(sigma.images, dtype=arr.dtype)
             sigma_then = arr[:, rep]
             then_sigma = rep[arr]
             brute = int((sigma_then == then_sigma).all(axis=1).sum())

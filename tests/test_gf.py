@@ -143,6 +143,30 @@ def test_packed_tables_match_scalar_ops():
         GF(2, 11).packed_tables()
 
 
+def _digit_add(field, a, b, sign=1):
+    """a + sign b, coefficient by coefficient mod p."""
+    return field.from_coeffs((x + sign * y) % field.p
+                             for x, y in zip(field.coeffs(a), field.coeffs(b)))
+
+
+def _check_add_neg_sub(field, a, b):
+    assert field.add(a, b) == _digit_add(field, a, b)
+    assert field.sub(a, b) == _digit_add(field, a, b, sign=-1)
+    assert field.neg(a) == _digit_add(field, field.zero, a, sign=-1)
+
+
+def test_char2_add_neg_sub_match_digit_arithmetic():
+    for e in range(1, 7):
+        field = GF(2, e)
+        for a in field.elements():
+            for b in field.elements():
+                _check_add_neg_sub(field, a, b)
+    big = GF(2, 20)
+    rng = random.Random(2020)
+    for _ in range(2000):
+        _check_add_neg_sub(big, rng.randrange(big.q), rng.randrange(big.q))
+
+
 def test_pow_agrees_with_repeated_mul():
     field = GF(3, 2)
     for a in field.elements():

@@ -327,6 +327,11 @@ def _member_counts(basis):
     return invertible, det_one
 
 
+def _roots_of_unity(field, n):
+    return [lam for lam in field.nonzero_elements()
+            if lam != field.one and field.pow(lam, n) == field.one]
+
+
 def test_span_invertible_counts_match_member_oracle(rng):
     for field in KERNEL_FIELDS:
         dim = max(d for d in (1, 2, 3) if field.q**d <= 5000)
@@ -336,6 +341,35 @@ def test_span_invertible_counts_match_member_oracle(rng):
         basis = commutant_basis(_rand_matrix(field, 2, 2, rng))
         if field.q ** len(basis) <= 5000:
             assert span_invertible_counts(basis) == _member_counts(basis)
+    # the orbit count where it can go wrong: g = gcd(n, q - 1) > 1 (only
+    # n-th power determinants reach det one), q - 1 = 1, dependent bases,
+    # and twisted commutants
+    cases = [(GF(3), 2), (GF(5), 2), (GF(7), 2), (GF(3, 2), 2),
+             (GF(2, 2), 3), (GF(7), 3), (GF(2), 2), (GF(2), 3)]
+    for field, n in cases:
+        dim = max(d for d in (1, 2, 3) if field.q**(d + 1) <= 5000)
+        for _ in range(3):
+            basis = [_rand_matrix(field, n, n, rng) for _ in range(dim)]
+            assert span_invertible_counts(basis) == _member_counts(basis)
+            for extra in (basis[0], Matrix.zeros(field, n, n)):
+                dependent = basis + [extra]
+                assert span_invertible_counts(dependent) == \
+                    _member_counts(dependent)
+        # x = diag(1, lam, ..., lam^(n-1)) for a primitive n-th root lam is
+        # moved to lam x by a cyclic shift, so each twisted commutant holds
+        # invertible members; a random x usually has none
+        roots = _roots_of_unity(field, n)
+        xs = [(_rand_matrix(field, n, n, rng), False)]
+        if len(roots) == n - 1:
+            powers = [field.pow(roots[0], i) for i in range(n)]
+            xs.append((Matrix.diagonal(field, powers), True))
+        for x, conjugate in xs:
+            for lam in roots:
+                basis = L.twisted_commutant_basis(x, lam)
+                counts = span_invertible_counts(basis)
+                if basis:
+                    assert counts == _member_counts(basis)
+                assert counts[0] > 0 or not conjugate
 
 
 def test_span_invertible_counts_one_dim_above_table_cap(rng):

@@ -157,19 +157,22 @@ def test_class_size_matrix_sl_brute():
             assert class_size_matrix(ClassicalElement(rep, SL)) == size
 
 
-def test_class_size_matrix_psl7_brute():
-    field = GF(7)
-    elements = enumerate_psl2(field.spec)
+def test_class_size_matrix_psl2_brute():
+    """Oracle: explicit conjugation orbits in PSL_2(q), q in {4, 5, 7, 8, 9},
+    with centre cosets taken to their canonical representatives."""
+    for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        field = GF(p, e)
+        elements = enumerate_psl2(field.spec)
 
-    def conj_key(x, h):
-        if h is None:
-            return psl_canonical(x).key()
-        return psl_canonical(h.inverse() @ x @ h).key()
+        def conj_key(x, h):
+            if h is None:
+                return psl_canonical(x).key()
+            return psl_canonical(h.inverse() @ x @ h).key()
 
-    classes = _brute_classes(elements, conj_key)
-    assert sum(size for _, size in classes) == 168
-    for rep, size in classes:
-        assert class_size_matrix(ClassicalElement(rep, PSL_REP)) == size
+        classes = _brute_classes(elements, conj_key)
+        assert sum(size for _, size in classes) == psl_order(2, field.q)
+        for rep, size in classes:
+            assert class_size_matrix(ClassicalElement(rep, PSL_REP)) == size
 
 
 def test_class_size_matrix_gl_identity():
