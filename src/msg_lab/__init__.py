@@ -16,8 +16,8 @@ from .centralizers import (CentralizerDescriptor, FactorRecord,
 from .constructions import (NiceblockCertificate, SplitDecomposition,
                             approx_centralize, build_niceblock,
                             check_split_condition, commutator_witness,
-                            commutator_witness_table, length_pr,
-                            prepare_near_root, project_to_sl)
+                            commutator_witness_table, prepare_near_root,
+                            project_to_sl)
 from .errors import (BoundViolationError, BudgetError, MsgLabError,
                      UnsupportedCaseError)
 from .experiments import (ExperimentReport, FamilyDescriptor, derive_seed,

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from .constructions import (NiceblockCertificate, SplitDecomposition,
                             check_split_condition)
 from .errors import UnsupportedCaseError
-from .groups import SL, ClassicalElement, Permutation
+from .gf import is_prime
+from .groups import SL, ClassicalElement, Permutation, gl_order
 from .linalg import Matrix, primary_blocks
-from .metrics import gl_order
 
 GL_BLOCK = "GL-block"
 WREATH_BLOCK = "wreath-block"
-P_CORE = "abelian-p-core"
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,6 @@ class FactorRecord:
 
     GL-block: GL_dim over the extension of degree ext_degree.
     wreath-block: C_ext wr S_dim (dim = multiplicity, ext = cycle length).
-    abelian-p-core: elementary abelian of rank dim built from ext = p.
     """
 
     kind: str
@@ -141,7 +139,7 @@ def perm_centralizer_structure(sigma, n=None):
 
     shape = None
     o = sigma.order()
-    if o > 1 and _is_prime(o):
+    if o > 1 and is_prime(o):
         p = o
         m_p = mult.get(p, 0)
         f = mult.get(1, 0)
@@ -155,15 +153,6 @@ def perm_centralizer_structure(sigma, n=None):
             fixed_trivial=f <= 1,
         )
     return CentralizerDescriptor(tuple(factors), total, prime_shape=shape)
-
-
-def _is_prime(m):
-    if m < 2:
-        return False
-    for d in range(2, int(math.isqrt(m)) + 1):
-        if m % d == 0:
-            return False
-    return True
 
 
 def characteristic_fingerprint(x, context=None):
@@ -199,7 +188,7 @@ def characteristic_fingerprint(x, context=None):
 def _fingerprint_semisimple(x, dec):
     field = x.field
     p = dec.k
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UnsupportedCaseError("order %d is not prime" % p)
     if p == field.p:
         raise UnsupportedCaseError(
@@ -246,7 +235,7 @@ def _fingerprint_niceblock(x, cert):
 
 def _fingerprint_permutation(sigma):
     o = sigma.order()
-    if not _is_prime(o):
+    if not is_prime(o):
         raise UnsupportedCaseError(
             "permutation fingerprint needs prime order, got %d" % o)
     desc = perm_centralizer_structure(sigma)

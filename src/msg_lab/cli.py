@@ -9,7 +9,6 @@ tagged classical elements ("SL:1,0;0,1"), fields as "p", "p^e" or
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .centralizers import (centralizer_factorization,
                            characteristic_fingerprint,
@@ -122,7 +121,7 @@ def _cmd_centralize(args):
 def _cmd_niceblock(args):
     field = _field_from_args(args)
     group = SP if args.group == "SP" else SL
-    cert = build_niceblock(args.half_size, field.spec, group, seed=args.seed)
+    cert = build_niceblock(args.half_size, field.spec, group)
     _print_kv("x", format_classical(cert.x))
     _print_kv("half_size", cert.half_size)
     _print_kv("ell_pr", format_value(length(cert.x, PRANK)))
@@ -214,8 +213,7 @@ def _cmd_fingerprint(args):
     else:
         field = _field_from_args(args)
         group = SP if args.group == "SP" else SL
-        cert = build_niceblock(args.half_size, field.spec, group,
-                               seed=args.seed)
+        cert = build_niceblock(args.half_size, field.spec, group)
         rec = characteristic_fingerprint(cert.x, cert)
     _print_kv("p", rec.p)
     _print_kv("has_large_p_core", format_value(rec.has_large_p_core))
@@ -309,7 +307,6 @@ def _build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--half-size", type=int, required=True)
     p.add_argument("--group", default="SL", choices=["SL", "SP"])
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_niceblock)
 
     p = sub.add_parser("sl-project", help="nearest determinant-one element "
@@ -347,7 +344,6 @@ def _build_parser():
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--half-size", type=int, default=2)
     p.add_argument("--group", default="SL", choices=["SL", "SP"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("element", nargs="?")
     p.set_defaults(func=_cmd_fingerprint)
 
@@ -370,7 +366,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--primes", default="2,3,5")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.add_argument("--format", default="csv", choices=["csv"])
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("suite", help="run configured verification suites")

@@ -35,10 +35,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundViolationError, BudgetError, MsgLabError
+from .errors import BoundViolationError, BudgetError
 from .groups import (SL, SP, ClassicalElement, Permutation, psl_canonical,
                      standard_symplectic_form)
-from .linalg import Matrix, min_rank_shift, primary_blocks
+from .linalg import Matrix, primary_blocks
+from .metrics import PRANK, length
 
 COMMUTATOR_BUDGET = 10**4  # elements in a commutator witness enumeration
 
@@ -117,30 +118,67 @@ def _check_alpha(field, alpha):
         raise ValueError("alpha must be nonzero")
 
 
-def _std_vector(field, n, i):
-    return Matrix.identity(field, n).col(i)
+def _greedy_orbits(candidates, start=None, x=None, deg=1):
+    """Greedy extension of a span, lowest index first.
 
+    Walks the columns of `candidates` in order and picks each one outside
+    the span of `start` and the earlier picks; a pick v brings its x-orbit
+    v, x v, ..., x^(deg-1) v into the span, and the orbit must be
+    independent of it (true for a simple module that meets the span
+    trivially).  Returns the picked orbits side by side, an m x (deg *
+    picks) matrix.  The span is held as one incremental echelon basis, so
+    each candidate costs O(m^2).
+    """
+    field = candidates.field
+    m = candidates.nrows
+    if field.e == 1:
+        p = field.p
 
-def _complete_basis(cols):
-    """Standard basis vectors, lowest index first, that extend the span of
-    the given columns to the whole space.  Returns an n x (n - rank) matrix."""
-    field = cols.field
-    n = cols.nrows
-    current = cols
-    added = []
-    rank = current.rank()
-    for i in range(n):
-        if rank == n:
+        def axpy(a, b, v):
+            return [(t - a * u) % p for t, u in zip(v, b)]
+
+        def scale(a, v):
+            return [a * t % p for t in v]
+    else:
+        _, sub, mul = field.pair_tables()
+
+        def axpy(a, b, v):
+            ma = mul[a]
+            return [sub[t][ma[u]] for t, u in zip(v, b)]
+
+        def scale(a, v):
+            return [mul[a][t] for t in v]
+
+    echelon = []  # (pivot, vector): 1 at its pivot, 0 at earlier pivots
+
+    def insert(col):
+        """Add col to the span; False when it was already inside."""
+        v = [row[0] for row in col.rows]
+        for c, b in echelon:
+            if v[c]:
+                v = axpy(v[c], b, v)
+        c = next((i for i, a in enumerate(v) if a), None)
+        if c is None:
+            return False
+        echelon.append((c, scale(field.inv(v[c]), v)))
+        return True
+
+    for col in (start.columns() if start is not None else ()):
+        insert(col)
+    picked = []
+    for col in candidates.columns():
+        if len(echelon) == m:
             break
-        e = _std_vector(field, n, i)
-        cand = Matrix.hstack([current, e])
-        if cand.rank() > rank:
-            current = cand
-            rank += 1
-            added.append(e)
-    if added:
-        return Matrix.hstack(added)
-    return Matrix.zeros(field, n, 0)
+        if insert(col):
+            orbit = [col]
+            for _ in range(deg - 1):
+                orbit.append(x @ orbit[-1])
+                if not insert(orbit[-1]):
+                    raise AssertionError("an orbit meets the span")
+            picked.extend(orbit)
+    if picked:
+        return Matrix.hstack(picked)
+    return Matrix.zeros(field, m, 0)
 
 
 def prepare_near_root(y, k, alpha):
@@ -165,7 +203,7 @@ def prepare_near_root(y, k, alpha):
     r = defect.rank()
     kerl = defect.kernel_basis()
     L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
-    S = _complete_basis(L)
+    S = _greedy_orbits(Matrix.identity(field, n), L)
     P = Matrix.hstack([L, S])
     x = Matrix.hstack([y @ L, S]) @ P.inverse()
 
@@ -201,59 +239,6 @@ def check_split_condition(x, dec):
         raise ValueError("x restricted to L is not a k-th root of alpha")
 
 
-def _module_generators(x_f, span_cols, deg):
-    """Greedy generators of a submodule given by spanning columns: vectors
-    whose x-orbits (length deg) concatenate to a basis of the span."""
-    field = x_f.field
-    m = x_f.nrows
-    gens = []
-    orbit_cols = []
-    current = Matrix.zeros(field, m, 0)
-    for j in range(span_cols.ncols):
-        v = span_cols.col(j)
-        cand = Matrix.hstack([current, v])
-        if cand.rank() == current.rank():
-            continue
-        gens.append(v)
-        orbit = [v]
-        for _ in range(deg - 1):
-            orbit.append(x_f @ orbit[-1])
-        orbit_m = Matrix.hstack(orbit)
-        current = Matrix.hstack([current, orbit_m])
-        orbit_cols.append(orbit_m)
-        assert current.rank() == current.ncols
-    return gens, orbit_cols, current
-
-
-def _invariant_complement(x_f, sub_cols, deg):
-    """An x-invariant complement of the given submodule, as concatenated
-    x-orbits of standard basis vectors (greedy, lowest index first)."""
-    field = x_f.field
-    m = x_f.nrows
-    current = sub_cols
-    orbit_cols = []
-    gens = []
-    for i in range(m):
-        if current.rank() == m:
-            break
-        e = _std_vector(field, m, i)
-        if Matrix.hstack([current, e]).rank() == current.rank():
-            continue
-        orbit = [e]
-        for _ in range(deg - 1):
-            orbit.append(x_f @ orbit[-1])
-        orbit_m = Matrix.hstack(orbit)
-        grown = Matrix.hstack([current, orbit_m])
-        # a simple module not inside the span meets it trivially
-        assert grown.rank() == current.rank() + deg
-        current = grown
-        gens.append(e)
-        orbit_cols.append(orbit_m)
-    if orbit_cols:
-        return gens, Matrix.hstack(orbit_cols)
-    return gens, Matrix.zeros(field, m, 0)
-
-
 def _repair_block(x_f, a_f, deg):
     """Rank-nullity correction R commuting with x_f making a_f + R
     invertible, inside one primary component (x_f has squarefree minimal
@@ -263,18 +248,17 @@ def _repair_block(x_f, a_f, deg):
     kerl = a_f.kernel_basis()
     if not kerl:
         return Matrix.zeros(field, m, m)
-    ker_span = Matrix.hstack(kerl)
+    ident = Matrix.identity(field, m)
     # image and an invariant complement of it (target of the correction)
     _, im_pivots = a_f.rref()
-    im_cols = a_f.take_columns(im_pivots)
-    _, compl_of_image = _invariant_complement(x_f, im_cols, deg)
-    # module bases: orbits of greedy generators
-    kgens, korbits, kdom = _module_generators(x_f, ker_span, deg)
-    assert kdom.ncols == ker_span.ncols == compl_of_image.ncols
-    assert len(korbits) * deg == kdom.ncols
+    compl_of_image = _greedy_orbits(ident, a_f.take_columns(im_pivots),
+                                    x_f, deg)
+    # the kernel as concatenated orbits of greedy generators
+    kdom = _greedy_orbits(Matrix.hstack(kerl), None, x_f, deg)
+    assert kdom.ncols == len(kerl) == compl_of_image.ncols
     # send the i-th kernel orbit onto the i-th complement orbit and kill an
     # invariant complement of the kernel
-    _, rest = _invariant_complement(x_f, kdom, deg)
+    rest = _greedy_orbits(ident, kdom, x_f, deg)
     domain = Matrix.hstack([kdom, rest])
     image = Matrix.hstack([compl_of_image,
                            Matrix.zeros(field, m, rest.ncols)])
@@ -358,7 +342,8 @@ def approx_centralize(x, dec, phi):
     else:
         fixed_w = a_bar
 
-    fixed_s = f_ss + _plain_repair(f_ss)
+    # x is the identity on S', so any correction commutes with it there
+    fixed_s = f_ss + _repair_block(Matrix.identity(field, n - m), f_ss, 1)
 
     psi_coords = Matrix.block2(
         fixed_w, Matrix.zeros(field, m, n - m),
@@ -399,25 +384,6 @@ def _block_diagonal(field, mats):
             rows.append((0,) * at + row + (0,) * (total - at - b.ncols))
         at += b.ncols
     return Matrix(field, tuple(rows), total)
-
-
-def _plain_repair(a):
-    """Rank-nullity correction making a square matrix invertible, with no
-    commutation constraint (used where x acts as the identity)."""
-    field = a.field
-    m = a.nrows
-    kerl = a.kernel_basis()
-    if not kerl:
-        return Matrix.zeros(field, m, m)
-    ker_span = Matrix.hstack(kerl)
-    _, im_pivots = a.rref()
-    im_cols = a.take_columns(im_pivots)
-    compl = _complete_basis(im_cols)
-    assert compl.ncols == ker_span.ncols
-    rest = _complete_basis(ker_span)
-    domain = Matrix.hstack([ker_span, rest])
-    image = Matrix.hstack([compl, Matrix.zeros(field, m, rest.ncols)])
-    return image @ domain.inverse()
 
 
 # -- the order-p upper block element ---------------------------------------
@@ -473,24 +439,16 @@ def _unit_matrix(field, n, i, j, value=1):
     return Matrix.from_packed(field, rows)
 
 
-def length_pr(m):
-    """Projective rank length as an exact fraction."""
-    n = m.nrows
-    ident = Matrix.identity(m.field, n)
-    return Fraction(min_rank_shift(m, ident).r, n)
-
-
-def build_niceblock(n, spec, group, seed=0):
+def build_niceblock(n, spec, group):
     """Certificate for x = [[I_n, I_n], [0, I_n]] in SL_2n or Sp_2n.
 
     The A-generators span the full abelian group {[[I, B], [0, I]]} with B
     arbitrary (SL) or symmetric (Sp).  The H-generators are block-doubled
     transvections plus the cyclic shift (SL), or block-doubled signed
     permutations (Sp, orthogonal so the double is symplectic).  The default
-    commutator pair uses B = diag(0, 1, ..., n-1 mod q) against the shift,
-    whose commutator is diagonal of rank n or n - 1, always meeting the
-    (1/3)(1 - 2/n) target; a seeded randomized search is kept as a fallback
-    and errors out with diagnostics after 10^4 failed trials.
+    commutator pair uses B = diag(0, 1, ..., n-1 mod q) against the shift:
+    the commutator differs from a scalar in rank at least n - 1, so its
+    length is at least (n - 1)/(2n), above the (1/3)(1 - 2/n) target.
     """
     from .gf import FieldSpec, field_arith
 
@@ -499,7 +457,6 @@ def build_niceblock(n, spec, group, seed=0):
         raise ValueError("need n >= 2")
     if group not in (SL, SP):
         raise ValueError("group must be SL or SP")
-    q = field.q
     form = standard_symplectic_form(field, 2 * n) if group == SP else None
 
     x = _upper_block(field, Matrix.identity(field, n), group, form)
@@ -548,10 +505,7 @@ def build_niceblock(n, spec, group, seed=0):
     witness_h = _double_block(field, shift, group, form)
 
     comm_u, comm_h, comm_len = _commutator_pair(field, n, group, form, shift)
-    target = Fraction(1, 3) * (1 - Fraction(2, n))
-    if comm_len < target:
-        comm_u, comm_h, comm_len = _commutator_search(
-            field, n, group, form, target, seed)
+    assert comm_len >= Fraction(1, 3) * (1 - Fraction(2, n))
 
     cert = NiceblockCertificate(
         x=x,
@@ -573,31 +527,7 @@ def _commutator_pair(field, n, group, form, p_mat):
     u = _upper_block(field, b, group, form)
     h = _double_block(field, p_mat, group, form)
     comm = (u.inverse() * h.inverse() * u * h).matrix
-    return u, h, length_pr(comm)
-
-
-def _commutator_search(field, n, group, form, target, seed):
-    import random as _random
-
-    rng = _random.Random(seed)
-    best = None
-    for _ in range(10**4):
-        diag = [rng.randrange(field.q) for _ in range(n)]
-        images = list(range(n))
-        rng.shuffle(images)
-        p_mat = _perm_matrix(field, images)
-        b = Matrix.diagonal(field, diag)
-        u = _upper_block(field, b, group, form)
-        h = _double_block(field, p_mat, group, form)
-        comm = (u.inverse() * h.inverse() * u * h).matrix
-        ell = length_pr(comm)
-        if best is None or ell > best[2]:
-            best = (u, h, ell)
-        if ell >= target:
-            return u, h, ell
-    raise MsgLabError(
-        "no commutator pair reached length %s after 10^4 trials; best %s"
-        % (target, best[2]))
+    return u, h, length(comm, PRANK).value
 
 
 def _validate_niceblock(cert, field):
@@ -606,7 +536,7 @@ def _validate_niceblock(cert, field):
     n2 = x.nrows
     ident = Matrix.identity(field, n2)
     assert x.matpow(p) == ident
-    assert length_pr(x) == Fraction(1, 2)
+    assert length(x, PRANK).value == Fraction(1, 2)
     for g in cert.A_generators:
         assert g.matrix @ x == x @ g.matrix
         assert g.matrix.matpow(p) == ident

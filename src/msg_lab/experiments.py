@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly
-from .constructions import build_niceblock, length_pr, prepare_near_root
+from .constructions import build_niceblock, prepare_near_root
 from .errors import BudgetError, MsgLabError, UnsupportedCaseError
 from .gf import GF, field_arith, is_prime
 from .groups import (PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
@@ -294,10 +294,9 @@ def fingerprint_experiment(family, primes, seed):
             tag = "p%d" % p
             try:
                 if p == field.p:
-                    cert = build_niceblock(n, spec, SL,
-                                           seed=derive_seed(seed, fi, p))
+                    cert = build_niceblock(n, spec, SL)
                     rec = characteristic_fingerprint(cert.x, cert)
-                    ell = length_pr(cert.x.matrix)
+                    ell = length(cert.x, PRANK).value
                 else:
                     y, d = _order_p_semisimple(field, p, n)
                     x, dec = prepare_near_root(y, p, field.one)

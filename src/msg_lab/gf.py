@@ -234,13 +234,11 @@ class Field:
         return iter(range(1, self.q))
 
     def multiplicative_generator(self) -> int:
-        """Smallest packed element generating the multiplicative group."""
-        n = self.q - 1
-        primes = poly._prime_divisors(n) if n > 1 else []
-        for g in range(1, self.q):
-            if all(self.pow(g, n // r) != self.one for r in primes):
-                return g
-        raise AssertionError("multiplicative group had no generator")
+        """Smallest packed element generating the multiplicative group:
+        exp[1] of the exp/log tables up to _TABLE_MAX, searched above."""
+        if self.q <= _TABLE_MAX:
+            return self._tables()[0][1 % (self.q - 1)]
+        return self._generator_search()
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(_unpack_int(a, self.p, self.e))
@@ -311,7 +309,7 @@ class Field:
 
     def _tables(self):
         if self._exp is None:
-            g = self.multiplicative_generator_for_tables()
+            g = self._generator_search()
             exp = [0] * (self.q - 1)
             log = [0] * self.q
             acc = self.one
@@ -323,7 +321,9 @@ class Field:
             self._log = log
         return self._exp, self._log
 
-    def multiplicative_generator_for_tables(self) -> int:
+    def _generator_search(self) -> int:
+        """The smallest generator, found with _mul_direct alone so that it
+        can seed the tables that mul reads."""
         n = self.q - 1
         primes = poly._prime_divisors(n) if n > 1 else []
 

@@ -15,12 +15,12 @@ be uniform on Sp.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UnsupportedCaseError
-from .gf import Field, FieldSpec, field_arith
+from .gf import FieldSpec, field_arith
 from .linalg import Matrix
 
 GL = "GL"
@@ -147,14 +147,8 @@ class Permutation:
     def order(self):
         result = 1
         for c in self.cycles(include_fixed=True):
-            result = result * len(c) // _gcd(result, len(c))
+            result = result * len(c) // math.gcd(result, len(c))
         return result
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def perm_compose(sigma, tau):
@@ -162,18 +156,6 @@ def perm_compose(sigma, tau):
     if sigma.n != tau.n:
         raise ValueError("degree mismatch: %d vs %d" % (sigma.n, tau.n))
     return Permutation(tuple(sigma.images[t] for t in tau.images))
-
-
-def perm_inverse(sigma):
-    return sigma.inverse()
-
-
-def cycle_type(sigma):
-    return sigma.cycle_type()
-
-
-def support(sigma):
-    return sigma.support()
 
 
 def _as_rng(seed):
@@ -396,15 +378,6 @@ def enumerate_sl2(spec):
     return [m for m in enumerate_gl2(field) if m.det() == field.one]
 
 
-def scalar_matrices_in_sl(field, n):
-    """Scalar matrices alpha*I with alpha^n = 1, i.e. the centre of SL_n."""
-    out = []
-    for alpha in field.nonzero_elements():
-        if field.pow(alpha, n) == field.one:
-            out.append(Matrix.scalar(field, n, alpha))
-    return out
-
-
 def psl_canonical(m):
     """Canonical coset representative of m modulo the centre of SL_n.
 
@@ -436,6 +409,19 @@ def enumerate_psl2(spec):
             seen.add(key)
             out.append(rep)
     return out
+
+
+def gl_order(n, q):
+    """|GL_n(q)| = prod_{i<n} (q^n - q^i)."""
+    qn = q**n
+    result = 1
+    for i in range(n):
+        result *= qn - q**i
+    return result
+
+
+def sl_order(n, q):
+    return gl_order(n, q) // (q - 1)
 
 
 @dataclass(frozen=True)
@@ -478,12 +464,7 @@ class PSLDescriptor:
 
     def order(self):
         q = self.spec.q
-        gl = 1
-        qn = q ** self.n
-        for i in range(self.n):
-            gl *= qn - q ** i
-        sl = gl // (q - 1)
-        return sl // _gcd(self.n, q - 1)
+        return sl_order(self.n, q) // math.gcd(self.n, q - 1)
 
     def identity(self):
         return ClassicalElement(Matrix.identity(self.field(), self.n), PSL_REP)

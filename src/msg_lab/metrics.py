@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedCaseError
 from .groups import (GL, PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
-                     Permutation, PSLDescriptor, proj_equal)
+                     Permutation, PSLDescriptor, gl_order, proj_equal,
+                     sl_order)
 from .linalg import (Matrix, commutant_basis, min_rank_shift,
                      span_invertible_counts, twisted_commutant_basis)
 
@@ -106,27 +107,6 @@ def class_size_perm(ct, n, in_alternating=False):
     return size // 2 if splits else size
 
 
-def gl_order(n, q):
-    """|GL_n(q)| = prod_{i<n} (q^n - q^i)."""
-    qn = q**n
-    result = 1
-    for i in range(n):
-        result *= qn - q**i
-    return result
-
-
-def sl_order(n, q):
-    return gl_order(n, q) // (q - 1)
-
-
-def psl_order(n, q):
-    return sl_order(n, q) // math.gcd(n, q - 1)
-
-
-def alternating_order(n):
-    return math.factorial(n) // 2
-
-
 def _commutant_with_budget(x, budget):
     field = x.field
     basis = commutant_basis(x)
@@ -142,10 +122,11 @@ def _realized_unit_scalars(x, budget):
     for some g in SL, by searching the lambda-twisted commutant space."""
     field = x.field
     n = x.nrows
+    # the lambda with lambda^n = 1 are the powers of zeta, of order g
+    g = math.gcd(n, field.q - 1)
+    zeta = field.pow(field.multiplicative_generator(), (field.q - 1) // g)
     count = 0
-    for lam in field.nonzero_elements():
-        if field.pow(lam, n) != field.one:
-            continue
+    for lam in sorted(field.pow(zeta, j) for j in range(g)):
         if lam == field.one:
             count += 1
             continue

@@ -32,7 +32,7 @@ from .centralizers import (centralizer_factorization,
                            perm_centralizer_structure)
 from .constructions import (approx_centralize, build_niceblock,
                             check_split_condition, commutator_witness_table,
-                            length_pr, prepare_near_root, project_to_sl)
+                            prepare_near_root, project_to_sl)
 from .errors import BudgetError, MsgLabError
 from .experiments import (ALTERNATING, PSL_FAMILY, FamilyDescriptor,
                           _order_p_semisimple, equivalence_experiment,
@@ -45,8 +45,9 @@ from .groups import (SL, SP, AlternatingDescriptor, ClassicalElement,
                      random_even_perm, random_invertible, random_perm,
                      random_sl)
 from .linalg import Matrix, commutant_basis, span_invertible_counts
-from .metrics import (class_size_perm, conjugacy_distance, hamming_distance,
-                      perm_centralizer_order, projective_rank_distance)
+from .metrics import (PRANK, class_size_perm, conjugacy_distance,
+                      hamming_distance, length, perm_centralizer_order,
+                      projective_rank_distance)
 from .textio import format_field, format_matrix, format_value
 
 DEFAULT_SEED = 12345
@@ -80,13 +81,6 @@ def _result(name, ok, rows, details, t0, extra=""):
         name, "ok" if ok else "FAILED", extra, elapsed)
     return SuiteResult(name, ok, summary, _rows_csv(name, rows),
                        tuple(details), elapsed)
-
-
-def _pow_packed(field, a, k):
-    out = field.one
-    for _ in range(k):
-        out = field.mul(out, a)
-    return out
 
 
 # -- shared instance stream for the three split-element suites -------------
@@ -229,8 +223,9 @@ def _abelian_closure(generators, cap):
 def suite_niceblock(seed=DEFAULT_SEED, scale=None):
     """Block element certificates for SL and Sp over GF(2), GF(3), GF(5),
     half sizes 2..6: exact length 1/2, abelian group of the stated order,
-    witnesses for the length and commutator bounds."""
-    del scale
+    witnesses for the length and commutator bounds.  Deterministic: it
+    draws nothing, so seed and scale are unused."""
+    del seed, scale
     t0 = time.perf_counter()
     checked = 0
     failures = []
@@ -241,11 +236,9 @@ def suite_niceblock(seed=DEFAULT_SEED, scale=None):
             for group in (SL, SP):
                 label = "%s n=%d q=%d" % (group, n, p)
                 try:
-                    cert = build_niceblock(
-                        n, spec, group,
-                        seed=rng_for(seed, p, n).getrandbits(32))
+                    cert = build_niceblock(n, spec, group)
                     checked += 1
-                    if length_pr(cert.x.matrix) != half:
+                    if length(cert.x, PRANK).value != half:
                         raise AssertionError("ell_pr(x) != 1/2")
                     expected_exp = n * n if group == SL else n * (n + 1) // 2
                     if len(cert.A_generators) != expected_exp:
@@ -269,13 +262,13 @@ def suite_niceblock(seed=DEFAULT_SEED, scale=None):
                             raise AssertionError(
                                 "enumerated |A| = %d != %d"
                                 % (order, p ** expected_exp))
-                    if length_pr(cert.witness_u.matrix) < half:
+                    if length(cert.witness_u, PRANK).value < half:
                         raise AssertionError("witness_u below 1/2")
-                    if length_pr(cert.witness_h.matrix) < half:
+                    if length(cert.witness_h, PRANK).value < half:
                         raise AssertionError("witness_h below 1/2")
                     u, h = cert.commutator_u, cert.commutator_h
                     comm = u.inverse() * h.inverse() * u * h
-                    observed = length_pr(comm.matrix)
+                    observed = length(comm, PRANK).value
                     if observed != cert.commutator_length:
                         raise AssertionError("stored commutator length wrong")
                     bound = Fraction(1, 3) * (1 - Fraction(2, n))
@@ -550,9 +543,7 @@ def suite_centralizer_structure(seed=DEFAULT_SEED, scale=None):
             field = GF(char)
             if p == char:
                 for n in (2, 3, 4):
-                    cert = build_niceblock(
-                        n, field.spec, SL,
-                        seed=rng_for(seed, p, n).getrandbits(32))
+                    cert = build_niceblock(n, field.spec, SL)
                     rec = characteristic_fingerprint(cert.x, cert)
                     dichotomy_checked += 1
                     if not rec.has_large_p_core or \
@@ -664,10 +655,10 @@ def suite_geodesics(seed=DEFAULT_SEED, scale=None):
         n = rng.randint(2, 6)
         k = rng.choice([2, 3, 6])
         zeta = next(a for a in range(2, field.q)
-                    if _pow_packed(field, a, k) == field.one)
+                    if field.pow(a, k) == field.one)
         exps = [rng.randrange(k) for _ in range(n - 1)]
         exps.append((-sum(exps)) % k)
-        diag = [_pow_packed(field, zeta, e) for e in exps]
+        diag = [field.pow(zeta, e) for e in exps]
         g = ClassicalElement(Matrix.diagonal(field, diag), SL)
         chain = rank_metric_chain(g, Fraction(1, n))
         if chain.overshoot != 0 or not verify_chain(chain).valid:

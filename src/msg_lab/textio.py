@@ -4,7 +4,6 @@ Formats, all one-line:
 
   field        "7", "2^4", or "3^2:2,2,1" (modulus coefficients, constant
                term first, monic of degree e)
-  scalar       comma-separated coefficients, constant first: "1,2"
   matrix       rows joined by ';', entries by ','; an entry with extension
                coefficients joins them with '.': "1.2,0;0,1"
   permutation  image list "3,0,1,2"
@@ -56,42 +55,14 @@ def format_field(field):
                          ",".join(str(c) for c in field.spec.modulus))
 
 
-def _pack_coeffs(field, parts):
-    if len(parts) > field.e:
-        raise ValueError("too many coefficients for the field")
-    packed = 0
-    for i, c in enumerate(parts):
-        c = int(c)
-        if not 0 <= c < field.p:
-            raise ValueError("coefficient %d out of range [0, %d)"
-                             % (c, field.p))
-        packed += c * field.p ** i
-    return packed
-
-
-def _unpack_coeffs(field, packed):
-    out = []
-    for _ in range(field.e):
-        out.append(packed % field.p)
-        packed //= field.p
-    return out
-
-
-def parse_scalar(field, text):
-    """Packed field element from comma-separated coefficients."""
-    return _pack_coeffs(field, text.strip().split(","))
-
-
-def format_scalar(field, packed):
-    return ",".join(str(c) for c in _unpack_coeffs(field, packed))
-
-
 def parse_matrix(field, text):
     rows = []
     for row_text in text.strip().split(";"):
         row = []
         for entry in row_text.split(","):
-            row.append(_pack_coeffs(field, entry.strip().split(".")))
+            # missing high coefficients are zero
+            parts = entry.split(".")
+            row.append(field.from_coeffs(parts + [0] * (field.e - len(parts))))
         rows.append(row)
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix text")
@@ -105,7 +76,7 @@ def format_matrix(m):
         entries = []
         for j in range(m.ncols):
             entries.append(".".join(
-                str(c) for c in _unpack_coeffs(field, m.entry(i, j))))
+                str(c) for c in field.coeffs(m.entry(i, j))))
         rows.append(",".join(entries))
     return ";".join(rows)
 

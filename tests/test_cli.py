@@ -277,6 +277,15 @@ def test_experiment_fingerprint(capsys):
     assert "p3_core_order,6561" in out
 
 
+def test_matrix_coefficients_out_of_contract_exit_2(capsys):
+    """Over GF(3^2) an entry takes at most two coefficients in [0, 3)."""
+    for bad in ("1.0.0,0;0,1", "3,0;0,1", "0.3,0;0,1"):
+        code, out, err = _run(capsys, "sl-project", "--field", "3^2", bad)
+        assert code == 2 and out == "" and err.startswith("error:")
+    code, out, _ = _run(capsys, "sl-project", "--field", "3^2", "1,0;0,1")
+    assert code == 0
+
+
 def test_suite_command(capsys, tmp_path):
     config = tmp_path / "suite.cfg"
     out_dir = tmp_path / "out"

@@ -1,19 +1,21 @@
 import itertools
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from msg_lab.constructions import (SplitDecomposition, approx_centralize,
-                                   build_niceblock, check_split_condition,
-                                   commutator_witness,
-                                   commutator_witness_table, length_pr,
+from msg_lab.constructions import (SplitDecomposition, _commutator_pair,
+                                   _greedy_orbits, _shift_matrix,
+                                   approx_centralize, build_niceblock,
+                                   check_split_condition, commutator_witness,
+                                   commutator_witness_table,
                                    prepare_near_root, project_to_sl)
 from msg_lab.gf import GF
 from msg_lab.groups import (SL, SP, Permutation, enumerate_gl2,
-                            enumerate_sl2, random_invertible)
-from msg_lab.linalg import Matrix, commutant_basis
+                            enumerate_sl2, random_invertible,
+                            standard_symplectic_form)
+from msg_lab.linalg import Matrix, commutant_basis, primary_blocks
+from msg_lab.metrics import PRANK, length
 
 from conftest import FIELDS
 
@@ -59,6 +61,143 @@ def test_prepare_postconditions_random(rng):
             assert dec.dim_S <= r
             assert (x - y).rank() <= r
             assert len(dec.L_basis) + dec.dim_S == n
+
+
+# -- the rank-probe greedy loops the echelon helper replaced, as its oracle --
+
+
+def _complete_basis_oracle(cols):
+    field = cols.field
+    n = cols.nrows
+    current = cols
+    added = []
+    rank = current.rank()
+    for i in range(n):
+        if rank == n:
+            break
+        e = Matrix.identity(field, n).col(i)
+        cand = Matrix.hstack([current, e])
+        if cand.rank() > rank:
+            current = cand
+            rank += 1
+            added.append(e)
+    if added:
+        return Matrix.hstack(added)
+    return Matrix.zeros(field, n, 0)
+
+
+def _module_generators_oracle(x_f, span_cols, deg):
+    field = x_f.field
+    m = x_f.nrows
+    current = Matrix.zeros(field, m, 0)
+    for j in range(span_cols.ncols):
+        v = span_cols.col(j)
+        cand = Matrix.hstack([current, v])
+        if cand.rank() == current.rank():
+            continue
+        orbit = [v]
+        for _ in range(deg - 1):
+            orbit.append(x_f @ orbit[-1])
+        current = Matrix.hstack([current] + orbit)
+        assert current.rank() == current.ncols
+    return current
+
+
+def _invariant_complement_oracle(x_f, sub_cols, deg):
+    field = x_f.field
+    m = x_f.nrows
+    current = sub_cols
+    orbit_cols = []
+    for i in range(m):
+        if current.rank() == m:
+            break
+        e = Matrix.identity(field, m).col(i)
+        if Matrix.hstack([current, e]).rank() == current.rank():
+            continue
+        orbit = [e]
+        for _ in range(deg - 1):
+            orbit.append(x_f @ orbit[-1])
+        grown = Matrix.hstack([current] + orbit)
+        assert grown.rank() == current.rank() + deg
+        current = grown
+        orbit_cols.extend(orbit)
+    if orbit_cols:
+        return Matrix.hstack(orbit_cols)
+    return Matrix.zeros(field, m, 0)
+
+
+def _random_columns(field, m, c, rng):
+    return Matrix.from_packed(
+        field, [[rng.randrange(field.q) for _ in range(c)] for _ in range(m)])
+
+
+def test_greedy_orbits_complete_basis_matches_rank_probe(rng):
+    """deg = 1 completion by standard vectors: empty start, full-rank
+    start, and random starts, dependent and rank-deficient ones included."""
+    for field in FIELDS:
+        for n in range(1, 8):
+            ident = Matrix.identity(field, n)
+            starts = [Matrix.zeros(field, n, 0),
+                      random_invertible(n, field.spec, rng)]
+            for _ in range(6):
+                c = rng.randint(1, n + 1)
+                cols = _random_columns(field, n, c, rng)
+                if rng.random() < 0.5:  # append a dependent column
+                    cols = Matrix.hstack([cols, cols.col(0).scale(
+                        rng.randrange(field.q))])
+                starts.append(cols)
+            for start in starts:
+                assert _greedy_orbits(ident, start) == \
+                    _complete_basis_oracle(start)
+            assert _greedy_orbits(ident, Matrix.zeros(field, n, 0)) == ident
+            assert _greedy_orbits(ident, starts[1]).ncols == 0
+
+
+def test_greedy_orbits_match_rank_probe_on_primary_blocks(rng):
+    """Orbits of length deg >= 1 inside the primary blocks of prepared
+    elements: module generators of a random submodule (dependent spanning
+    columns, empty span) and invariant complements (empty, partial and
+    full-rank starts) pick the same vectors in the same order."""
+    degs = set()
+    for field in FIELDS:
+        for _ in range(8):
+            n = rng.randint(2, 8)
+            while True:
+                k = rng.randint(2, 7)
+                if k % field.p:
+                    break
+            alpha = rng.randrange(1, field.q)
+            y = random_invertible(n, field.spec, rng)
+            x, dec = prepare_near_root(y, k, alpha)
+            blocks = primary_blocks(x, k, alpha)
+            prim = Matrix.hstack([basis for _, basis in blocks])
+            cx = prim.inverse() @ x @ prim
+            offset = 0
+            for f, basis in blocks:
+                d = basis.ncols
+                deg = len(f) - 1
+                degs.add(deg)
+                x_f = cx.block(offset, offset + d, offset, offset + d)
+                offset += d
+                ident = Matrix.identity(field, d)
+                # a submodule spanned by the orbits of a few random vectors,
+                # listed with repeats so that some columns are dependent
+                seeds = _random_columns(field, d, rng.randint(1, d), rng)
+                cols = []
+                for v in seeds.columns():
+                    orbit = [v]
+                    for _ in range(deg):
+                        orbit.append(x_f @ orbit[-1])
+                    cols.extend(orbit)
+                span = Matrix.hstack(cols)
+                sub = _greedy_orbits(span, None, x_f, deg)
+                assert sub == _module_generators_oracle(x_f, span, deg)
+                empty = Matrix.zeros(field, d, 0)
+                assert _greedy_orbits(empty, None, x_f, deg) == empty
+                for start in (empty, sub, span, ident):
+                    assert _greedy_orbits(ident, start, x_f, deg) == \
+                        _invariant_complement_oracle(x_f, start, deg)
+    assert max(degs) > 1
 
 
 def test_prepare_worked_examples():
@@ -194,11 +333,11 @@ def test_niceblock_invariants():
         field = GF(p)
         for n in (2, 3):
             for group in (SL, SP):
-                cert = build_niceblock(n, spec, group, seed=5)
+                cert = build_niceblock(n, spec, group)
                 x = cert.x.matrix
                 ident = Matrix.identity(field, 2 * n)
                 assert x.matpow(p) == ident and x != ident
-                assert length_pr(x) == Fraction(1, 2)
+                assert length(x, PRANK).value == Fraction(1, 2)
                 a_mats = [g.matrix for g in cert.A_generators]
                 for gm in a_mats:
                     assert gm.matpow(p) == ident
@@ -214,21 +353,41 @@ def test_niceblock_invariants():
                     for h in cert.H_generators:
                         c = (h.inverse() * u * h).matrix
                         assert _is_upper_unipotent_block(c, n, group == SP)
-                assert length_pr(cert.witness_u.matrix) >= Fraction(1, 2)
-                assert length_pr(cert.witness_h.matrix) >= Fraction(1, 2)
+                assert length(cert.witness_u, PRANK).value >= Fraction(1, 2)
+                assert length(cert.witness_h, PRANK).value >= Fraction(1, 2)
                 u, h = cert.commutator_u, cert.commutator_h
                 comm = (u.inverse() * h.inverse() * u * h).matrix
-                assert length_pr(comm) == cert.commutator_length
+                assert length(comm, PRANK).value == cert.commutator_length
                 assert cert.commutator_length >= \
                     Fraction(1, 3) * (1 - Fraction(2, n))
+
+
+def test_niceblock_commutator_pair_clears_target():
+    """The stored commutator pair, B = diag(i mod q) against the doubled
+    shift, has length at least (n - 1)/(2n) > (1/3)(1 - 2/n): exactly
+    (n - 1)/(2n) when n = 1 mod q, where one diagonal entry of the
+    commutator block vanishes, and 1/2 otherwise."""
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)):
+        field = GF(p, e)
+        for n in range(2, 13):
+            shift = _shift_matrix(field, n)
+            for group in (SL, SP):
+                form = (standard_symplectic_form(field, 2 * n)
+                        if group == SP else None)
+                _, _, ell = _commutator_pair(field, n, group, form, shift)
+                assert ell >= Fraction(n - 1, 2 * n)
+                assert ell > Fraction(1, 3) * (1 - Fraction(2, n))
+                expect = Fraction(n - 1, 2 * n) if n % field.q == 1 \
+                    else Fraction(1, 2)
+                assert ell == expect
 
 
 def test_niceblock_a_group_orders():
     """Enumerated A-group orders at half size 2: q^4 for SL, q^3 for Sp."""
     spec = GF(3).spec
-    cert = build_niceblock(2, spec, SL, seed=1)
+    cert = build_niceblock(2, spec, SL)
     assert len(_closure([g.matrix for g in cert.A_generators])) == 81
-    cert = build_niceblock(2, spec, SP, seed=1)
+    cert = build_niceblock(2, spec, SP)
     assert len(_closure([g.matrix for g in cert.A_generators])) == 27
 
 
@@ -239,7 +398,7 @@ def test_niceblock_centralizer_complete_small():
     expected = {2: 96, 3: 3888}
     for q in (2, 3):
         field = GF(q)
-        cert = build_niceblock(2, field.spec, SL, seed=3)
+        cert = build_niceblock(2, field.spec, SL)
         x = cert.x.matrix
         basis = commutant_basis(x)
         flats = np.stack([b.packed().reshape(-1) for b in basis])

@@ -1,22 +1,21 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
-from msg_lab.errors import BudgetError, UnsupportedCaseError
+from msg_lab.errors import BudgetError
 from msg_lab.gf import GF
 from msg_lab.groups import (GL, PSL_REP, SL, AlternatingDescriptor,
                             ClassicalElement, Permutation, PSLDescriptor,
-                            enumerate_psl2, enumerate_sl2, psl_canonical,
-                            random_invertible, random_perm)
-from msg_lab.linalg import Matrix
+                            enumerate_psl2, enumerate_sl2, gl_order,
+                            psl_canonical, random_perm, random_sl, sl_order)
+from msg_lab.linalg import (Matrix, commutant_basis, span_invertible_counts,
+                            twisted_commutant_basis)
 from msg_lab.metrics import (CONJ, HAMMING, PRANK, MetricValue,
-                             alternating_order, class_size_matrix,
-                             class_size_perm, conjugacy_distance, gl_order,
-                             hamming_distance, length,
+                             class_size_matrix, class_size_perm,
+                             conjugacy_distance, hamming_distance, length,
                              perm_centralizer_order,
-                             projective_rank_distance, psl_order, sl_order)
+                             projective_rank_distance)
 
 
 def test_hamming_known_values():
@@ -119,11 +118,11 @@ def test_group_orders():
     assert gl_order(2, 3) == 48
     assert sl_order(2, 3) == 24
     assert gl_order(3, 2) == 168
-    assert psl_order(2, 7) == 168
-    assert psl_order(2, 5) == 60
-    assert psl_order(2, 9) == 360
-    assert alternating_order(5) == 60
-    assert alternating_order(9) == math.factorial(9) // 2
+    assert PSLDescriptor(2, GF(7).spec).order() == 168
+    assert PSLDescriptor(2, GF(5).spec).order() == 60
+    assert PSLDescriptor(2, GF(3, 2).spec).order() == 360
+    assert AlternatingDescriptor(5).order() == 60
+    assert AlternatingDescriptor(9).order() == math.factorial(9) // 2
 
 
 def _brute_classes(elements, conj_key):
@@ -170,9 +169,55 @@ def test_class_size_matrix_psl2_brute():
             return psl_canonical(h.inverse() @ x @ h).key()
 
         classes = _brute_classes(elements, conj_key)
-        assert sum(size for _, size in classes) == psl_order(2, field.q)
+        assert sum(size for _, size in classes) == PSLDescriptor(2, field.spec).order()
         for rep, size in classes:
             assert class_size_matrix(ClassicalElement(rep, PSL_REP)) == size
+
+
+def _unit_scalars_scan(x):
+    """The unit-scalar count class_size_matrix used to make: every lambda
+    in F^x tested for lambda^n = 1, then for an invertible det-1 member
+    of the lambda-twisted commutant."""
+    field = x.field
+    count = 0
+    for lam in field.nonzero_elements():
+        if field.pow(lam, x.nrows) != field.one:
+            continue
+        if lam == field.one:
+            count += 1
+            continue
+        basis = twisted_commutant_basis(x, lam)
+        if basis and span_invertible_counts(basis)[1]:
+            count += 1
+    return count
+
+
+def test_class_size_matrix_matches_unit_scalar_scan(rng):
+    """PSL class sizes against the scan over all of F^x, for random and
+    scalar-twisted elements of SL_n(q), n <= 3, q <= 9, including every
+    field with gcd(n, q - 1) = 2 or 3."""
+    gcds = set()
+    twisted = 0
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        field = GF(p, e)
+        q = field.q
+        for n in (2, 3):
+            minus = field.neg(field.one)
+            # x ~ lambda x for a unit scalar lambda != 1 when lambda exists
+            special = {2: [[0, 1], [minus, 0]],
+                       3: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}[n]
+            elements = [Matrix.from_packed(field, special)]
+            elements += [random_sl(n, field.spec, rng).matrix
+                         for _ in range(6)]
+            for m in elements:
+                t = _unit_scalars_scan(m)
+                det_one = span_invertible_counts(commutant_basis(m))[1]
+                expected = sl_order(n, q) // (det_one * t)
+                assert class_size_matrix(ClassicalElement(m, PSL_REP)) == \
+                    expected
+                gcds.add(math.gcd(n, q - 1))
+                twisted += t > 1
+    assert {2, 3} <= gcds and twisted
 
 
 def test_class_size_matrix_gl_identity():

@@ -28,10 +28,20 @@ def test_field_parse_errors():
 
 
 def test_scalar_round_trip():
+    """Every element of GF(3^2) survives a 1 x 1 matrix round trip; short
+    entries are zero-padded, and too many or out-of-range coefficients
+    are refused."""
     field = GF(3, 2)
     for a in field.elements():
-        text = textio.format_scalar(field, a)
-        assert textio.parse_scalar(field, text) == a
+        m = Matrix.from_packed(field, [[a]])
+        text = textio.format_matrix(m)
+        assert text == "%d.%d" % (a % 3, a // 3)
+        assert textio.parse_matrix(field, text) == m
+    assert textio.parse_matrix(field, "2").entry(0, 0) == 2
+    assert textio.parse_matrix(field, "0.2").entry(0, 0) == 6
+    for bad in ("1.0.0", "3", "0.3", "-1"):
+        with pytest.raises(ValueError):
+            textio.parse_matrix(field, bad)
 
 
 def test_matrix_round_trip(rng):
