@@ -131,36 +131,17 @@ def _greedy_orbits(candidates, start=None, x=None, deg=1):
     """
     field = candidates.field
     m = candidates.nrows
-    if field.e == 1:
-        p = field.p
+    echelon = []  # (pivot, column): 1 at its pivot, 0 at earlier pivots
 
-        def axpy(a, b, v):
-            return [(t - a * u) % p for t, u in zip(v, b)]
-
-        def scale(a, v):
-            return [a * t % p for t in v]
-    else:
-        _, sub, mul = field.pair_tables()
-
-        def axpy(a, b, v):
-            ma = mul[a]
-            return [sub[t][ma[u]] for t, u in zip(v, b)]
-
-        def scale(a, v):
-            return [mul[a][t] for t in v]
-
-    echelon = []  # (pivot, vector): 1 at its pivot, 0 at earlier pivots
-
-    def insert(col):
-        """Add col to the span; False when it was already inside."""
-        v = [row[0] for row in col.rows]
+    def insert(v):
+        """Add column v to the span; False when it was already inside."""
         for c, b in echelon:
-            if v[c]:
-                v = axpy(v[c], b, v)
-        c = next((i for i, a in enumerate(v) if a), None)
+            if v.entry(c, 0):
+                v = v - b.scale(v.entry(c, 0))
+        c = next((i for i, (a,) in enumerate(v.rows) if a), None)
         if c is None:
             return False
-        echelon.append((c, scale(field.inv(v[c]), v)))
+        echelon.append((c, v.scale(field.inv(v.entry(c, 0)))))
         return True
 
     for col in (start.columns() if start is not None else ()):
