@@ -92,15 +92,21 @@ def centralizer_factorization(x, dec):
     part of L and the complement S merge into a single block, so the
     total order always equals the brute-force count of invertible
     commuting matrices.  The factor count is at most k + 1.
+
+    In the basis [L | S], x = diag(x|L, I): ker f(x) is ker f(x|L), plus S
+    for f = T - 1, so the blocks come from the dim L x dim L matrix x|L.
     """
-    check_split_condition(x, dec)
+    x_l = check_split_condition(x, dec)
     field = x.field
     q = field.q
-    blocks = primary_blocks(x, dec.k, dec.alpha)
+    dims = {f: b.ncols for f, b in primary_blocks(x_l, dec.k, dec.alpha)}
+    if dec.dim_S:
+        one = (field.neg(field.one), field.one)
+        dims[one] = dims.get(one, 0) + dec.dim_S
     factors = []
-    for f, basis in blocks:
+    for f in sorted(dims, key=lambda t: (len(t), t)):
         deg = len(f) - 1
-        dim = basis.ncols
+        dim = dims[f]
         if dim % deg != 0:
             raise AssertionError("primary block dimension not divisible by "
                                  "the factor degree")

@@ -362,9 +362,11 @@ def _build_parser():
                    choices=["equivalence", "fingerprint"])
     p.add_argument("--family", required=True,
                    help="e.g. ALT:50,100 or PSL:2,3:7,7")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--primes", default="2,3,5")
+    p.add_argument("--trials", type=int, default=100, help="equivalence only")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="equivalence: seeds the random elements; fingerprint: "
+                        "only recorded in the CSV header")
+    p.add_argument("--primes", default="2,3,5", help="fingerprint only")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_experiment)
 

@@ -32,6 +32,7 @@ Four builders live here.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,23 +70,25 @@ class SplitDecomposition:
         for v in combined:
             if v.field != field or v.shape != (n, 1):
                 raise ValueError("basis vectors must be columns over one field")
+        object.__setattr__(self, "k", _integer("k", self.k))
         if self.k < 1:
             raise ValueError("k must be positive")
         if math.gcd(self.k, field.p) != 1:
             raise ValueError("k must be coprime to the characteristic")
-        _check_alpha(field, self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(field, self.alpha))
         if len(combined) != n:
             raise ValueError("L and S do not fill the space")
-        if not self.basis().is_invertible():
+        object.__setattr__(self, "_basis", Matrix.hstack(combined))
+        if not self._basis.is_invertible():
             raise ValueError("L and S columns are not a basis")
 
     @property
     def field(self):
-        return (self.L_basis + self.S_basis)[0].field
+        return self._basis.field
 
     @property
     def n(self):
-        return (self.L_basis + self.S_basis)[0].nrows
+        return self._basis.nrows
 
     @property
     def dim_L(self):
@@ -96,26 +99,32 @@ class SplitDecomposition:
         return len(self.S_basis)
 
     def L_matrix(self):
-        if self.L_basis:
-            return Matrix.hstack(self.L_basis)
-        return Matrix.zeros(self.field, self.n, 0)
+        return self.basis().take_columns(range(self.dim_L))
 
     def S_matrix(self):
-        if self.S_basis:
-            return Matrix.hstack(self.S_basis)
-        return Matrix.zeros(self.field, self.n, 0)
+        return self.basis().take_columns(range(self.dim_L, self.n))
 
     def basis(self):
-        return Matrix.hstack([self.L_matrix(), self.S_matrix()])
+        return self._basis
+
+
+def _integer(name, value):
+    """value as an int; ValueError, not TypeError, when it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _check_alpha(field, alpha):
-    """alpha must be a nonzero packed element of the field."""
+    """alpha as an int; it must be a nonzero packed element of the field."""
+    alpha = _integer("alpha", alpha)
     if not 0 <= alpha < field.q:
         raise ValueError("alpha = %d is outside [0, %d), the packed "
                          "elements of %r" % (alpha, field.q, field))
     if alpha == field.zero:
         raise ValueError("alpha must be nonzero")
+    return alpha
 
 
 def _greedy_orbits(candidates, start=None, x=None, deg=1):
@@ -169,6 +178,12 @@ def prepare_near_root(y, k, alpha):
     complement S completed from standard basis vectors; all the stated
     rank bounds follow because x - y vanishes on L and dim S equals
     rank(y^k - alpha I) exactly.
+
+    One elimination gives all: the kernel vector of free column c is 1 at
+    c, 0 at the other free columns (so c is its last nonzero entry), and
+    S is the standard vectors at the pivot columns, the ones a greedy
+    completion picks.  The L coordinates of a vector in the basis [L | S]
+    are its free entries, so x = I + (y L - L) I[:, free]^T.
     """
     field = y.field
     n = y.nrows
@@ -176,48 +191,49 @@ def prepare_near_root(y, k, alpha):
         raise ValueError("y must be square")
     if not y.is_invertible():
         raise ValueError("y must be invertible")
+    k = _integer("k", k)
     if k < 1 or math.gcd(k, field.p) != 1:
         raise ValueError("k must be positive and coprime to the characteristic")
-    _check_alpha(field, alpha)
+    alpha = _check_alpha(field, alpha)
 
     defect = y.matpow(k) - Matrix.scalar(field, n, alpha)
-    r = defect.rank()
     kerl = defect.kernel_basis()
+    free = [max(i for i, (a,) in enumerate(v.rows) if a) for v in kerl]
+    pivots = [c for c in range(n) if c not in free]
+    ident = Matrix.identity(field, n)
     L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
-    S = _greedy_orbits(Matrix.identity(field, n), L)
-    P = Matrix.hstack([L, S])
-    x = Matrix.hstack([y @ L, S]) @ P.inverse()
+    S = ident.take_columns(pivots)
+    x = ident + (y @ L - L) @ ident.take_columns(free).transpose()
 
     dec = SplitDecomposition(tuple(kerl), tuple(S.columns()), k, alpha)
     # exact postconditions; cheap at these sizes
-    assert dec.dim_S == r
-    assert (x - y).rank() <= r
+    assert dec.dim_S == len(pivots)
+    assert (x - y).rank() <= len(pivots)
     check_split_condition(x, dec)
     return x, dec
 
 
 def check_split_condition(x, dec):
     """Raise ValueError unless x preserves L, is the identity on S, and
-    satisfies (x restricted to L)^k = alpha * identity."""
+    satisfies (x restricted to L)^k = alpha * identity.
+
+    Returns x|L, the dim L x dim L matrix of x in the basis L_basis, from
+    one elimination of [L | S | x L], whose reduced form is [I | P^-1 x L]."""
     field = x.field
     n = x.nrows
     if dec.n != n or dec.field != field:
         raise ValueError("decomposition does not match the matrix")
-    P = dec.basis()
-    C = P.inverse() @ x @ P
     dl = dec.dim_L
+    C = dec.basis().solve(x @ dec.L_matrix())
     if C.block(dl, n, 0, dl) != Matrix.zeros(field, dec.dim_S, dl):
         raise ValueError("x does not preserve L")
-    s_cols = C.block(0, n, dl, n)
-    expect = Matrix.vstack([
-        Matrix.zeros(field, dl, dec.dim_S),
-        Matrix.identity(field, dec.dim_S),
-    ]) if dec.dim_S else s_cols
-    if dec.dim_S and s_cols != expect:
+    S = dec.S_matrix()
+    if x @ S != S:
         raise ValueError("x is not the identity on S")
     xl = C.block(0, dl, 0, dl)
     if dl and xl.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
         raise ValueError("x restricted to L is not a k-th root of alpha")
+    return xl
 
 
 def _repair_block(x_f, a_f, deg):

@@ -8,14 +8,16 @@ reduction.  Over an extension field it reads the pair tables of gf, which
 defer to the scalar Field operations above gf._PAIR_TABLE_MAX.  Rank,
 rref, det, inverse, solve, kernel_basis and the commutant bases all ride
 one Gauss-Jordan routine with first-nonzero pivot selection, so pivot
-choice is deterministic.  charpoly reduces to Hessenberg form with the
-same arithmetic, and min_rank_shift computes ranks only at the roots of
-the characteristic polynomial in F^x, found with the polynomial arithmetic
-of poly, so its cost grows with log q, not q.  span_invertible_counts
-enumerates one member per F^x orbit of a span, (q^dim - 1)/(q - 1) in
-all, through one batched elimination on int64 arrays (the only numpy code
-here besides Matrix.packed()), and weights each invertible one by the
-q - 1 members of its orbit; its budget still counts all q^dim members.
+choice is deterministic; rank and det clear only below the pivots.
+charpoly reduces to Hessenberg form with the same arithmetic, and
+min_rank_shift computes ranks only at the roots of the characteristic
+polynomial in F^x, found with the polynomial arithmetic of poly, so its
+cost grows with log q, not q; primary_blocks tries only the factors that
+divide it.  span_invertible_counts enumerates one member per F^x orbit of
+a span, (q^dim - 1)/(q - 1) in all, through one batched elimination on
+int64 arrays (the only numpy code here besides Matrix.packed()), and
+weights each invertible one by the q - 1 members of its orbit; its
+budget still counts all q^dim members.
 """
 
 from __future__ import annotations
@@ -245,13 +247,14 @@ class Matrix:
 
     # -- elimination-backed operations -------------------------------------
 
-    def _gauss_jordan(self, track_det: bool = False):
+    def _gauss_jordan(self, track_det: bool = False, reduce_up: bool = True):
         """Reduced row echelon form with first-nonzero pivots.
 
         Returns (R as a list of row lists, pivot column tuple, det_packed)
         where det_packed is the determinant when square and track_det is
         set (0 when singular), else None.  Pivot inverses come from
-        Field.inv.
+        Field.inv.  With reduce_up false only rows below a pivot are
+        cleared: R is then not reduced, but the pivots and det are the same.
         """
         f = self.field
         prime = f.e == 1
@@ -287,7 +290,7 @@ class Matrix:
                     m = mul[inv]
                     row[c:] = [m[v] for v in row[c:]]
             tail = row[c:]
-            for other in R:
+            for other in (R if reduce_up else R[r + 1:]):
                 a = other[c]
                 if a and other is not row:
                     if prime:
@@ -309,10 +312,10 @@ class Matrix:
         return self._new(R), pivots
 
     def rank(self) -> int:
-        return len(self._gauss_jordan()[1])
+        return len(self._gauss_jordan(reduce_up=False)[1])
 
     def det(self) -> int:
-        return self._gauss_jordan(track_det=True)[2]
+        return self._gauss_jordan(track_det=True, reduce_up=False)[2]
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -517,14 +520,17 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
 def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matrix]]:
     """Primary decomposition of the space under x, for x satisfying
     (T^k - alpha)(T - 1) = 0: pairs (irreducible factor f, column basis
-    of ker f(x)), sorted by (degree, coefficients).  The T - 1 factor is
-    always included as a candidate because such x act as the identity on
-    their complement block."""
+    of ker f(x)), sorted by (degree, coefficients).  An irreducible f has
+    ker f(x) != 0 exactly when f divides chi = charpoly(x), so only the
+    factors of gcd(T^k - alpha, chi) are tried, and T - 1 (the identity
+    on the complement block) when chi(1) = 0."""
     field = x.field
     n = x.nrows
-    target = [field.neg(alpha)] + [field.zero] * (k - 1) + [field.one]
-    factors = set(poly.pfactor_distinct(field, tuple(target)))
-    factors.add((field.neg(field.one), field.one))
+    target = (field.neg(alpha),) + (field.zero,) * (k - 1) + (field.one,)
+    chi = charpoly(x)
+    factors = set(poly.pfactor_distinct(field, poly.pgcd(field, target, chi)))
+    if poly.peval(field, chi, field.one) == field.zero:
+        factors.add((field.neg(field.one), field.one))
     blocks = []
     total = 0
     for f in sorted(factors, key=lambda t: (len(t), t)):

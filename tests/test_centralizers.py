@@ -9,11 +9,14 @@ from msg_lab.centralizers import (GL_BLOCK, WREATH_BLOCK,
                                   centralizer_factorization,
                                   characteristic_fingerprint,
                                   perm_centralizer_structure)
-from msg_lab.constructions import build_niceblock, prepare_near_root
+from msg_lab.constructions import (build_niceblock, check_split_condition,
+                                   prepare_near_root)
 from msg_lab.errors import UnsupportedCaseError
 from msg_lab.gf import GF
 from msg_lab.groups import SL, SP, Permutation, gl_order, random_perm
 from msg_lab.linalg import Matrix, commutant_basis, span_invertible_counts
+
+from conftest import FIELDS, near_root_input, primary_blocks_unfiltered
 
 
 def _brute_commuting_invertible(x):
@@ -92,6 +95,43 @@ def test_split_torus_four_blocks():
         assert f.format_line() == "GL-block 1 1 4"
     assert desc.total_order == 4 ** 4 == 256
     assert desc.total_order == _brute_commuting_invertible(x)
+
+
+def _factorization_oracle(x, dec):
+    """(kind, dim, ext_degree, order) of each factor as
+    centralizer_factorization computed them before the L-block reduction:
+    from the primary blocks of the whole n x n matrix x."""
+    q = x.field.q
+    out = []
+    for f, basis in primary_blocks_unfiltered(x, dec.k, dec.alpha):
+        deg = len(f) - 1
+        d = basis.ncols // deg
+        out.append((GL_BLOCK, d, deg, gl_order(d, q ** deg)))
+    return out
+
+
+def test_centralizer_factorization_matches_full_space_oracle(rng):
+    """Factoring x|L and adding dim S to the T - 1 block gives the factors
+    of the full-space primary decomposition, on random near-roots with
+    dim L from 2 to n <= 6, alpha = 1 and alpha != 1 (GF(2) has only 1)."""
+    cases = {True: 0, False: 0}
+    for field in FIELDS:
+        for n in range(2, 7):
+            for dim_l in range(2, n + 1):
+                for alpha_one in (True, False):
+                    case = near_root_input(field, n, dim_l, rng, alpha_one)
+                    if case is None:
+                        assert field.q == 2 and not alpha_one
+                        continue
+                    x, dec = prepare_near_root(*case)
+                    assert check_split_condition(x, dec).shape == (dim_l, dim_l)
+                    desc = centralizer_factorization(x, dec)
+                    expect = _factorization_oracle(x, dec)
+                    assert [(f.kind, f.dim, f.ext_degree, f.order)
+                            for f in desc.factors] == expect
+                    assert desc.total_order == math.prod(e[3] for e in expect)
+                    cases[alpha_one] += 1
+    assert cases == {True: 6 * 15, False: 5 * 15}
 
 
 def test_perm_centralizer_examples_brute():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from msg_lab import cli
 from msg_lab.cli import main
 from msg_lab.experiments import equivalence_experiment, parse_family
@@ -275,6 +277,27 @@ def test_experiment_fingerprint(capsys):
     assert code == 0
     assert out.startswith("# experiment=fingerprint\n")
     assert "p3_core_order,6561" in out
+
+
+def test_experiment_help_names_what_each_option_varies(capsys):
+    """--trials and --primes belong to one experiment each, and the
+    fingerprint experiment only records --seed in its header: two seeds
+    give CSVs that differ in the seed line alone."""
+    with pytest.raises(SystemExit):
+        main(["experiment", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--trials TRIALS equivalence only" in help_text
+    assert "--primes PRIMES fingerprint only" in help_text
+    assert "fingerprint: only recorded in the CSV header" in help_text
+    outs = []
+    for seed in ("1", "2"):
+        code, out, _ = _run(capsys, "experiment", "--name", "fingerprint",
+                            "--family", "PSL:2:9", "--primes", "2,3",
+                            "--seed", seed)
+        assert code == 0
+        outs.append([line for line in out.splitlines()
+                     if not line.startswith("# seed=")])
+    assert outs[0] == outs[1]
 
 
 def test_matrix_coefficients_out_of_contract_exit_2(capsys):

@@ -17,7 +17,7 @@ from msg_lab.groups import (SL, SP, Permutation, enumerate_gl2,
 from msg_lab.linalg import Matrix, commutant_basis, primary_blocks
 from msg_lab.metrics import PRANK, length
 
-from conftest import FIELDS
+from conftest import FIELDS, near_root_input
 
 
 def _span_columns(basis_vectors):
@@ -200,6 +200,64 @@ def test_greedy_orbits_match_rank_probe_on_primary_blocks(rng):
     assert max(degs) > 1
 
 
+def _prepare_oracle(y, k, alpha):
+    """(x, S, P) as prepare_near_root computed them before the closed
+    form: S the greedy completion of L from the standard basis, P = [L | S]
+    and x = [y L | S] P^-1."""
+    field, n = y.field, y.nrows
+    kerl = (y.matpow(k) - Matrix.scalar(field, n, alpha)).kernel_basis()
+    L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
+    S = _greedy_orbits(Matrix.identity(field, n), L)
+    P = Matrix.hstack([L, S])
+    return Matrix.hstack([y @ L, S]) @ P.inverse(), S, P
+
+
+def _tampered(x, dec, entries):
+    """x with entries {(i, j): value} of its matrix in the basis [L | S]
+    replaced."""
+    P = dec.basis()
+    rows = [list(row) for row in (P.inverse() @ x @ P).rows]
+    for (i, j), value in entries.items():
+        rows[i][j] = value
+    return P @ Matrix.from_packed(x.field, rows) @ P.inverse()
+
+
+def test_prepare_near_root_matches_greedy_oracle(rng):
+    """The pivot-column S is the greedy completion, the closed-form x is
+    [y L | S] P^-1, check_split_condition returns the top-left block of
+    P^-1 x P, and each of its three checks fires on a tampered x: the six
+    fields, n <= 8 and every dim L from 0 to n (GF(2) has no n = 1 case
+    with L = 0)."""
+    cases = 0
+    for field in FIELDS:
+        for n in range(1, 9):
+            for dim_l in range(n + 1):
+                case = near_root_input(field, n, dim_l, rng)
+                if case is None:
+                    assert (field.q, n, dim_l) == (2, 1, 0)
+                    continue
+                y, k, alpha = case
+                x, dec = prepare_near_root(y, k, alpha)
+                x_old, S_old, P = _prepare_oracle(y, k, alpha)
+                assert dec.dim_L == dim_l
+                assert dec.S_matrix() == S_old
+                assert x == x_old
+                C = P.inverse() @ x @ P
+                assert check_split_condition(x, dec) == C.block(0, dim_l, 0, dim_l)
+                cases += 1
+                if not dim_l:
+                    continue
+                zero_l = {(i, j): 0 for i in range(dim_l) for j in range(dim_l)}
+                tampered = [(zero_l, "k-th root")]
+                if dim_l < n:
+                    tampered += [({(dim_l, 0): field.one}, "preserve L"),
+                                 ({(0, dim_l): field.one}, "identity on S")]
+                for entries, message in tampered:
+                    with pytest.raises(ValueError, match=message):
+                        check_split_condition(_tampered(x, dec, entries), dec)
+    assert cases == 6 * 44 - 1
+
+
 def test_prepare_worked_examples():
     field = GF(5)
     # y^k = alpha I already: x = y, S empty
@@ -228,6 +286,23 @@ def test_prepare_rejects_bad_inputs():
         prepare_near_root(y, 2, 0)  # alpha = 0
     with pytest.raises(ValueError):
         prepare_near_root(Matrix.diagonal(field, [1, 0]), 2, 1)  # singular
+
+
+def test_non_integer_k_and_alpha_rejected():
+    """k and alpha go through operator.index: a float or a string is a
+    ValueError (not the TypeError of math.gcd), and a numpy integer is
+    stored as an int."""
+    field = GF(5)
+    y = Matrix.diagonal(field, [2, 1])
+    cols = tuple(y.columns())
+    for k, alpha in ((2.0, 1), (2, 1.5), (2, 1.0), ("2", 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            prepare_near_root(y, k, alpha)
+        with pytest.raises(ValueError, match="must be an integer"):
+            SplitDecomposition(cols, (), k, alpha)
+    x, dec = prepare_near_root(y, np.int64(2), np.int64(1))
+    assert (type(dec.k), type(dec.alpha)) == (int, int)
+    assert (x, dec) == prepare_near_root(y, 2, 1)
 
 
 def test_packed_scalars_outside_field_rejected():

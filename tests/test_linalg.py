@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from msg_lab import linalg as L
 from msg_lab import poly
+from msg_lab.constructions import check_split_condition, prepare_near_root
+from msg_lab.errors import UnsupportedCaseError
 from msg_lab.gf import GF
 from msg_lab.groups import random_invertible
 from msg_lab.linalg import (Matrix, commutant_basis, min_rank_shift,
                             primary_blocks, span_invertible_counts)
 
-from conftest import FIELDS
+from conftest import FIELDS, near_root_input, primary_blocks_unfiltered
 
 
 def _rand_matrix(field, rows, cols, rng):
@@ -268,6 +270,73 @@ def test_primary_blocks_diagonal_example():
         assert image == Matrix.zeros(field, 3, basis.ncols)
     joint = Matrix.hstack([basis for _, basis in blocks])
     assert joint.rank() == 3
+
+
+def test_primary_blocks_filtered_matches_unfiltered(rng):
+    """Trying only the factors that divide chi gives the same blocks, in
+    the same order, as evaluating every factor of (T^k - alpha)(T - 1):
+    on near-roots x, on their L blocks (0 x 0 and 1 x 1 included), and on
+    random x, where both raise UnsupportedCaseError when the blocks do not
+    cover the space."""
+    for field in FIELDS:
+        for n in range(1, 7):
+            for dim_l in range(n + 1):
+                case = near_root_input(field, n, dim_l, rng)
+                if case is None:
+                    continue
+                x, dec = prepare_near_root(*case)
+                for m in (x, check_split_condition(x, dec)):
+                    assert primary_blocks(m, dec.k, dec.alpha) == \
+                        primary_blocks_unfiltered(m, dec.k, dec.alpha)
+            m = _rand_matrix(field, n, n, rng)
+            k = rng.choice([k for k in range(1, 7) if k % field.p])
+            alpha = rng.randrange(1, field.q)
+            try:
+                expect = primary_blocks_unfiltered(m, k, alpha)
+            except UnsupportedCaseError:
+                with pytest.raises(UnsupportedCaseError):
+                    primary_blocks(m, k, alpha)
+            else:
+                assert primary_blocks(m, k, alpha) == expect
+
+
+def _leibniz_det(m):
+    """Sum over permutations of sign times the product of entries."""
+    field = m.field
+    n = m.nrows
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        term = field.one
+        for i, j in enumerate(perm):
+            term = field.mul(term, m.entry(i, j))
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = field.add(total, field.neg(term) if inversions % 2 else term)
+    return total
+
+
+def _rank_at_most(field, rows, cols, r, rng):
+    """A random rows x cols product of rank at most r."""
+    if not r:
+        return Matrix.zeros(field, rows, cols)
+    return _rand_matrix(field, rows, r, rng) @ _rand_matrix(field, r, cols, rng)
+
+
+def test_forward_rank_det_match_rref_and_leibniz(rng):
+    """rank and det eliminate only below the pivots: rank is the pivot
+    count of the reduced form, and det the Leibniz sum, for n <= 4 and
+    every rank, and is_invertible agrees with both."""
+    for field in FIELDS:
+        for n in range(5):
+            for r in range(n + 1):
+                for _ in range(4):
+                    m = _rank_at_most(field, n, n, r, rng)
+                    wide = _rank_at_most(field, n, rng.randint(1, 5), r, rng)
+                    assert m.rank() == len(m.rref()[1])
+                    assert wide.rank() == len(wide.rref()[1])
+                    assert m.det() == _leibniz_det(m)
+                    assert m.is_invertible() == (m.det() != field.zero) == \
+                        (len(m.rref()[1]) == n)
 
 
 def test_span_invertible_counts_tiny():
