@@ -9,15 +9,18 @@ Four builders live here.
 
   * approx_centralize: move an invertible phi to an invertible psi that
     commutes with x exactly, with rank(phi - psi) <= 2 k^2 r + 3 dim S
-    where r = rank(x phi - phi x).  The algorithm refines the L/S split to
-    W = im(x - 1) and S' = ker(x - 1) (x is semisimple because T^k - alpha
-    and T - 1 are squarefree away from the characteristic), projects phi to
-    block-diagonal form over W + S' (cost <= 2r, since x - 1 is invertible
-    on W), averages the W block over conjugation by x (cost <= k(k-1)r/2),
-    and repairs invertibility inside the commutant by a correction whose
-    rank equals the accumulated nullity.  Total cost <= (k^2 - k + 4) r,
-    so the contractual bound can never trip; it is still asserted, and a
-    violation raises BoundViolationError with a reproducer payload.
+    where r = rank(x phi - phi x).  x is semisimple (T^k - alpha and T - 1
+    are squarefree away from the characteristic), so it is block diagonal
+    in one basis Q of its primary components: those of T^k - alpha inside
+    W = im(x - 1), then S' = ker(x - 1).  The algorithm keeps only the
+    diagonal blocks of Q^-1 phi Q (the W/S' blocks cost <= 2r, since x - 1
+    is invertible on W; averaging would clear the blocks between components
+    of W anyway), averages each W block over conjugation by x (cost <=
+    k(k-1)r/2), and repairs invertibility block by block inside the
+    commutant by a correction whose rank equals the block's nullity.
+    Total cost <= (k^2 - k + 4) r, so the contractual bound can never
+    trip; it is still asserted, and a violation raises BoundViolationError
+    with a reproducer payload.
 
   * build_niceblock: the order-p element [[I, I], [0, I]] of SL_2n or Sp_2n
     whose projective rank length is exactly 1/2, together with generators
@@ -246,10 +249,8 @@ def _repair_block(x_f, a_f, deg):
     if not kerl:
         return Matrix.zeros(field, m, m)
     ident = Matrix.identity(field, m)
-    # image and an invariant complement of it (target of the correction)
-    _, im_pivots = a_f.rref()
-    compl_of_image = _greedy_orbits(ident, a_f.take_columns(im_pivots),
-                                    x_f, deg)
+    # an invariant complement of the image (target of the correction)
+    compl_of_image = _greedy_orbits(ident, a_f, x_f, deg)
     # the kernel as concatenated orbits of greedy generators
     kdom = _greedy_orbits(Matrix.hstack(kerl), None, x_f, deg)
     assert kdom.ncols == len(kerl) == compl_of_image.ncols
@@ -268,8 +269,11 @@ def _repair_block(x_f, a_f, deg):
 def approx_centralize(x, dec, phi):
     """Nearest-by-construction invertible psi with x psi = psi x.
 
-    See the module docstring for the three-step construction and the
-    accounting that keeps rank(phi - psi) within 2 k^2 r + 3 dim S.
+    One change of basis Q, to the primary components of x on W = im(x - 1)
+    followed by S' = ker(x - 1), makes x block diagonal; psi is Q times the
+    averaged and repaired diagonal blocks of Q^-1 phi Q times Q^-1.  See
+    the module docstring for the accounting that keeps rank(phi - psi)
+    within 2 k^2 r + 3 dim S.
     """
     field = x.field
     n = x.nrows
@@ -283,69 +287,52 @@ def approx_centralize(x, dec, phi):
     if commutator_rank == 0:
         return phi
 
-    ident = Matrix.identity(field, n)
-    b = x - ident
-    _, b_pivots = b.rref()
-    w_cols = b.take_columns(b_pivots)           # W = im(x - 1)
-    s_list = b.kernel_basis()                    # S' = ker(x - 1)
-    s_cols = Matrix.hstack(s_list) if s_list else Matrix.zeros(field, n, 0)
-    m = w_cols.ncols
-    P = Matrix.hstack([w_cols, s_cols])
-    Pinv = P.inverse()
+    # W = im(x - 1) on the pivot columns of b = x - 1 and S' = ker(x - 1);
+    # b = w_cols reduced[:m], so x w_cols = w_cols (I + reduced[:m] w_cols)
+    b = x - Matrix.identity(field, n)
+    reduced, pivots = b.rref()
+    m = len(pivots)
+    w_cols = b.take_columns(pivots)
+    x_w = Matrix.identity(field, m) + reduced.block(0, m, 0, n) @ w_cols
+    blocks = [(f, w_cols @ basis)
+              for f, basis in primary_blocks(x_w, k, dec.alpha)]
+    t_minus_1 = (field.neg(field.one), field.one)
+    s_list = b.kernel_basis()
+    if s_list:
+        blocks.append((t_minus_1, Matrix.hstack(s_list)))
+    Q = Matrix.hstack([basis for _, basis in blocks])
+    Qinv = Q.inverse()
+    cx = Qinv @ x @ Q
+    cphi = Qinv @ phi @ Q
 
-    C = Pinv @ x @ P
-    x_w = C.block(0, m, 0, m)
-    assert C.block(0, m, m, n) == Matrix.zeros(field, m, n - m)
-    assert C.block(m, n, 0, m) == Matrix.zeros(field, n - m, m)
-    assert C.block(m, n, m, n) == Matrix.identity(field, n - m)
-
-    F = Pinv @ phi @ P
-    f_ww = F.block(0, m, 0, m)
-    f_ss = F.block(m, n, m, n)
-
-    # (a) drop the off-diagonal blocks: x - 1 is invertible on W, so their
-    # ranks are bounded by the commutator rank
-    # (b) average the W block over conjugation by x_w (order divides k)
+    # (a) keep only the diagonal blocks of cphi: x - 1 is invertible on W,
+    # so the W/S' blocks cost at most 2r, and averaging would clear the
+    # blocks between primary components of W anyway
     inv_k = field.inv(k % field.p)
-    x_w_inv = x_w.inverse()
-    a_bar = Matrix.zeros(field, m, m)
-    left = Matrix.identity(field, m)
-    right = Matrix.identity(field, m)
-    for _ in range(k):
-        a_bar = a_bar + left @ f_ww @ right
-        left = left @ x_w_inv
-        right = right @ x_w
-    a_bar = a_bar.scale(inv_k)
-    assert a_bar @ x_w == x_w @ a_bar
-
-    # (c) repair invertibility inside the commutant, one primary component
-    # of x_w at a time (module-level corrections, rank = nullity)
-    if m:
-        blocks = primary_blocks(x_w, k, dec.alpha)
-        prim = Matrix.hstack([basis for _, basis in blocks])
-        prim_inv = prim.inverse()
-        cx = prim_inv @ x_w @ prim
-        ca = prim_inv @ a_bar @ prim
-        repaired = []
-        offset = 0
-        for f, basis in blocks:
-            d = basis.ncols
-            deg = len(f) - 1
-            x_f = cx.block(offset, offset + d, offset, offset + d)
-            a_f = ca.block(offset, offset + d, offset, offset + d)
-            repaired.append(a_f + _repair_block(x_f, a_f, deg))
-            offset += d
-        fixed_w = prim @ _block_diagonal(field, repaired) @ prim_inv
-    else:
-        fixed_w = a_bar
-
-    # x is the identity on S', so any correction commutes with it there
-    fixed_s = f_ss + _repair_block(Matrix.identity(field, n - m), f_ss, 1)
-
-    psi_coords = Matrix.block2(
-        fixed_w, Matrix.zeros(field, m, n - m),
-        Matrix.zeros(field, n - m, m), fixed_s)
-    psi = P @ psi_coords @ Pinv
+    x_blocks = []
+    repaired = []
+    offset = 0
+    for f, basis in blocks:
+        end = offset + basis.ncols
+        x_f = cx.block(offset, end, offset, end)
+        a_f = cphi.block(offset, end, offset, end)
+        offset = end
+        if f != t_minus_1:
+            # (b) average over conjugation by x_f (order divides k); on S'
+            # x_f = 1 and there is nothing to average
+            x_f_inv = x_f.inverse()
+            term = a_f
+            for _ in range(k - 1):
+                term = x_f_inv @ term @ x_f
+                a_f = a_f + term
+            a_f = a_f.scale(inv_k)
+            assert a_f @ x_f == x_f @ a_f
+        # (c) repair invertibility inside the commutant of x_f (a
+        # module-level correction, rank = nullity)
+        x_blocks.append(x_f)
+        repaired.append(a_f + _repair_block(x_f, a_f, len(f) - 1))
+    assert cx == _block_diagonal(field, x_blocks)
+    psi = Q @ _block_diagonal(field, repaired) @ Qinv
 
     if not psi.is_invertible():
         raise AssertionError("repair failed to restore invertibility")

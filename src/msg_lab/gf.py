@@ -14,6 +14,7 @@ of degree e (find_irreducible).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -239,6 +240,13 @@ class Field:
         if self.q <= _TABLE_MAX:
             return self._tables()[0][1 % (self.q - 1)]
         return self._generator_search()
+
+    def roots_of_unity(self, n: int) -> list[int]:
+        """The lambda in F^x with lambda^n = 1, ascending: the g = gcd(n,
+        q - 1) powers of gamma^((q-1)/g) for the generator gamma."""
+        g = math.gcd(n, self.q - 1)
+        zeta = self.pow(self.multiplicative_generator(), (self.q - 1) // g)
+        return sorted(self.pow(zeta, j) for j in range(g))
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(_unpack_int(a, self.p, self.e))

@@ -385,12 +385,8 @@ def psl_canonical(m):
     packed-entry ordering (row by row, as the rows have equal length), so
     representatives are comparable with ==.
     """
-    field = m.field
-    n = m.nrows
     best = None
-    for alpha in field.nonzero_elements():
-        if field.pow(alpha, n) != field.one:
-            continue
+    for alpha in m.field.roots_of_unity(m.nrows):
         cand = m.scale(alpha)
         if best is None or cand.rows < best.rows:
             best = cand

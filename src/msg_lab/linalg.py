@@ -228,13 +228,15 @@ class Matrix:
             raise ValueError("matpow needs a square matrix")
         if k < 0:
             return self.inverse().matpow(-k)
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
+        if k == 0:
+            return Matrix.identity(self.field, self.nrows)
+        # left to right over the bits below the top one: a squaring for
+        # each, a product with self for each set one
+        result = self
+        for bit in bin(k)[3:]:
+            result = result @ result
+            if bit == "1":
+                result = result @ self
         return result
 
     def transpose(self) -> "Matrix":

@@ -121,12 +121,8 @@ def _realized_unit_scalars(x, budget):
     """Count unit scalars lambda (lambda^n = 1) with g x g^-1 = lambda x
     for some g in SL, by searching the lambda-twisted commutant space."""
     field = x.field
-    n = x.nrows
-    # the lambda with lambda^n = 1 are the powers of zeta, of order g
-    g = math.gcd(n, field.q - 1)
-    zeta = field.pow(field.multiplicative_generator(), (field.q - 1) // g)
     count = 0
-    for lam in sorted(field.pow(zeta, j) for j in range(g)):
+    for lam in field.roots_of_unity(x.nrows):
         if lam == field.one:
             count += 1
             continue

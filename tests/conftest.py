@@ -17,14 +17,17 @@ def rng():
     return random.Random(987654321)
 
 
-def near_root_input(field, n, dim_l, rng, alpha_one=None, attempts=200):
+def near_root_input(field, n, dim_l, rng, alpha_one=None, attempts=200,
+                    k=None):
     """(y, k, alpha) with dim ker(y^k - alpha I) = dim_l, or None when no
     draw gives it.  y is a random conjugate of diag(c I, M) with alpha =
     c^k, where M is random or c times one Jordan block; such a block adds
     one dimension to the kernel, which is how dim_l = n - 1 is reached
-    over GF(2).  alpha_one forces alpha = 1 (True) or alpha != 1 (False)."""
+    over GF(2).  alpha_one forces alpha = 1 (True) or alpha != 1 (False);
+    k is drawn from the values <= 6 coprime to p unless given."""
+    fixed_k = k
     for attempt in range(attempts):
-        k = rng.choice([k for k in range(1, 7) if k % field.p])
+        k = fixed_k or rng.choice([k for k in range(1, 7) if k % field.p])
         c = rng.randrange(1, field.q)
         alpha = field.pow(c, k)
         if alpha_one is not None and (alpha == field.one) != alpha_one:

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from msg_lab.constructions import (SplitDecomposition, _commutator_pair,
-                                   _greedy_orbits, _shift_matrix,
-                                   approx_centralize, build_niceblock,
-                                   check_split_condition, commutator_witness,
+from msg_lab import constructions
+from msg_lab.constructions import (SplitDecomposition, _block_diagonal,
+                                   _commutator_pair, _greedy_orbits,
+                                   _shift_matrix, approx_centralize,
+                                   build_niceblock, check_split_condition,
+                                   commutator_witness,
                                    commutator_witness_table,
                                    prepare_near_root, project_to_sl)
 from msg_lab.gf import GF
@@ -133,7 +135,9 @@ def _random_columns(field, m, c, rng):
 
 def test_greedy_orbits_complete_basis_matches_rank_probe(rng):
     """deg = 1 completion by standard vectors: empty start, full-rank
-    start, and random starts, dependent and rank-deficient ones included."""
+    start, and random starts, dependent and rank-deficient ones included
+    (a singular square one among them); the dependent columns of a start
+    change no pick."""
     for field in FIELDS:
         for n in range(1, 8):
             ident = Matrix.identity(field, n)
@@ -146,9 +150,16 @@ def test_greedy_orbits_complete_basis_matches_rank_probe(rng):
                     cols = Matrix.hstack([cols, cols.col(0).scale(
                         rng.randrange(field.q))])
                 starts.append(cols)
+            # a singular square start, as _repair_block passes its block
+            drop = Matrix.diagonal(field, [1] * (n - 1) + [0])
+            starts.append(_random_columns(field, n, n, rng) @ drop @
+                          _random_columns(field, n, n, rng))
             for start in starts:
-                assert _greedy_orbits(ident, start) == \
-                    _complete_basis_oracle(start)
+                picks = _greedy_orbits(ident, start)
+                assert picks == _complete_basis_oracle(start)
+                _, pivots = start.rref()
+                assert picks == _greedy_orbits(ident,
+                                               start.take_columns(pivots))
             assert _greedy_orbits(ident, Matrix.zeros(field, n, 0)) == ident
             assert _greedy_orbits(ident, starts[1]).ncols == 0
 
@@ -369,6 +380,132 @@ def test_approx_centralize_exhaustive_oracle_gf5():
     achieved = (phi - psi).rank()
     k = dec.k
     assert oracle <= achieved <= 2 * k * k * commutator_rank + 3 * dec.dim_S
+
+
+# -- approx_centralize through two changes of basis, as its oracle ----------
+
+
+def _repair_block_oracle(x_f, a_f, deg):
+    field = a_f.field
+    m = a_f.nrows
+    kerl = a_f.kernel_basis()
+    if not kerl:
+        return Matrix.zeros(field, m, m)
+    ident = Matrix.identity(field, m)
+    _, im_pivots = a_f.rref()
+    compl_of_image = _greedy_orbits(ident, a_f.take_columns(im_pivots),
+                                    x_f, deg)
+    kdom = _greedy_orbits(Matrix.hstack(kerl), None, x_f, deg)
+    rest = _greedy_orbits(ident, kdom, x_f, deg)
+    domain = Matrix.hstack([kdom, rest])
+    image = Matrix.hstack([compl_of_image,
+                           Matrix.zeros(field, m, rest.ncols)])
+    return image @ domain.inverse()
+
+
+def _approx_centralize_oracle(x, dec, phi):
+    """psi as approx_centralize built it in the basis P = [W | S'] of
+    im(x - 1) and ker(x - 1), then in the primary basis prim inside W:
+    average the W block over k conjugations, repair each primary block and
+    the S' block, and reassemble with block2."""
+    field = x.field
+    n = x.nrows
+    k = dec.k
+    if x @ phi == phi @ x:
+        return phi
+    ident = Matrix.identity(field, n)
+    b = x - ident
+    _, b_pivots = b.rref()
+    w_cols = b.take_columns(b_pivots)
+    s_list = b.kernel_basis()
+    s_cols = Matrix.hstack(s_list) if s_list else Matrix.zeros(field, n, 0)
+    m = w_cols.ncols
+    P = Matrix.hstack([w_cols, s_cols])
+    Pinv = P.inverse()
+    C = Pinv @ x @ P
+    x_w = C.block(0, m, 0, m)
+    F = Pinv @ phi @ P
+    f_ww = F.block(0, m, 0, m)
+    f_ss = F.block(m, n, m, n)
+    x_w_inv = x_w.inverse()
+    a_bar = Matrix.zeros(field, m, m)
+    left = Matrix.identity(field, m)
+    right = Matrix.identity(field, m)
+    for _ in range(k):
+        a_bar = a_bar + left @ f_ww @ right
+        left = left @ x_w_inv
+        right = right @ x_w
+    a_bar = a_bar.scale(field.inv(k % field.p))
+    blocks = primary_blocks(x_w, k, dec.alpha)
+    prim = Matrix.hstack([basis for _, basis in blocks])
+    prim_inv = prim.inverse()
+    cx = prim_inv @ x_w @ prim
+    ca = prim_inv @ a_bar @ prim
+    repaired = []
+    offset = 0
+    for f, basis in blocks:
+        end = offset + basis.ncols
+        x_f = cx.block(offset, end, offset, end)
+        a_f = ca.block(offset, end, offset, end)
+        repaired.append(a_f + _repair_block_oracle(x_f, a_f, len(f) - 1))
+        offset = end
+    fixed_w = prim @ _block_diagonal(field, repaired) @ prim_inv
+    fixed_s = f_ss + _repair_block_oracle(Matrix.identity(field, n - m),
+                                          f_ss, 1)
+    psi_coords = Matrix.block2(
+        fixed_w, Matrix.zeros(field, m, n - m),
+        Matrix.zeros(field, n - m, m), fixed_s)
+    return P @ psi_coords @ Pinv
+
+
+def test_approx_centralize_matches_two_basis_oracle(rng, monkeypatch):
+    """psi is byte-identical to the two-basis construction: the six
+    fields, n <= 8, every dim L from 0 to n, alpha = 1 and alpha != 1, k
+    cycling through the values <= 6 coprime to p for which such an alpha
+    exists, S' = ker(x - 1) empty and non-empty, and singular blocks that
+    the repair corrects both in W and in S'."""
+    repairs = set()
+    real_repair = constructions._repair_block
+
+    def recorded(x_f, a_f, deg):
+        R = real_repair(x_f, a_f, deg)
+        if R.rank():
+            repairs.add(x_f == Matrix.identity(x_f.field, x_f.nrows))
+        return R
+
+    monkeypatch.setattr(constructions, "_repair_block", recorded)
+    seen_k = set()
+    s_prime = set()
+    cases = 0
+    for field in FIELDS:
+        for alpha_one in (True, False):
+            # alpha = c^k != 1 for some c exactly when q - 1 does not divide k
+            ks = [k for k in range(1, 7) if k % field.p
+                  and (alpha_one or k % (field.q - 1))]
+            if not ks:
+                continue
+            turn = 0
+            for n in range(1, 9):
+                for dim_l in range(n + 1):
+                    k = ks[turn % len(ks)]
+                    turn += 1
+                    case = near_root_input(field, n, dim_l, rng,
+                                           alpha_one=alpha_one, k=k)
+                    if case is None:
+                        continue
+                    y, k, alpha = case
+                    x, dec = prepare_near_root(y, k, alpha)
+                    phi = random_invertible(n, field.spec, rng)
+                    psi = approx_centralize(x, dec, phi)
+                    assert psi == _approx_centralize_oracle(x, dec, phi)
+                    seen_k.add((field.q, k))
+                    s_prime.add((x - Matrix.identity(field, n)).rank() < n)
+                    cases += 1
+    assert seen_k == {(field.q, k) for field in FIELDS
+                      for k in range(1, 7) if k % field.p}
+    assert s_prime == {False, True}
+    assert repairs == {False, True}
+    assert cases > 450
 
 
 def _closure(generators, cap=10**5):

@@ -182,6 +182,22 @@ def test_pow_agrees_with_repeated_mul():
             acc = field.mul(acc, a)
 
 
+def test_roots_of_unity_match_full_scan():
+    """The n-th roots of unity are the lambda in F^x with lambda^n = 1, in
+    ascending order, and there are gcd(n, q - 1) of them, also above the
+    exp/log table cap."""
+    for field in FIELDS + [GF(2, 3), GF(13), GF(2, 4)]:
+        for n in range(1, 13):
+            scan = [a for a in field.nonzero_elements()
+                    if field.pow(a, n) == field.one]
+            assert field.roots_of_unity(n) == scan
+    big = GF(2**31 - 1)
+    assert big.roots_of_unity(2) == [1, big.q - 1]
+    cube = big.roots_of_unity(3)
+    assert len(set(cube)) == 3 and cube == sorted(cube)
+    assert all(big.pow(a, 3) == 1 for a in cube)
+
+
 def test_zero_inverse_rejected():
     for field in FIELDS:
         with pytest.raises(Exception):

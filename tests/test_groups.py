@@ -107,6 +107,36 @@ def test_psl_canonical_centre_invariance(rng):
                 assert psl_canonical(g.scale(lam)) == canon
 
 
+def _psl_canonical_scan(m):
+    """psl_canonical as it was: scan all of F^x for alpha^n = 1."""
+    field = m.field
+    best = None
+    for alpha in field.nonzero_elements():
+        if field.pow(alpha, m.nrows) != field.one:
+            continue
+        cand = m.scale(alpha)
+        if best is None or cand.rows < best.rows:
+            best = cand
+    return best
+
+
+def test_psl_canonical_matches_full_scan(rng):
+    """The roots-of-unity candidates pick the representative the scan over
+    F^x picks: all of SL_2(q) for q in {4, 5, 7, 8, 9}, and random
+    elements of SL_3 and SL_4 over every field with q <= 16."""
+    for q in (4, 5, 7, 8, 9):
+        field = GF(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
+        for m in enumerate_sl2(field.spec):
+            assert psl_canonical(m) == _psl_canonical_scan(m)
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1), (2, 4)):
+        field = GF(p, e)
+        for n in (3, 4):
+            for _ in range(10):
+                m = random_sl(n, field.spec, rng).matrix
+                assert psl_canonical(m) == _psl_canonical_scan(m)
+
+
 def test_classical_equality_modulo_centre():
     field = GF(5)
     m = Matrix.diagonal(field, [2, 3])  # det 6 = 1

@@ -50,6 +50,32 @@ def test_ring_laws(rng):
             assert a @ ident == a and ident @ a == a
 
 
+def test_matpow_matches_repeated_products(rng, monkeypatch):
+    """y^k is the k-fold product for k in -3..9 (of y^-1 when k < 0), and
+    for k >= 1 it costs bit_length - 1 squarings and popcount - 1 further
+    products: none with the identity, none past the top bit."""
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for field in FIELDS:
+        y = random_invertible(3, field.spec, rng)
+        y_inv = y.inverse()
+        for k in range(-3, 10):
+            expected = Matrix.identity(field, 3)
+            for _ in range(abs(k)):
+                expected = expected @ (y if k > 0 else y_inv)
+            before = len(products)
+            assert y.matpow(k) == expected
+            if k >= 1:
+                assert len(products) - before == \
+                    k.bit_length() - 1 + bin(k).count("1") - 1
+
+
 def test_det_multiplicative(rng):
     for field in FIELDS:
         for _ in range(80):
