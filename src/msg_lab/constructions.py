@@ -7,6 +7,14 @@ Four builders live here.
     and the identity on a complement S, so that (x|_L)^k = alpha, x|_S = 1,
     and max(dim S, rank(x - y)) <= rank(y^k - alpha I).
 
+    x differs from the identity only on L, so x - 1 = U T has rank at most
+    dim L, with U = x L - L and T the L rows of P^-1 for P = [L | S]
+    (SplitDecomposition.L_coordinates).  check_split_condition validates x
+    in this form with no elimination: since T L = 1 and T S = 0, once
+    x L = L C for C = T x L, x - 1 = U T holds exactly when x S = S.  After
+    that check, approx_centralize takes its products with x through U and
+    T, at O(n^2 dim L) cost each.
+
   * approx_centralize: move an invertible phi to an invertible psi that
     commutes with x exactly, with rank(phi - psi) <= 2 k^2 r + 3 dim S
     where r = rank(x phi - phi x).  x is semisimple (T^k - alpha and T - 1
@@ -81,9 +89,14 @@ class SplitDecomposition:
         object.__setattr__(self, "alpha", _check_alpha(field, self.alpha))
         if len(combined) != n:
             raise ValueError("L and S do not fill the space")
-        object.__setattr__(self, "_basis", Matrix.hstack(combined))
-        if not self._basis.is_invertible():
-            raise ValueError("L and S columns are not a basis")
+        basis = Matrix.hstack(combined)
+        try:
+            inverse = basis.inverse()
+        except ZeroDivisionError:
+            raise ValueError("L and S columns are not a basis") from None
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_l_coordinates",
+                           inverse.block(0, self.dim_L, 0, n))
 
     @property
     def field(self):
@@ -106,6 +119,11 @@ class SplitDecomposition:
 
     def S_matrix(self):
         return self.basis().take_columns(range(self.dim_L, self.n))
+
+    def L_coordinates(self):
+        """T, the dim L x n matrix of the L rows of basis()^-1: T v is the
+        L part of the coordinates of v in [L | S], so T L = 1 and T S = 0."""
+        return self._l_coordinates
 
     def basis(self):
         return self._basis
@@ -186,7 +204,8 @@ def prepare_near_root(y, k, alpha):
     c, 0 at the other free columns (so c is its last nonzero entry), and
     S is the standard vectors at the pivot columns, the ones a greedy
     completion picks.  The L coordinates of a vector in the basis [L | S]
-    are its free entries, so x = I + (y L - L) I[:, free]^T.
+    are its free entries, so x = I + (y L - L) I[:, free]^T: column j of
+    y L - L added to column free[j] of I.
     """
     field = y.field
     n = y.nrows
@@ -206,7 +225,11 @@ def prepare_near_root(y, k, alpha):
     ident = Matrix.identity(field, n)
     L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
     S = ident.take_columns(pivots)
-    x = ident + (y @ L - L) @ ident.take_columns(free).transpose()
+    # the rows of (x - 1)^T: the columns of y L - L at free, zero elsewhere
+    u_cols = dict(zip(free, (y @ L - L).transpose().rows))
+    zero = (0,) * n
+    x = ident + Matrix(field, tuple([u_cols.get(c, zero) for c in range(n)]),
+                       n).transpose()
 
     dec = SplitDecomposition(tuple(kerl), tuple(S.columns()), k, alpha)
     # exact postconditions; cheap at these sizes
@@ -220,23 +243,28 @@ def check_split_condition(x, dec):
     """Raise ValueError unless x preserves L, is the identity on S, and
     satisfies (x restricted to L)^k = alpha * identity.
 
-    Returns x|L, the dim L x dim L matrix of x in the basis L_basis, from
-    one elimination of [L | S | x L], whose reduced form is [I | P^-1 x L]."""
+    Returns x|L, the dim L x dim L matrix C of x in the basis L_basis.
+    With P = [L | S] and T = dec.L_coordinates() (T L = 1, T S = 0),
+    C = T x L, and x preserves L exactly when x L = L C.  Then, with
+    U = x L - L, (x - 1) P = [U | x S - S] and U T P = [U | 0], so x is the
+    identity on S exactly when x - 1 = U T.  No elimination: the products
+    cost O(n^2 dim L), and for dim L = 0 the test is x = 1."""
     field = x.field
     n = x.nrows
     if dec.n != n or dec.field != field:
         raise ValueError("decomposition does not match the matrix")
-    dl = dec.dim_L
-    C = dec.basis().solve(x @ dec.L_matrix())
-    if C.block(dl, n, 0, dl) != Matrix.zeros(field, dec.dim_S, dl):
+    L = dec.L_matrix()
+    T = dec.L_coordinates()
+    xl = x @ L
+    C = T @ xl
+    if xl != L @ C:
         raise ValueError("x does not preserve L")
-    S = dec.S_matrix()
-    if x @ S != S:
+    if x - Matrix.identity(field, n) != (xl - L) @ T:
         raise ValueError("x is not the identity on S")
-    xl = C.block(0, dl, 0, dl)
-    if dl and xl.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
+    dl = dec.dim_L
+    if dl and C.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
         raise ValueError("x restricted to L is not a k-th root of alpha")
-    return xl
+    return C
 
 
 def _repair_block(x_f, a_f, deg):
@@ -283,7 +311,12 @@ def approx_centralize(x, dec, phi):
     if not phi.is_invertible():
         raise ValueError("phi must be invertible")
     k = dec.k
-    commutator_rank = (x @ phi - phi @ x).rank()
+    # x - 1 = U T (check_split_condition), so x phi - phi x is
+    # U (T phi) - (phi U) T, and the products with x cost O(n^2 dim L)
+    L = dec.L_matrix()
+    T = dec.L_coordinates()
+    U = x @ L - L
+    commutator_rank = (U @ (T @ phi) - (phi @ U) @ T).rank()
     if commutator_rank == 0:
         return phi
 
@@ -297,12 +330,12 @@ def approx_centralize(x, dec, phi):
     blocks = [(f, w_cols @ basis)
               for f, basis in primary_blocks(x_w, k, dec.alpha)]
     t_minus_1 = (field.neg(field.one), field.one)
-    s_list = b.kernel_basis()
+    s_list = reduced.rref_kernel_basis(pivots)
     if s_list:
         blocks.append((t_minus_1, Matrix.hstack(s_list)))
     Q = Matrix.hstack([basis for _, basis in blocks])
     Qinv = Q.inverse()
-    cx = Qinv @ x @ Q
+    cx = Matrix.identity(field, n) + (Qinv @ U) @ (T @ Q)
     cphi = Qinv @ phi @ Q
 
     # (a) keep only the diagonal blocks of cphi: x - 1 is invertible on W,
@@ -336,7 +369,7 @@ def approx_centralize(x, dec, phi):
 
     if not psi.is_invertible():
         raise AssertionError("repair failed to restore invertibility")
-    if x @ psi != psi @ x:
+    if U @ (T @ psi) != (psi @ U) @ T:
         raise AssertionError("psi does not commute after averaging")
     achieved = (phi - psi).rank()
     bound = 2 * k * k * commutator_rank + 3 * dec.dim_S

@@ -129,6 +129,7 @@ class Field:
         self.q = spec.q
         self.zero = 0
         self.one = 1
+        self._generator = None
         self._exp = None
         self._log = None
         self._inv_table = None
@@ -235,11 +236,11 @@ class Field:
         return iter(range(1, self.q))
 
     def multiplicative_generator(self) -> int:
-        """Smallest packed element generating the multiplicative group:
-        exp[1] of the exp/log tables up to _TABLE_MAX, searched above."""
-        if self.q <= _TABLE_MAX:
-            return self._tables()[0][1 % (self.q - 1)]
-        return self._generator_search()
+        """Smallest packed element generating the multiplicative group,
+        searched once per Field and kept."""
+        if self._generator is None:
+            self._generator = self._generator_search()
+        return self._generator
 
     def roots_of_unity(self, n: int) -> list[int]:
         """The lambda in F^x with lambda^n = 1, ascending: the g = gcd(n,
@@ -317,7 +318,7 @@ class Field:
 
     def _tables(self):
         if self._exp is None:
-            g = self._generator_search()
+            g = self.multiplicative_generator()
             exp = [0] * (self.q - 1)
             log = [0] * self.q
             acc = self.one
@@ -353,7 +354,8 @@ class Field:
     # -- housekeeping -------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec == other.spec
+        return self is other or (isinstance(other, Field)
+                                 and self.spec == other.spec)
 
     def __hash__(self):
         return hash(self.spec)

@@ -3,9 +3,14 @@
 Matrices are immutable values: every operation returns a fresh Matrix.
 Entries are packed field elements, the integer encoding of gf, held as a
 tuple of row tuples of Python ints.  Over a prime field (e == 1) the
-arithmetic is inline mod p, and a dot product is summed before its single
-reduction.  Over an extension field it reads the pair tables of gf, which
-defer to the scalar Field operations above gf._PAIR_TABLE_MAX.  Rank,
+arithmetic is inline mod p.  A product packs each row of its right factor
+into one int of 64-bit slots, so that a product row is one integer sum of
+the left row's entries times the packed rows, unpacked and reduced once
+per entry (_packed_row_product); only where (p - 1)^2 times the inner
+dimension reaches 2^64, which p near 2^31 allows, is each entry a dot
+product summed before its single reduction.  Over an extension field the
+arithmetic reads the pair tables of gf, which defer to the scalar Field
+operations above gf._PAIR_TABLE_MAX.  Rank,
 rref, det, inverse, solve, kernel_basis and the commutant bases all ride
 one Gauss-Jordan routine with first-nonzero pivot selection, so pivot
 choice is deterministic; rank and det clear only below the pivots.
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,7 +105,9 @@ class Matrix:
 
     @staticmethod
     def scalar(field: Field, n: int, packed: int) -> "Matrix":
-        return Matrix.diagonal(field, [_element(field, packed)] * n)
+        a = _element(field, packed)
+        return Matrix(field, tuple([(0,) * i + (a,) + (0,) * (n - 1 - i)
+                                    for i in range(n)]), n)
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
@@ -171,21 +180,26 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.add, 0)
+        self._check_same(other)
+        pairs = zip(self.rows, other.rows)
+        if self.field.e == 1:
+            p = self.field.p
+            return self._new([(a + b) % p for a, b in zip(ra, rb)]
+                             for ra, rb in pairs)
+        return self._tabled(pairs, 0)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.sub, 1)
-
-    def _entrywise(self, other: "Matrix", op, table: int) -> "Matrix":
-        """op mod p for e == 1, else pair_tables()[table]."""
         self._check_same(other)
-        f = self.field
         pairs = zip(self.rows, other.rows)
-        if f.e == 1:
-            p = f.p
-            return self._new([op(a, b) % p for a, b in zip(ra, rb)]
+        if self.field.e == 1:
+            p = self.field.p
+            return self._new([(a - b) % p for a, b in zip(ra, rb)]
                              for ra, rb in pairs)
-        t = f.pair_tables()[table]
+        return self._tabled(pairs, 1)
+
+    def _tabled(self, pairs, table: int) -> "Matrix":
+        """Entrywise pair_tables()[table] over pairs of rows (e > 1)."""
+        t = self.field.pair_tables()[table]
         return self._new([t[a][b] for a, b in zip(ra, rb)] for ra, rb in pairs)
 
     def __neg__(self) -> "Matrix":
@@ -208,6 +222,10 @@ class Matrix:
         f = self.field
         if f.e == 1:
             p = f.p
+            if (p - 1) ** 2 * other.nrows < 2**64:
+                return Matrix(f, _packed_row_product(self.rows, other.rows,
+                                                     other.ncols, p),
+                              other.ncols)
             cols = list(zip(*other.rows)) or [()] * other.ncols
             return self._new(([sum(map(operator.mul, row, col)) % p for col in cols]
                               for row in self.rows), other.ncols)
@@ -350,18 +368,47 @@ class Matrix:
     def kernel_basis(self) -> list["Matrix"]:
         """Column vectors spanning the right null space, in the
         deterministic order induced by the free columns."""
-        f = self.field
         R, pivots, _ = self._gauss_jordan()
+        return self._new(R).rref_kernel_basis(pivots)
+
+    def rref_kernel_basis(self, pivots: Sequence[int]) -> list["Matrix"]:
+        """kernel_basis of a matrix already in reduced row echelon form
+        with pivot columns `pivots`, as rref returns them: the vector of
+        free column c is 1 at c, minus column c of the reduced rows at the
+        pivots, 0 elsewhere.  No elimination."""
+        f = self.field
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         out = []
         for c in free:
             vec = [0] * self.ncols
             vec[c] = f.one
-            for row_idx, pc in enumerate(pivots):
-                vec[pc] = f.neg(R[row_idx][c])
+            for row, pc in zip(self.rows, pivots):
+                vec[pc] = f.neg(row[c])
             out.append(Matrix(f, tuple([(v,) for v in vec]), 1))
         return out
+
+
+def _packed_row_product(rows, other_rows, ncols: int, p: int):
+    """rows @ other_rows mod p as a tuple of row tuples, for (p - 1)^2
+    times the inner dimension below 2^64.
+
+    Row k of the right factor becomes one int with entry j in 64-bit slot
+    j: the bytes of array('Q', row) read in native byte order.  A product
+    row is then the integer sum of row[k] * packed[k] over k, whose slot j
+    is the exact dot product, since no slot can carry into the next; the
+    sums are cast back to unsigned 64-bit ints and reduced mod p once per
+    entry (Kronecker substitution, one matrix row at a time)."""
+    if not ncols:
+        return ((),) * len(rows)
+    order = sys.byteorder
+    width = 8 * ncols
+    packed = [int.from_bytes(array("Q", row).tobytes(), order)
+              for row in other_rows]
+    sums = b"".join([sum(map(operator.mul, row, packed)).to_bytes(width, order)
+                     for row in rows])
+    vals = [v % p for v in memoryview(sums).cast("Q")]
+    return tuple([tuple(vals[i:i + ncols]) for i in range(0, len(vals), ncols)])
 
 
 # -- derived operations ----------------------------------------------------

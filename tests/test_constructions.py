@@ -269,6 +269,81 @@ def test_prepare_near_root_matches_greedy_oracle(rng):
     assert cases == 6 * 44 - 1
 
 
+def _check_split_oracle(x, dec):
+    """check_split_condition as one elimination computed it: the solve of
+    [L | S] X = x L, whose bottom rows vanish when x preserves L, and the
+    product x S."""
+    field = x.field
+    n = x.nrows
+    if dec.n != n or dec.field != field:
+        raise ValueError("decomposition does not match the matrix")
+    dl = dec.dim_L
+    C = dec.basis().solve(x @ dec.L_matrix())
+    if C.block(dl, n, 0, dl) != Matrix.zeros(field, dec.dim_S, dl):
+        raise ValueError("x does not preserve L")
+    S = dec.S_matrix()
+    if x @ S != S:
+        raise ValueError("x is not the identity on S")
+    xl = C.block(0, dl, 0, dl)
+    if dl and xl.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
+        raise ValueError("x restricted to L is not a k-th root of alpha")
+    return xl
+
+
+def _outcome(check, x, dec):
+    try:
+        return check(x, dec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_check_split_condition_matches_solve_oracle(rng, monkeypatch):
+    """The low-rank test x L = L C, x - 1 = U T gives the solve-based
+    check's return value or ValueError message, in the same order, on the
+    prepared x, on each of the three tamperings, on random invertible x and
+    on x of the wrong size or shape: the six fields, n <= 8 and every dim L
+    from 0 to n.  It runs no elimination."""
+    eliminations = []
+    gauss_jordan = Matrix._gauss_jordan
+
+    def counted(self, *args, **kwargs):
+        eliminations.append(self.shape)
+        return gauss_jordan(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "_gauss_jordan", counted)
+    outcomes = set()
+    for field in FIELDS:
+        for n in range(1, 9):
+            for dim_l in range(n + 1):
+                case = near_root_input(field, n, dim_l, rng)
+                if case is None:
+                    continue
+                x, dec = prepare_near_root(*case)
+                candidates = [x, random_invertible(n, field.spec, rng),
+                              Matrix.identity(field, n + 1),
+                              Matrix.zeros(field, n, n + 1)]
+                if dim_l:
+                    zero_l = {(i, j): 0 for i in range(dim_l)
+                              for j in range(dim_l)}
+                    candidates.append(_tampered(x, dec, zero_l))
+                if 0 < dim_l < n:
+                    candidates += [_tampered(x, dec, {(dim_l, 0): field.one}),
+                                   _tampered(x, dec, {(0, dim_l): field.one})]
+                for cand in candidates:
+                    expected = _outcome(_check_split_oracle, cand, dec)
+                    del eliminations[:]
+                    got = _outcome(check_split_condition, cand, dec)
+                    assert eliminations == []
+                    assert got == expected
+                    outcomes.add(expected if isinstance(expected, str)
+                                 else "returned")
+    assert {o.split(" (")[0] for o in outcomes} == {
+        "returned", "decomposition does not match the matrix",
+        "shape mismatch", "x does not preserve L",
+        "x is not the identity on S",
+        "x restricted to L is not a k-th root of alpha"}
+
+
 def test_prepare_worked_examples():
     field = GF(5)
     # y^k = alpha I already: x = y, S empty
@@ -506,6 +581,78 @@ def test_approx_centralize_matches_two_basis_oracle(rng, monkeypatch):
     assert s_prime == {False, True}
     assert repairs == {False, True}
     assert cases > 450
+
+
+def _non_commuting_cases(rng, count):
+    """(x, dec, phi) with x phi != phi x, drawn over the six fields in
+    turn (over GF(2) most draws give x = 1)."""
+    cases = []
+    for draw in itertools.count():
+        if len(cases) == count:
+            return cases
+        field = FIELDS[draw % len(FIELDS)]
+        n = rng.randint(2, 8)
+        case = near_root_input(field, n, rng.randint(1, n), rng)
+        if case is None:
+            continue
+        x, dec = prepare_near_root(*case)
+        phi = random_invertible(n, field.spec, rng)
+        if x @ phi != phi @ x:
+            cases.append((x, dec, phi))
+
+
+def test_approx_centralize_eliminates_x_minus_1_once(rng, monkeypatch):
+    """S' = ker(x - 1) is read off the reduced form that gives W, so b =
+    x - 1 is eliminated once per non-commuting call, and no n x n x n
+    product has x as a factor: x - 1 = U T serves the commutator, the
+    change of basis and the closing check."""
+    eliminated = []
+    products = []
+    gauss_jordan = Matrix._gauss_jordan
+    matmul = Matrix.__matmul__
+
+    def counted(self, *args, **kwargs):
+        eliminated.append(self)
+        return gauss_jordan(self, *args, **kwargs)
+
+    def recorded(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "_gauss_jordan", counted)
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    for x, dec, phi in _non_commuting_cases(rng, 60):
+        n = x.nrows
+        b = x - Matrix.identity(x.field, n)
+        del eliminated[:], products[:]
+        approx_centralize(x, dec, phi)
+        assert sum(m == b for m in eliminated) == 1
+        assert not any((a == x or c == x) and a.shape == c.shape == (n, n)
+                       for a, c in products)
+
+
+def test_approx_centralize_closing_check_catches_non_commuting_psi(
+        rng, monkeypatch):
+    """A mutant whose repaired blocks are replaced by a random invertible
+    matrix yields an invertible psi that does not commute with x; the
+    closing check in the form U (T psi) = (psi U) T raises the commute
+    AssertionError."""
+    real = constructions._block_diagonal
+    calls = []
+
+    def mutant(field, mats):
+        calls.append(1)
+        if len(calls) % 2:  # the first call assembles x's blocks
+            return real(field, mats)
+        return random_invertible(sum(m.nrows for m in mats), field.spec, rng)
+
+    monkeypatch.setattr(constructions, "_block_diagonal", mutant)
+    cases = [case for case in _non_commuting_cases(rng, 40)
+             if case[0].field == GF(7)]
+    assert len(cases) >= 5
+    for x, dec, phi in cases:
+        with pytest.raises(AssertionError, match="does not commute"):
+            approx_centralize(x, dec, phi)
 
 
 def _closure(generators, cap=10**5):

@@ -198,6 +198,35 @@ def test_roots_of_unity_match_full_scan():
     assert all(big.pow(a, 3) == 1 for a in cube)
 
 
+def test_generator_searched_once_per_field(monkeypatch):
+    """multiplicative_generator keeps its result on the Field, above the
+    exp/log table cap too: repeated generator and roots_of_unity calls on
+    a fresh GF(2^31 - 1) search once, and the values are the ones the
+    search gave on every call before (q = 65537 read exp[1] of the tables)."""
+    searches = []
+    search = Field._generator_search
+
+    def counted(self):
+        searches.append(self.q)
+        return search(self)
+
+    monkeypatch.setattr(Field, "_generator_search", counted)
+    big = Field(FieldSpec(2**31 - 1, 1, (0, 1)))
+    for _ in range(3):
+        assert big.multiplicative_generator() == 7
+        assert big.roots_of_unity(2) == [1, big.q - 1]
+        assert big.roots_of_unity(3) == [1, 634005911, 1513477735]
+        assert big.roots_of_unity(7) == [1, 894255406, 1205362885, 1537170743,
+                                         1599590586, 1600955193, 1752599774]
+    assert searches == [big.q]
+    mid = Field(FieldSpec(65537, 1, (0, 1)))
+    for _ in range(3):
+        assert mid.multiplicative_generator() == 3 == mid._tables()[0][1]
+        assert mid.roots_of_unity(2) == [1, 65536]
+        assert mid.roots_of_unity(3) == [1]
+    assert searches == [big.q, mid.q]
+
+
 def test_zero_inverse_rejected():
     for field in FIELDS:
         with pytest.raises(Exception):

@@ -50,6 +50,48 @@ def test_ring_laws(rng):
             assert a @ ident == a and ident @ a == a
 
 
+def _dot_product(a, b):
+    """a @ b over GF(p) in the dot-product form, as row tuples."""
+    p = a.field.p
+    cols = list(zip(*b.rows)) or [()] * b.ncols
+    return tuple([tuple([sum(x * y for x, y in zip(row, col)) % p
+                         for col in cols]) for row in a.rows])
+
+
+def test_packed_row_product_matches_dot_products(rng):
+    """The packed-row product equals the dot-product form: every prime
+    field of FIELDS on shapes with 0 rows, columns or inner dimension, 1 x n,
+    n x 1 and n x n up to 12; and GF(2^31 - 1) with inner dimension 1 to 6,
+    random and all entries p - 1, where (p - 1)^2 times the inner
+    dimension is below 2^64 up to 4 and above it from 5."""
+    big = GF(2**31 - 1)
+    cases = []
+    for field in [f for f in FIELDS if f.e == 1]:
+        shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)]
+        shapes += [(1, n, n) for n in range(1, 13)]
+        shapes += [(n, n, 1) for n in range(1, 13)]
+        shapes += [(n, n, n) for n in range(1, 13)]
+        for r, k, c in shapes:
+            # from_packed reads the column count off the first row
+            cases.append((_rand_matrix(field, r, k, rng) if r
+                          else Matrix.zeros(field, 0, k),
+                          _rand_matrix(field, k, c, rng) if k
+                          else Matrix.zeros(field, 0, c)))
+        top = field.p - 1
+        cases.append((Matrix.scalar(field, 12, top), Matrix.scalar(field, 12, top)))
+    for k in range(1, 7):
+        cases.append((_rand_matrix(big, 3, k, rng), _rand_matrix(big, k, 4, rng)))
+        top = [[big.p - 1] * k] * 3
+        cases.append((Matrix.from_packed(big, top),
+                      Matrix.from_packed(big, [[big.p - 1] * 4] * k)))
+    for a, b in cases:
+        product = a @ b
+        assert product.shape == (a.nrows, b.ncols)
+        assert product.rows == _dot_product(a, b)
+    assert (Matrix.from_packed(big, [[big.p - 1] * 5]) @
+            Matrix.from_packed(big, [[big.p - 1]] * 5)).rows == ((5,),)
+
+
 def test_matpow_matches_repeated_products(rng, monkeypatch):
     """y^k is the k-fold product for k in -3..9 (of y^-1 when k < 0), and
     for k >= 1 it costs bit_length - 1 squarings and popcount - 1 further
