@@ -255,11 +255,11 @@ def check_split_condition(x, dec):
         raise ValueError("decomposition does not match the matrix")
     L = dec.L_matrix()
     T = dec.L_coordinates()
-    xl = x @ L
-    C = T @ xl
-    if xl != L @ C:
+    xL = x @ L
+    C = T @ xL
+    if xL != L @ C:
         raise ValueError("x does not preserve L")
-    if x - Matrix.identity(field, n) != (xl - L) @ T:
+    if x - Matrix.identity(field, n) != (xL - L) @ T:
         raise ValueError("x is not the identity on S")
     dl = dec.dim_L
     if dl and C.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
