@@ -95,6 +95,7 @@ class SplitDecomposition:
         except ZeroDivisionError:
             raise ValueError("L and S columns are not a basis") from None
         object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_l_matrix", basis.block(0, n, 0, self.dim_L))
         object.__setattr__(self, "_l_coordinates",
                            inverse.block(0, self.dim_L, 0, n))
 
@@ -115,7 +116,7 @@ class SplitDecomposition:
         return len(self.S_basis)
 
     def L_matrix(self):
-        return self.basis().take_columns(range(self.dim_L))
+        return self._l_matrix
 
     def S_matrix(self):
         return self.basis().take_columns(range(self.dim_L, self.n))
@@ -249,6 +250,12 @@ def check_split_condition(x, dec):
     U = x L - L, (x - 1) P = [U | x S - S] and U T P = [U | 0], so x is the
     identity on S exactly when x - 1 = U T.  No elimination: the products
     cost O(n^2 dim L), and for dim L = 0 the test is x = 1."""
+    return _split_condition(x, dec)[0]
+
+
+def _split_condition(x, dec):
+    """check_split_condition's tests, in its order and with its messages;
+    returns (C, U) with U = x L - L."""
     field = x.field
     n = x.nrows
     if dec.n != n or dec.field != field:
@@ -259,12 +266,13 @@ def check_split_condition(x, dec):
     C = T @ xL
     if xL != L @ C:
         raise ValueError("x does not preserve L")
-    if x - Matrix.identity(field, n) != (xL - L) @ T:
+    U = xL - L
+    if x - Matrix.identity(field, n) != U @ T:
         raise ValueError("x is not the identity on S")
     dl = dec.dim_L
     if dl and C.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
         raise ValueError("x restricted to L is not a k-th root of alpha")
-    return C
+    return C, U
 
 
 def _repair_block(x_f, a_f, deg):
@@ -305,7 +313,7 @@ def approx_centralize(x, dec, phi):
     """
     field = x.field
     n = x.nrows
-    check_split_condition(x, dec)
+    U = _split_condition(x, dec)[1]
     if phi.shape != (n, n) or phi.field != field:
         raise ValueError("phi does not match x")
     if not phi.is_invertible():
@@ -313,9 +321,7 @@ def approx_centralize(x, dec, phi):
     k = dec.k
     # x - 1 = U T (check_split_condition), so x phi - phi x is
     # U (T phi) - (phi U) T, and the products with x cost O(n^2 dim L)
-    L = dec.L_matrix()
     T = dec.L_coordinates()
-    U = x @ L - L
     commutator_rank = (U @ (T @ phi) - (phi @ U) @ T).rank()
     if commutator_rank == 0:
         return phi

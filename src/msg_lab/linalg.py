@@ -6,19 +6,22 @@ tuple of row tuples of Python ints.  Over a prime field (e == 1) the
 arithmetic is inline mod p.  A product packs each row of its right factor
 into one int of 64-bit slots, so that a product row is one integer sum of
 the left row's entries times the packed rows, unpacked and reduced once
-per entry (_packed_row_product); only where (p - 1)^2 times the inner
-dimension reaches 2^64, which p near 2^31 allows, is each entry a dot
-product summed before its single reduction.  Over an extension field the
-arithmetic reads the pair tables of gf, which defer to the scalar Field
-operations above gf._PAIR_TABLE_MAX.  Rank,
-rref, det, inverse, solve, kernel_basis and the commutant bases all ride
-one Gauss-Jordan routine with first-nonzero pivot selection, so pivot
-choice is deterministic; rank and det clear only below the pivots.
-charpoly reduces to Hessenberg form with the same arithmetic, and
+per entry (_packed_row_product); where the right factor has one or two
+columns, or (p - 1)^2 times the inner dimension reaches 2^64, which p near
+2^31 allows, each entry is a dot product summed before its single
+reduction.  Over an extension field the arithmetic reads the pair tables
+of gf, which defer to the scalar Field operations above
+gf._PAIR_TABLE_MAX.  Rank, rref, det, inverse, solve, kernel_basis and
+the commutant bases all ride one Gauss-Jordan routine with first-nonzero
+pivot selection, so pivot choice is deterministic; rank and det clear
+only below the pivots.  charpoly reduces to Hessenberg form with the row
+kernel of poly (poly.row_axpy, the same inline or tabled arithmetic), and
 min_rank_shift computes ranks only at the roots of the characteristic
 polynomial in F^x, found with the polynomial arithmetic of poly, so its
-cost grows with log q, not q; primary_blocks tries only the factors that
-divide it.  span_invertible_counts enumerates one member per F^x orbit of
+cost grows with log q, not q; it takes them on the Hessenberg form H,
+which is similar to h^-1 g and leaves one row to clear per column.
+primary_blocks tries only the factors that divide the characteristic
+polynomial.  span_invertible_counts enumerates one member per F^x orbit of
 a span, (q^dim - 1)/(q - 1) in all, through one batched elimination on
 int64 arrays (the only numpy code here besides Matrix.packed()), and
 weights each invertible one by the q - 1 members of its orbit; its
@@ -222,7 +225,9 @@ class Matrix:
         f = self.field
         if f.e == 1:
             p = f.p
-            if (p - 1) ** 2 * other.nrows < 2**64:
+            # packing pays off from three columns; one or two are dot
+            # products, as is any shape whose 64-bit slots could overflow
+            if other.ncols > 2 and (p - 1) ** 2 * other.nrows < 2**64:
                 return Matrix(f, _packed_row_product(self.rows, other.rows,
                                                      other.ncols, p),
                               other.ncols)
@@ -467,25 +472,18 @@ def charpoly(m: Matrix) -> poly.Poly:
     Hessenberg form (Cohen, A Course in Computational Algebraic Number
     Theory, Alg. 2.2.9): O(n^3) field operations.
     """
+    return _charpoly_hessenberg(m)[0]
+
+
+def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
+    """(charpoly(m), H) for the upper Hessenberg H similar to m that the
+    reduction leaves."""
     f = m.field
     n = m.nrows
     if m.ncols != n:
         raise ValueError("charpoly needs a square matrix")
-    # axpy(ys, c, xs) is ys + c xs entrywise, as long as the shorter list
-    if f.e == 1:
-        p = f.p
-        neg = f.neg
-
-        def axpy(ys, c, xs):
-            return [(y + c * x) % p for y, x in zip(ys, xs)]
-    else:
-        add, sub, mul = f.pair_tables()
-        neg = sub[0].__getitem__
-
-        def axpy(ys, c, xs):
-            mc = mul[c]
-            return [add[y][mc[x]] for y, x in zip(ys, xs)]
-
+    axpy = poly.row_axpy(f)
+    neg = f.neg if f.e == 1 else f.pair_tables()[1][0].__getitem__
     H = [list(row) for row in m.rows]
     for c in range(n - 2):
         # clear column c below the subdiagonal with pivot row k
@@ -519,7 +517,7 @@ def charpoly(m: Matrix) -> poly.Poly:
                 break
             nxt = axpy(nxt, neg(f.mul(t, H[i][j])), chars[i]) + nxt[i + 1:]
         chars.append(nxt)
-    return tuple(chars[n])
+    return tuple(chars[n]), m._new(H)
 
 
 @dataclass(frozen=True)
@@ -552,8 +550,7 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     reduced, pivots = Matrix.hstack([h, g]).rref()
     if pivots != tuple(range(n)):
         raise ValueError("second element must be invertible")
-    m = reduced.block(0, n, n, 2 * n)
-    chi = charpoly(m)
+    chi, H = _charpoly_hessenberg(reduced.block(0, n, n, 2 * n))
     power = poly.ppowmod(field, (0, 1), field.q - 1, chi)
     split = poly.pgcd(field, poly.psub(field, power, (field.one,)), chi)
     if poly.pdeg(split) < 1:
@@ -561,7 +558,7 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     ranks = {}
     for factor in poly._edf(field, split, 1):
         alpha = field.neg(factor[0])
-        ranks[alpha] = (m - Matrix.scalar(field, n, alpha)).rank()
+        ranks[alpha] = (H - Matrix.scalar(field, n, alpha)).rank()
     r = min(ranks.values())
     return MinRankShift(r, tuple(sorted(a for a, v in ranks.items() if v == r)))
 

@@ -1,10 +1,15 @@
 """Dense univariate polynomial arithmetic over a finite field.
 
 A polynomial is a tuple of packed field elements, index = degree, with no
-trailing zeros; the zero polynomial is ().  The field argument `K` only
-needs the scalar interface of gf.Field (add/sub/mul/inv/neg/pow, zero,
-one, q, p, elements).  Sizes here are tiny (degree <= a few dozen), so
-everything is plain Python.
+trailing zeros; the zero polynomial is ().  The field argument `K` is a
+gf.Field.  Sums, products and remainders all run on one row kernel,
+axpy(ys, c, xs) = ys + c xs (row_axpy), which is inline mod p over a prime
+field and reads the pair tables of K over an extension field, so they make
+no scalar Field call per coefficient.  Besides p, e and pair_tables, K
+supplies the scalar operations (add/mul/inv/neg/pow, zero, one, q,
+elements) for the one inverse per division and the scalar helpers peval,
+pderiv and psquarefree_part's p-th roots.  Sizes here are tiny (degree <=
+a few dozen), so everything is plain Python.
 """
 
 from __future__ import annotations
@@ -12,6 +17,23 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 Poly = Tuple[int, ...]
+
+
+def row_axpy(K):
+    """The row kernel of K: axpy(ys, c, xs) is ys + c xs entrywise, a list
+    as long as the shorter of ys and xs.  Inline mod p when e == 1, where
+    pair tables would hold q^2 entries; the pair tables of K when e > 1,
+    which call the scalar operations above gf._PAIR_TABLE_MAX."""
+    if K.e == 1:
+        p = K.p
+        return lambda ys, c, xs: [(y + c * x) % p for y, x in zip(ys, xs)]
+    add, _, mul = K.pair_tables()
+
+    def axpy(ys, c, xs):
+        mc = mul[c]
+        return [add[y][mc[x]] for y, x in zip(ys, xs)]
+
+    return axpy
 
 
 def pnorm(coeffs: Sequence[int]) -> Poly:
@@ -26,39 +48,36 @@ def pdeg(f: Poly) -> int:
     return len(f) - 1
 
 
+def _combine(K, f: Poly, c: int, g: Poly) -> Poly:
+    """f + c g."""
+    zeros = [0] * max(len(f), len(g))
+    return pnorm(row_axpy(K)(list(f) + zeros[len(f):], c,
+                             list(g) + zeros[len(g):]))
+
+
 def padd(K, f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = K.add(out[i], c)
-    return pnorm(out)
-
-
-def pneg(K, f: Poly) -> Poly:
-    return tuple(K.neg(c) for c in f)
+    return _combine(K, f, K.one, g)
 
 
 def psub(K, f: Poly, g: Poly) -> Poly:
-    return padd(K, f, pneg(K, g))
+    # -1 packs to p - 1: constant coefficient p - 1, the others zero
+    return _combine(K, f, K.p - 1, g)
 
 
-def pscale(K, f: Poly, s: int) -> Poly:
-    if s == K.zero:
-        return ()
-    return pnorm([K.mul(c, s) for c in f])
+def _product(axpy, f, g) -> list:
+    """f g as a list, trailing zeros kept: one axpy per nonzero entry of f."""
+    out = [0] * (len(f) + len(g) - 1)
+    width = len(g)
+    for i, a in enumerate(f):
+        if a:
+            out[i:i + width] = axpy(out[i:i + width], a, g)
+    return out
 
 
 def pmul(K, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
-    out = [K.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == K.zero:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return pnorm(out)
+    return pnorm(_product(row_axpy(K), f, g))
 
 
 def pmonic(K, f: Poly) -> Poly:
@@ -67,7 +86,20 @@ def pmonic(K, f: Poly) -> Poly:
     lead = f[-1]
     if lead == K.one:
         return f
-    return pscale(K, f, K.inv(lead))
+    return _combine(K, (), K.inv(lead), f)
+
+
+def _reduce(axpy, rem: list, neg_low: list) -> None:
+    """Reduce rem in place modulo the monic T^n + low, n = len(neg_low),
+    from the top down by T^n = neg_low = -low.  The remainder is then
+    rem[:n] and the quotient rem[n:]: rem[d] for d >= n is the quotient
+    coefficient of T^(d - n) when it is cleared, and no later step
+    writes to it."""
+    n = len(neg_low)
+    for d in range(len(rem) - 1, n - 1, -1):
+        c = rem[d]
+        if c:
+            rem[d - n:d] = axpy(rem[d - n:d], c, neg_low)
 
 
 def pdivmod(K, f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -75,18 +107,16 @@ def pdivmod(K, f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return (), f
-    rem = list(f)
+    axpy = row_axpy(K)
+    n = len(g) - 1
     inv_lead = K.inv(g[-1])
-    quot = [K.zero] * (len(f) - len(g) + 1)
-    for shift in range(len(f) - len(g), -1, -1):
-        c = rem[shift + len(g) - 1]
-        if c == K.zero:
-            continue
-        factor = K.mul(c, inv_lead)
-        quot[shift] = factor
-        for i, b in enumerate(g):
-            rem[shift + i] = K.sub(rem[shift + i], K.mul(factor, b))
-    return pnorm(quot), pnorm(rem)
+    rem = list(f)
+    # divide by the monic g / lead(g), then scale the quotient back
+    _reduce(axpy, rem, axpy([0] * n, K.neg(inv_lead), g))
+    quot = rem[n:]
+    if inv_lead != K.one:
+        quot = axpy([0] * len(quot), inv_lead, quot)
+    return pnorm(quot), pnorm(rem[:n])
 
 
 def pmod(K, f: Poly, g: Poly) -> Poly:
@@ -100,15 +130,39 @@ def pgcd(K, f: Poly, g: Poly) -> Poly:
     return pmonic(K, f)
 
 
+def _mulmod(K, mod: Poly):
+    """mulmod(f, g) = f g mod `mod` as a list of at most deg mod entries,
+    trailing zeros kept: the product by axpy rows, reduced in place by the
+    monic form of mod (the remainder is the same), with no quotient."""
+    if not mod:
+        raise ZeroDivisionError("polynomial division by zero")
+    axpy = row_axpy(K)
+    n = len(mod) - 1
+    neg_low = axpy([0] * n, K.neg(K.inv(mod[-1])), mod)
+
+    def mulmod(f, g):
+        out = _product(axpy, f, g)
+        _reduce(axpy, out, neg_low)
+        del out[n:]
+        return out
+
+    return mulmod
+
+
 def ppowmod(K, base: Poly, exp: int, mod: Poly) -> Poly:
-    result: Poly = (K.one,)
-    base = pmod(K, base, mod)
-    while exp > 0:
-        if exp & 1:
-            result = pmod(K, pmul(K, result, base), mod)
-        base = pmod(K, pmul(K, base, base), mod)
-        exp >>= 1
-    return result
+    """base^exp mod `mod`, and (1,) when exp < 1.  Left to right over the
+    bits of exp: a squaring for each bit below the top one and a product
+    with the reduced base for each set one, pnorm only at the end."""
+    mulmod = _mulmod(K, mod)
+    base = pnorm(mulmod((K.one,), base))
+    if exp < 1:
+        return (K.one,)
+    result = list(base)
+    for bit in bin(exp)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(base, result)
+    return pnorm(result)
 
 
 def peval(K, f: Poly, a: int) -> int:
@@ -207,16 +261,14 @@ def _edf(K, f: Poly, d: int) -> list[Poly]:
         raise AssertionError("equal-degree splitting failed (odd q)")
     # char 2: additive trace map over the F2-structure
     bits = d * (q.bit_length() - 1)  # q = 2^e, so q^d = 2^bits
+    mulmod = _mulmod(K, f)
     for j in range(1, pdeg(f)):
-        for c in K.elements():
-            if c == K.zero:
-                continue
-            u = pnorm([K.zero] * j + [c])  # c * x^j
+        for c in K.nonzero_elements():
+            term = [K.zero] * j + [c]  # c * x^j, reduced since j < deg f
             tr: Poly = ()
-            term = pmod(K, u, f)
             for _ in range(bits):
                 tr = padd(K, tr, term)
-                term = pmod(K, pmul(K, term, term), f)
+                term = mulmod(term, term)
             g = pgcd(K, tr, f)
             if 0 < pdeg(g) < pdeg(f):
                 return _edf(K, g, d) + _edf(K, pdivmod(K, f, g)[0], d)

@@ -61,9 +61,11 @@ def _dot_product(a, b):
 def test_packed_row_product_matches_dot_products(rng):
     """The packed-row product equals the dot-product form: every prime
     field of FIELDS on shapes with 0 rows, columns or inner dimension, 1 x n,
-    n x 1 and n x n up to 12; and GF(2^31 - 1) with inner dimension 1 to 6,
-    random and all entries p - 1, where (p - 1)^2 times the inner
-    dimension is below 2^64 up to 4 and above it from 5."""
+    n x 1 and n x n up to 12, and right factors of 1, 2 and 3 columns on
+    both sides of the switch to the dot form below 3 columns, where
+    _packed_row_product itself is checked too; and GF(2^31 - 1) with
+    inner dimension 1 to 6, random and all entries p - 1, where (p - 1)^2
+    times the inner dimension is below 2^64 up to 4 and above it from 5."""
     big = GF(2**31 - 1)
     cases = []
     for field in [f for f in FIELDS if f.e == 1]:
@@ -71,6 +73,14 @@ def test_packed_row_product_matches_dot_products(rng):
         shapes += [(1, n, n) for n in range(1, 13)]
         shapes += [(n, n, 1) for n in range(1, 13)]
         shapes += [(n, n, n) for n in range(1, 13)]
+        narrow = [(r, k, c) for r in (1, 5) for k in (1, 4, 12)
+                  for c in (1, 2, 3)]
+        for r, k, c in narrow:
+            a = _rand_matrix(field, r, k, rng)
+            b = _rand_matrix(field, k, c, rng)
+            assert L._packed_row_product(a.rows, b.rows, c, field.p) == \
+                _dot_product(a, b)
+        shapes += narrow
         for r, k, c in shapes:
             # from_packed reads the column count off the first row
             cases.append((_rand_matrix(field, r, k, rng) if r
@@ -287,6 +297,54 @@ def test_charpoly_is_det_of_shift(rng):
             for a in field.elements():
                 shifted = Matrix.scalar(field, n, a) - m
                 assert poly.peval(field, chi, a) == shifted.det()
+
+
+def test_hessenberg_ranks_match_ranks_of_m(rng):
+    """The H that charpoly reduces m to is upper Hessenberg, has the same
+    characteristic polynomial, and rank(H - alpha I) = rank(m - alpha I)
+    at every alpha, over the charpoly fields and n <= 6."""
+    for field in [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)]:
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            m = _rand_matrix(field, n, n, rng)
+            chi, H = L._charpoly_hessenberg(m)
+            assert chi == L.charpoly(m) == L.charpoly(H)
+            assert all(H.entry(i, j) == 0 for i in range(n)
+                       for j in range(i - 1))
+            for a in field.elements():
+                shift = Matrix.scalar(field, n, a)
+                assert (H - shift).rank() == (m - shift).rank()
+
+
+def test_min_rank_shift_eliminates_once_and_ranks_each_root(rng, monkeypatch):
+    """min_rank_shift makes one elimination, of [h | g], then one rank per
+    eigenvalue of h^-1 g in F^x, each of an n x n upper Hessenberg matrix
+    (H - alpha I), and never factors a polynomial in full."""
+    eliminations = []
+    gauss_jordan = Matrix._gauss_jordan
+
+    def counted(self, *args, **kwargs):
+        hessenberg = all(self.entry(i, j) == 0 for i in range(self.nrows)
+                         for j in range(i - 1))
+        eliminations.append(self.shape + (hessenberg,))
+        return gauss_jordan(self, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("pfactor_distinct called")
+
+    monkeypatch.setattr(poly, "pfactor_distinct", refused)
+    for field in [GF(2), GF(7), GF(3, 2), GF(2, 6), GF(251)]:
+        for n in (1, 2, 4, 6):
+            for kind in ("random", "scalar", "diagonalizable", "unipotent"):
+                g, h = _shift_case(field, n, kind, rng)
+                roots = [a for a in field.nonzero_elements()
+                         if (g - h.scale(a)).rank() < n]
+                monkeypatch.setattr(Matrix, "_gauss_jordan", counted)
+                del eliminations[:]
+                min_rank_shift(g, h)
+                monkeypatch.setattr(Matrix, "_gauss_jordan", gauss_jordan)
+                assert eliminations[1:] == [(n, n, True)] * len(roots)
+                assert eliminations[0][:2] == (n, 2 * n)
 
 
 def test_min_rank_shift_reach_word_size_field(rng):

@@ -2,7 +2,8 @@ import itertools
 import random
 
 from msg_lab import poly
-from msg_lab.gf import GF
+from msg_lab.gf import GF, Field, FieldSpec
+from msg_lab.linalg import Matrix, min_rank_shift
 
 from conftest import FIELDS
 
@@ -111,3 +112,135 @@ def test_factor_distinct_matches_brute_divisors():
                     factors, key=lambda g: (len(g), g))
     assert poly.pfactor_distinct(GF(2), (0, 0, 1, 1)) == [(0, 1), (1, 1)]
     assert (2, 1) in poly.pfactor_distinct(GF(2, 2), (3, 1, 2, 2, 1))
+
+
+# -- scalar-Field reference arithmetic ---------------------------------------
+# pmul, pdivmod and ppowmod as they were before the row kernel: one scalar
+# Field call per coefficient operation, ppowmod right to left with a full
+# division per step.
+
+
+def _ref_pmul(K, f, g):
+    if not f or not g:
+        return ()
+    out = [K.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == K.zero:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = K.add(out[i + j], K.mul(a, b))
+    return poly.pnorm(out)
+
+
+def _ref_pdivmod(K, f, g):
+    if len(f) < len(g):
+        return (), f
+    rem = list(f)
+    inv_lead = K.inv(g[-1])
+    quot = [K.zero] * (len(f) - len(g) + 1)
+    for shift in range(len(f) - len(g), -1, -1):
+        c = rem[shift + len(g) - 1]
+        if c == K.zero:
+            continue
+        factor = K.mul(c, inv_lead)
+        quot[shift] = factor
+        for i, b in enumerate(g):
+            rem[shift + i] = K.sub(rem[shift + i], K.mul(factor, b))
+    return poly.pnorm(quot), poly.pnorm(rem)
+
+
+def _ref_ppowmod(K, base, exp, mod):
+    result = (K.one,)
+    base = _ref_pdivmod(K, base, mod)[1]
+    while exp > 0:
+        if exp & 1:
+            result = _ref_pdivmod(K, _ref_pmul(K, result, base), mod)[1]
+        base = _ref_pdivmod(K, _ref_pmul(K, base, base), mod)[1]
+        exp >>= 1
+    return result
+
+
+def _ref_combine(op, K, f, g):
+    size = max(len(f), len(g))
+    f = list(f) + [K.zero] * (size - len(f))
+    g = list(g) + [K.zero] * (size - len(g))
+    return poly.pnorm([op(a, b) for a, b in zip(f, g)])
+
+
+# prime fields inline mod p, small and word-sized; extension fields on the
+# pair tables, char 2 and odd; GF(2^11) above gf._PAIR_TABLE_MAX, where the
+# tables call the scalar operations
+_KERNEL_FIELDS = [GF(2), GF(7), GF(2, 2), GF(3, 2), GF(3, 4), GF(2, 11),
+                  GF(2**31 - 1)]
+
+
+def _rand_poly(field, degree, rng, lead=None):
+    """A polynomial of exactly this degree; lead, if given, on top."""
+    if degree < 0:
+        return ()
+    top = lead if lead is not None else rng.randrange(1, field.q)
+    return tuple(rng.randrange(field.q) for _ in range(degree)) + (top,)
+
+
+def test_row_kernel_matches_scalar_reference(rng):
+    """padd, psub, pmul, pdivmod and ppowmod equal the scalar-Field
+    reference over every field of _KERNEL_FIELDS: zero and constant
+    operands, non-monic divisors and moduli, bases of degree at least
+    that of the modulus, and exponents 0, 1, q - 1 and random large."""
+    for field in _KERNEL_FIELDS:
+        non_monic = field.q - 1 if field.q > 2 else 1
+        for trial in range(30):
+            f = _rand_poly(field, rng.randrange(-1, 9), rng)
+            g = _rand_poly(field, rng.randrange(0, 5), rng,
+                           lead=non_monic if trial % 2 else None)
+            assert poly.padd(field, f, g) == _ref_combine(field.add, field, f, g)
+            assert poly.psub(field, f, g) == _ref_combine(field.sub, field, f, g)
+            assert poly.pmul(field, f, g) == _ref_pmul(field, f, g)
+            assert poly.pdivmod(field, f, g) == _ref_pdivmod(field, f, g)
+            mod = _rand_poly(field, rng.randrange(0, 6), rng,
+                             lead=non_monic if trial % 3 else None)
+            base = _rand_poly(field, poly.pdeg(mod) + rng.randrange(0, 4), rng)
+            for exp in (0, 1, 2, field.q - 1, field.q, rng.randrange(2**40)):
+                assert (poly.ppowmod(field, base, exp, mod)
+                        == _ref_ppowmod(field, base, exp, mod))
+            assert poly.ppowmod(field, (0, 1), field.q - 1, mod) == \
+                _ref_ppowmod(field, (0, 1), field.q - 1, mod)
+
+
+def test_ppowmod_squares_and_multiplies_left_to_right(monkeypatch):
+    """ppowmod makes bit_length - 1 squarings and popcount - 1 products
+    with the base, and no division: x^(q - 1) mod a cubic over GF(7) and
+    GF(9)."""
+    calls = []
+    product = poly._product
+
+    def counted(axpy, f, g):
+        calls.append("square" if f is g else "product")
+        return product(axpy, f, g)
+
+    monkeypatch.setattr(poly, "_product", counted)
+    monkeypatch.setattr(poly, "pdivmod", None)
+    for field, exp in ((GF(7), 6), (GF(3, 2), 8), (GF(7), 2**20 + 5)):
+        mod = (1, 2, 0, 1)
+        del calls[:]
+        got = poly.ppowmod(field, (0, 1), exp, mod)
+        assert got == _ref_ppowmod(field, (0, 1), exp, mod)
+        # one product by 1 reduces the base before the bits
+        assert calls.count("square") == exp.bit_length() - 1
+        assert calls.count("product") == 1 + bin(exp).count("1") - 1
+
+
+def test_prime_field_builds_no_pair_tables():
+    """Over a prime field the row kernel is inline mod p: no pair tables,
+    which would hold q^2 entries, are built by the polynomial arithmetic
+    or by a projective rank over a fresh GF(1021)."""
+    field = Field(FieldSpec(1021, 1, (0, 1)))
+    f = (5, 0, 1020, 3, 1)
+    assert poly.pfactor_distinct(field, f) == poly.pfactor_distinct(GF(1021), f)
+    assert poly.ppowmod(field, (0, 1), 1020, f) == \
+        _ref_ppowmod(field, (0, 1), 1020, f)
+    g = Matrix.from_packed(field, [[1, 2, 3], [0, 5, 6], [7, 0, 9]])
+    assert min_rank_shift(g, Matrix.identity(field, 3)) == \
+        min_rank_shift(Matrix.from_packed(GF(1021), g.rows),
+                       Matrix.identity(GF(1021), 3))
+    assert field._pair_tables is None
