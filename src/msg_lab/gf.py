@@ -135,6 +135,7 @@ class Field:
         self._inv_table = None
         self._pair_tables = None
         self._packed_tables = None
+        self._row_axpy = None
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -288,6 +289,24 @@ class Field:
                 mul = [[elems[self.mul(a, b)] for b in elems] for a in elems]
                 self._pair_tables = (add, sub, mul)
         return self._pair_tables
+
+    def row_axpy(self):
+        """The row kernel axpy(ys, c, xs) = ys + c xs over the shorter of ys
+        and xs, built once: inline mod p when e == 1, else the pair tables."""
+        if self._row_axpy is None:
+            if self.e == 1:
+                p = self.p
+                self._row_axpy = lambda ys, c, xs: [(y + c * x) % p
+                                                    for y, x in zip(ys, xs)]
+            else:
+                add, _, mul = self.pair_tables()
+
+                def axpy(ys, c, xs):
+                    mc = mul[c]
+                    return [add[y][mc[x]] for y, x in zip(ys, xs)]
+
+                self._row_axpy = axpy
+        return self._row_axpy
 
     def inv_table(self) -> np.ndarray:
         """Packed inverses for all nonzero elements (index 0 unused)."""

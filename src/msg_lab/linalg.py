@@ -15,7 +15,7 @@ gf._PAIR_TABLE_MAX.  Rank, rref, det, inverse, solve, kernel_basis and
 the commutant bases all ride one Gauss-Jordan routine with first-nonzero
 pivot selection, so pivot choice is deterministic; rank and det clear
 only below the pivots.  charpoly reduces to Hessenberg form with the row
-kernel of poly (poly.row_axpy, the same inline or tabled arithmetic), and
+kernel Field.row_axpy (the inline or tabled arithmetic of poly), and
 min_rank_shift computes ranks only at the roots of the characteristic
 polynomial in F^x, found with the polynomial arithmetic of poly, so its
 cost grows with log q, not q; it takes them on the Hessenberg form H,
@@ -420,11 +420,11 @@ def _packed_row_product(rows, other_rows, ncols: int, p: int):
 
 
 def evaluate_poly_at(f_poly: poly.Poly, x: Matrix) -> Matrix:
-    """f(x) by Horner's rule; coefficients are packed field elements."""
-    field = x.field
-    n = x.nrows
-    acc = Matrix.zeros(field, n, n)
-    for c in reversed(f_poly):
+    """f(x) by Horner's rule from the leading coefficient, deg f products;
+    coefficients are packed field elements."""
+    field, n = x.field, x.nrows
+    acc = Matrix.scalar(field, n, f_poly[-1] if f_poly else field.zero)
+    for c in reversed(f_poly[:-1]):
         acc = acc @ x
         if c != field.zero:
             acc = acc + Matrix.scalar(field, n, c)
@@ -437,12 +437,8 @@ def commutant_basis(x: Matrix) -> list[Matrix]:
 
 
 def twisted_commutant_basis(x: Matrix, lam: int) -> list[Matrix]:
-    """Basis of {M : M x = lam * (x M)}.
-
-    lam = 1 is the ordinary commutant; other scalars arise when deciding
-    whether conjugation can move x to lam * x inside SL (projective class
-    computations).
-    """
+    """Basis of {M : M x = lam * (x M)}: lam = 1 is the ordinary
+    commutant, and an invertible member M has M x M^-1 = lam x."""
     field = x.field
     n = x.nrows
     if x.ncols != n:
@@ -482,7 +478,7 @@ def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
     n = m.nrows
     if m.ncols != n:
         raise ValueError("charpoly needs a square matrix")
-    axpy = poly.row_axpy(f)
+    axpy = f.row_axpy()
     neg = f.neg if f.e == 1 else f.pair_tables()[1][0].__getitem__
     H = [list(row) for row in m.rows]
     for c in range(n - 2):

@@ -9,25 +9,22 @@ Three metrics on finite groups, each valued in [0, 1]:
     log of an integer is accurate to the full 53-bit mantissa).
 
 Class sizes are exact integers: the standard cycle-type formula for S_n
-with the odd-distinct splitting rule for A_n, and commutant enumeration
-for matrix groups: linalg.span_invertible_counts takes one member of each
-F^x orbit of the commutant and weights it by the orbit, while the budget
-still counts all q^dim members.  For PSL representatives the centralizer
-is counted in SL and corrected by the number of unit scalars lambda that
-are realized by some SL-conjugation g x g^-1 = lambda x; this is what
-brute-force class enumeration in PSL matches.
+with the odd-distinct splitting rule for A_n, and for matrix groups the
+closed-form centralizer orders of class_size_matrix, from the Jordan
+partitions at the irreducible factors of the characteristic polynomial:
+no enumeration and no budget (commutant enumeration is the tests' oracle).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, UnsupportedCaseError
+from . import poly
+from .errors import UnsupportedCaseError
 from .groups import (GL, PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
-                     Permutation, PSLDescriptor, gl_order, proj_equal,
-                     sl_order)
-from .linalg import (Matrix, commutant_basis, min_rank_shift,
-                     span_invertible_counts, twisted_commutant_basis)
+                     Permutation, PSLDescriptor, gl_centralizer_order,
+                     gl_order, proj_equal, sl_order)
+from .linalg import Matrix, charpoly, evaluate_poly_at, min_rank_shift
 
 HAMMING = "hamming"
 PRANK = "prank"
@@ -107,62 +104,59 @@ def class_size_perm(ct, n, in_alternating=False):
     return size // 2 if splits else size
 
 
-def _commutant_with_budget(x, budget):
-    field = x.field
-    basis = commutant_basis(x)
-    if field.q ** len(basis) > budget:
-        raise BudgetError(
-            "commutant enumeration needs %d^%d members, budget %d"
-            % (field.q, len(basis), budget))
-    return basis
+def _primary_partitions(x, chi):
+    """{P: (d, Jordan partition)}: the irreducible factors dividing chi once
+    have partition (1), take no rank and come as one product P per degree
+    d; a repeated one f is its own P, d = deg f, and its partition has the
+    conjugate (dim ker f(x)^j - dim ker f(x)^(j-1)) / d, j = 1, 2, ..."""
+    once, repeated = poly.pfactor_once_repeated(x.field, chi)
+    out = {prod: (d, (1,)) for prod, d in once}
+    for f in repeated:
+        d, fx = poly.pdeg(f), evaluate_poly_at(f, x)
+        power, conj, kernel = fx, [], 0
+        while grown := x.nrows - power.rank() - kernel:
+            conj.append(grown // d)
+            kernel, power = kernel + grown, power @ fx
+        out[f] = d, tuple(sum(c > i for c in conj) for i in range(conj[0]))
+    return out
 
 
-def _realized_unit_scalars(x, budget):
-    """Count unit scalars lambda (lambda^n = 1) with g x g^-1 = lambda x
-    for some g in SL, by searching the lambda-twisted commutant space."""
-    field = x.field
-    count = 0
-    for lam in field.roots_of_unity(x.nrows):
-        if lam == field.one:
-            count += 1
-            continue
-        basis = twisted_commutant_basis(x, lam)
-        if not basis:
-            continue
-        if field.q ** len(basis) > budget:
-            raise BudgetError(
-                "twisted commutant enumeration needs %d^%d members, budget %d"
-                % (field.q, len(basis), budget))
-        _, det1 = span_invertible_counts(basis, budget=budget)
-        if det1:
-            count += 1
-    return count
+def class_size_matrix(x):
+    """Exact conjugacy-class size |G| / |C_G(x)| of x in GL, SL or PSL,
+    the centralizer order read off chi = charpoly(x) with no enumeration.
 
-
-def class_size_matrix(x, budget=10**6):
-    """Exact conjugacy-class size of x in GL, SL, or PSL.
-
-    Centralizer orders come from enumerating the commutant linear space and
-    filtering the group constraint; the class size is |G| / |C_G(x)|.
+    |C_GL(x)| is the product of gl_centralizer_order over the partitions at
+    the irreducible factors of chi.  det C_GL(x) = (F^x)^g, g the gcd of
+    all parts, gives |C_SL(x)|.  PSL multiplies it by the number of
+    lambda^n = 1 whose twist P -> lambda^deg P P(T / lambda), which is to
+    lambda x what P is to x, keeps the partitions (lambda x ~ x).  An SL
+    conjugator exists then: one built on a cyclic decomposition has det
+    lambda^(sum n_i (n_i - 1) / 2), n_i the invariant-factor degrees; the
+    roots of each invariant factor, g at a time, are closed under lambda,
+    so ord lambda | n_i / g, and that det is 1 or (-1)^g, a det in C_GL(x).
     """
     if not isinstance(x, ClassicalElement):
         raise TypeError("class_size_matrix expects a ClassicalElement")
     if x.group_tag not in (GL, SL, PSL_REP):
-        raise UnsupportedCaseError("class size by commutant counting needs GL/SL/PSL")
-    m = x.matrix
-    n = m.nrows
-    q = m.field.q
-    basis = _commutant_with_budget(m, budget)
-    invertible, det_one = span_invertible_counts(basis, budget=budget)
+        raise UnsupportedCaseError("class size by centralizer order needs GL/SL/PSL")
+    m, field, n, q = x.matrix, x.field, x.n, x.field.q
+    data = _primary_partitions(m, charpoly(m))
+    gl_cent = math.prod(gl_centralizer_order(part, q**d) ** (poly.pdeg(P) // d)
+                        for P, (d, part) in data.items())
     if x.group_tag == GL:
-        return gl_order(n, q) // invertible
+        return gl_order(n, q) // gl_cent
+    g = math.gcd(q - 1, *(k for _, part in data.values() for k in part))
+    sl_cent = gl_cent * g // (q - 1)
     if x.group_tag == SL:
-        return sl_order(n, q) // det_one
-    t = _realized_unit_scalars(m, budget)
-    return sl_order(n, q) // (det_one * t)
+        return sl_order(n, q) // sl_cent
+    t = sum({tuple(field.mul(c, field.pow(lam, len(P) - 1 - k))
+                   for k, c in enumerate(P)): v
+             for P, v in data.items()} == data
+            for lam in field.roots_of_unity(n))
+    return sl_order(n, q) // (sl_cent * t)
 
 
-def conjugacy_distance(g, h, group, budget=10**6):
+def conjugacy_distance(g, h, group):
     """log |ccl(g h^-1)| / log |G| in the given centreless group."""
     if isinstance(group, AlternatingDescriptor):
         if not (isinstance(g, Permutation) and isinstance(h, Permutation)):
@@ -184,12 +178,12 @@ def conjugacy_distance(g, h, group, budget=10**6):
         x = gm @ hm.inverse()
         if proj_equal(x, Matrix.identity(gm.field, gm.nrows)):
             return MetricValue(0.0, CONJ)
-        size = class_size_matrix(ClassicalElement(x, PSL_REP), budget=budget)
+        size = class_size_matrix(ClassicalElement(x, PSL_REP))
         return MetricValue(math.log(size) / math.log(group.order()), CONJ)
     raise UnsupportedCaseError("conjugacy metric needs A_n (n >= 5) or PSL")
 
 
-def length(g, kind, group=None, budget=10**6):
+def length(g, kind, group=None):
     """Distance to the identity under the chosen metric."""
     if kind == HAMMING:
         return hamming_distance(g, Permutation.identity(g.n))
@@ -199,6 +193,5 @@ def length(g, kind, group=None, budget=10**6):
     if kind == CONJ:
         if group is None:
             raise ValueError("conjugacy length needs a group descriptor")
-        ident = group.identity()
-        return conjugacy_distance(g, ident, group, budget=budget)
+        return conjugacy_distance(g, group.identity(), group)
     raise ValueError("unknown metric kind %r" % (kind,))

@@ -3,13 +3,13 @@
 A polynomial is a tuple of packed field elements, index = degree, with no
 trailing zeros; the zero polynomial is ().  The field argument `K` is a
 gf.Field.  Sums, products and remainders all run on one row kernel,
-axpy(ys, c, xs) = ys + c xs (row_axpy), which is inline mod p over a prime
-field and reads the pair tables of K over an extension field, so they make
-no scalar Field call per coefficient.  Besides p, e and pair_tables, K
-supplies the scalar operations (add/mul/inv/neg/pow, zero, one, q,
+axpy(ys, c, xs) = ys + c xs (K.row_axpy(), built once per field), inline
+mod p over a prime field and on the pair tables of K over an extension
+field, so they make no scalar Field call per coefficient.  K also
+supplies the scalar operations (add/mul/inv/neg/pow, zero, one, p, q,
 elements) for the one inverse per division and the scalar helpers peval,
-pderiv and psquarefree_part's p-th roots.  Sizes here are tiny (degree <=
-a few dozen), so everything is plain Python.
+pderiv and psquarefree_part's p-th roots.  Sizes here are tiny (degree
+<= a few dozen), so everything is plain Python.
 """
 
 from __future__ import annotations
@@ -17,23 +17,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 Poly = Tuple[int, ...]
-
-
-def row_axpy(K):
-    """The row kernel of K: axpy(ys, c, xs) is ys + c xs entrywise, a list
-    as long as the shorter of ys and xs.  Inline mod p when e == 1, where
-    pair tables would hold q^2 entries; the pair tables of K when e > 1,
-    which call the scalar operations above gf._PAIR_TABLE_MAX."""
-    if K.e == 1:
-        p = K.p
-        return lambda ys, c, xs: [(y + c * x) % p for y, x in zip(ys, xs)]
-    add, _, mul = K.pair_tables()
-
-    def axpy(ys, c, xs):
-        mc = mul[c]
-        return [add[y][mc[x]] for y, x in zip(ys, xs)]
-
-    return axpy
 
 
 def pnorm(coeffs: Sequence[int]) -> Poly:
@@ -51,8 +34,8 @@ def pdeg(f: Poly) -> int:
 def _combine(K, f: Poly, c: int, g: Poly) -> Poly:
     """f + c g."""
     zeros = [0] * max(len(f), len(g))
-    return pnorm(row_axpy(K)(list(f) + zeros[len(f):], c,
-                             list(g) + zeros[len(g):]))
+    return pnorm(K.row_axpy()(list(f) + zeros[len(f):], c,
+                              list(g) + zeros[len(g):]))
 
 
 def padd(K, f: Poly, g: Poly) -> Poly:
@@ -77,7 +60,7 @@ def _product(axpy, f, g) -> list:
 def pmul(K, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
-    return pnorm(_product(row_axpy(K), f, g))
+    return pnorm(_product(K.row_axpy(), f, g))
 
 
 def pmonic(K, f: Poly) -> Poly:
@@ -107,7 +90,7 @@ def pdivmod(K, f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return (), f
-    axpy = row_axpy(K)
+    axpy = K.row_axpy()
     n = len(g) - 1
     inv_lead = K.inv(g[-1])
     rem = list(f)
@@ -136,7 +119,7 @@ def _mulmod(K, mod: Poly):
     monic form of mod (the remainder is the same), with no quotient."""
     if not mod:
         raise ZeroDivisionError("polynomial division by zero")
-    axpy = row_axpy(K)
+    axpy = K.row_axpy()
     n = len(mod) - 1
     neg_low = axpy([0] * n, K.neg(K.inv(mod[-1])), mod)
 
@@ -173,15 +156,8 @@ def peval(K, f: Poly, a: int) -> int:
 
 
 def pderiv(K, f: Poly) -> Poly:
-    out = []
-    for i in range(1, len(f)):
-        s = i % K.p
-        c = f[i]
-        acc = K.zero
-        for _ in range(s):
-            acc = K.add(acc, c)
-        out.append(acc)
-    return pnorm(out)
+    """The derivative; the integer i acts as the packed element i mod p."""
+    return pnorm([K.mul(i % K.p, c) for i, c in enumerate(f) if i])
 
 
 _X: Poly = (0, 1)
@@ -300,13 +276,23 @@ def psquarefree_part(K, f: Poly) -> Poly:
     return pmul(K, w, psquarefree_part(K, pnorm(root)))
 
 
+def _factor_squarefree(K, sf: Poly) -> list[Poly]:
+    return sorted((g for prod, d in _ddf(K, sf) for g in _edf(K, prod, d)),
+                  key=lambda g: (len(g), g))
+
+
 def pfactor_distinct(K, f: Poly) -> list[Poly]:
     """Distinct monic irreducible factors of f, sorted by (degree,
     coefficient tuple)."""
-    if pdeg(f) < 1:
-        return []
+    return _factor_squarefree(K, psquarefree_part(K, f)) if pdeg(f) > 0 else []
+
+
+def pfactor_once_repeated(K, f: Poly):
+    """(once, repeated): the distinct-degree factorization [(product, d)]
+    of the irreducible factors dividing f once, left unsplit, and the
+    pfactor_distinct list of those dividing it twice or more; deg f >= 1."""
     sf = psquarefree_part(K, f)
-    out = []
-    for prod, d in _ddf(K, sf):
-        out.extend(_edf(K, prod, d))
-    return sorted(out, key=lambda g: (len(g), g))
+    if sf == f:
+        return _ddf(K, f), []
+    rep = pgcd(K, sf, pdivmod(K, f, sf)[0])
+    return _ddf(K, pdivmod(K, sf, rep)[0]), _factor_squarefree(K, rep)

@@ -55,6 +55,22 @@ def test_metric_conj(capsys):
     assert 0.0 < value < 1.0
 
 
+def test_metric_conj_word_size_fields(capsys):
+    """No budget on the conjugacy metric: PSL_3(257) and PSL_2(65537),
+    which the commutant enumeration refused with exit 2, exit 0."""
+    for group, elem in (("PSL:3:257", "SL:2,1,0;1,1,0;0,0,1"),
+                        ("PSL:2:65537", "SL:2,1;1,1")):
+        code, out, err = _run(capsys, "metric", "--kind", "conj",
+                              "--group", group, elem)
+        assert code == 0 and err == ""
+        assert 0.0 < float(out) < 1.0
+    code, out, _ = _run(capsys, "experiment", "--name", "equivalence",
+                        "--family", "PSL:3:257", "--trials", "2")
+    assert code == 0
+    quantities = [line.split(",")[4] for line in out.splitlines()[6:]]
+    assert quantities.count("d_c") == 2 and "error" not in quantities
+
+
 def test_metric_errors(capsys):
     code, out, err = _run(capsys, "metric", "--kind", "conj", "1,0,2")
     assert code == 2 and out == "" and err.startswith("error:")

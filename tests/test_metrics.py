@@ -8,11 +8,13 @@ from msg_lab.gf import GF
 from msg_lab.groups import (GL, PSL_REP, SL, AlternatingDescriptor,
                             ClassicalElement, Permutation, PSLDescriptor,
                             enumerate_psl2, enumerate_sl2, gl_order,
-                            psl_canonical, random_perm, random_sl, sl_order)
-from msg_lab.linalg import (Matrix, commutant_basis, span_invertible_counts,
-                            twisted_commutant_basis)
+                            psl_canonical, random_invertible, random_perm,
+                            random_sl, sl_order)
+from msg_lab.linalg import (Matrix, charpoly, commutant_basis,
+                            span_invertible_counts, twisted_commutant_basis)
 from msg_lab.metrics import (CONJ, HAMMING, PRANK, MetricValue,
-                             class_size_matrix, class_size_perm,
+                             _primary_partitions, class_size_matrix,
+                             class_size_perm,
                              conjugacy_distance, hamming_distance, length,
                              perm_centralizer_order,
                              projective_rank_distance)
@@ -271,14 +273,178 @@ def test_metric_value_range():
 
 
 def test_budget_error_surfaces():
+    """The enumeration oracle keeps its budget: a commutant of 4^9 members
+    is refused at budget 10.  The conjugacy metric has none."""
     field = GF(2, 2)
-    group = PSLDescriptor(5, field.spec)
-    g = ClassicalElement(Matrix.identity(field, 5), SL)
-    h = ClassicalElement(
-        Matrix.from_packed(field, [[1, 1, 0, 0, 0],
+    h = Matrix.from_packed(field, [[1, 1, 0, 0, 0],
                                    [0, 1, 0, 0, 0],
                                    [0, 0, 1, 0, 0],
                                    [0, 0, 0, 1, 0],
-                                   [0, 0, 0, 0, 1]]), SL)
+                                   [0, 0, 0, 0, 1]])
     with pytest.raises(BudgetError):
-        conjugacy_distance(g, h, group, budget=10)
+        span_invertible_counts(commutant_basis(h), budget=10)
+    group = PSLDescriptor(5, field.spec)
+    assert 0 < conjugacy_distance(Matrix.identity(field, 5), h, group).value < 1
+
+
+def _enumerated_sizes(m):
+    """(GL, SL, PSL) class sizes of m by the enumeration oracle: commutant
+    spans counted by span_invertible_counts, and _unit_scalars_scan; SL and
+    PSL only when det m = 1."""
+    n, q = m.nrows, m.field.q
+    invertible, det_one = span_invertible_counts(commutant_basis(m))
+    sizes = [gl_order(n, q) // invertible]
+    if m.det() == m.field.one:
+        sizes += [sl_order(n, q) // det_one,
+                  sl_order(n, q) // (det_one * _unit_scalars_scan(m))]
+    return sizes
+
+
+def _closed_form_sizes(m):
+    tags = (GL, SL, PSL_REP) if m.det() == m.field.one else (GL,)
+    return [class_size_matrix(ClassicalElement(m, tag)) for tag in tags]
+
+
+SMALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+
+
+def test_class_sizes_match_enumeration_on_all_of_sl2():
+    """GL, SL and PSL sizes of every element of SL_2(q), q <= 9."""
+    for p, e in SMALL_FIELDS:
+        for m in enumerate_sl2(GF(p, e).spec):
+            assert _closed_form_sizes(m) == _enumerated_sizes(m)
+
+
+def test_class_sizes_match_enumeration_on_random_elements(rng):
+    """Random GL and SL elements for n <= 4 wherever the commutant has at
+    most 10^6 members."""
+    checked = 0
+    for p, e in SMALL_FIELDS:
+        field = GF(p, e)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                for m in (random_invertible(n, field.spec, rng),
+                          random_sl(n, field.spec, rng).matrix):
+                    if field.q ** len(commutant_basis(m)) > 10**6:
+                        continue
+                    assert _closed_form_sizes(m) == _enumerated_sizes(m)
+                    checked += 1
+    assert checked > 100
+
+
+def _jordan_twisted(field, blocks, rng):
+    """P diag(J_k(a) ...) P^-1 for the (k, a) in blocks and a random P."""
+    n = sum(k for k, _ in blocks)
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    for k, a in blocks:
+        for j in range(k):
+            rows[i + j][i + j] = a
+            if j + 1 < k:
+                rows[i + j][i + j + 1] = field.one
+        i += k
+    P = random_invertible(n, field.spec, rng)
+    return P @ Matrix.from_packed(field, rows) @ P.inverse()
+
+
+def _twist_invariant_elements(rng):
+    """Non-squarefree elements with lambda x ~ x for a unit lambda != 1:
+    diag(J_2(a), J_2(-a)) of det 1 over GF(5) and GF(7), and diag(J_2(1),
+    J_2(2), J_2(4)) over GF(7), whose twist by 2 permutes the blocks."""
+    for p, a in ((5, 2), (5, 3), (7, 1)):
+        field = GF(p)
+        yield _jordan_twisted(field, [(2, a), (2, field.neg(a))], rng)
+    yield _jordan_twisted(GF(7), [(2, 1), (2, 2), (2, 4)], rng)
+
+
+def test_class_sizes_match_enumeration_on_twist_invariant_elements(rng):
+    for m in _twist_invariant_elements(rng):
+        sizes = _enumerated_sizes(m)
+        assert sizes[2] < sizes[1]  # the PSL class is a proper merge
+        assert _closed_form_sizes(m) == sizes
+
+
+def test_conjugator_determinant_formula(rng):
+    """A conjugator y with y x y^-1 = lambda x, found in the lambda-twisted
+    commutant, has det in lambda^e (F^x)^g, e = sum n_i (n_i - 1) / 2 over
+    the invariant-factor degrees n_i and g the gcd of all parts; and
+    lambda^e is itself in (F^x)^g, so an SL conjugator exists whenever a
+    GL one does, which is why class_size_matrix tests only the twist.
+    diag(J_3(2), J_3(-2)) over GF(13) has odd g = 3 and lambda^e = -1."""
+    elements = list(_twist_invariant_elements(rng))
+    elements.append(_jordan_twisted(GF(13), [(3, 2), (3, 11)], rng))
+    checked = 0
+    for m in elements:
+        field = m.field
+        q = field.q
+        data = _primary_partitions(m, charpoly(m))
+        g = math.gcd(q - 1, *(k for _, part in data.values() for k in part))
+        degrees = [0] * max(len(part) for _, part in data.values())
+        for f, (_, part) in data.items():
+            for i, k in enumerate(part):
+                degrees[i] += (len(f) - 1) * k
+        lam_power = lambda lam: field.pow(lam, sum(d * (d - 1) // 2
+                                                   for d in degrees))
+        in_gth_powers = lambda a: field.pow(a, (q - 1) // g) == field.one
+        for lam in field.roots_of_unity(m.nrows):
+            basis = twisted_commutant_basis(m, lam)
+            for _ in range(200):
+                conj = Matrix.zeros(field, m.nrows, m.nrows)
+                for b in basis:
+                    conj = conj + b.scale(rng.randrange(q))
+                if conj.is_invertible():
+                    break
+            else:
+                continue
+            assert conj @ m @ conj.inverse() == m.scale(lam)
+            det = conj.det()
+            assert in_gth_powers(field.mul(det, field.inv(lam_power(lam))))
+            assert in_gth_powers(lam_power(lam)) and in_gth_powers(det)
+            checked += 1
+    assert checked >= 10
+    # the last element, over GF(13), takes the odd-g branch
+    assert lam_power(field.neg(field.one)) == field.neg(field.one) and g == 3
+
+
+def test_class_size_matrix_makes_no_enumeration(monkeypatch, rng):
+    """The closed form solves no commutant system, enumerates no span and
+    scans no scalar shift, on every path: squarefree, repeated factors,
+    and twisted PSL classes."""
+    import msg_lab.linalg as linalg
+    import msg_lab.metrics as metrics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_size_matrix enumerated")
+
+    elements = list(_twist_invariant_elements(rng))
+    elements += [random_sl(3, GF(7).spec, rng).matrix,
+                 Matrix.identity(GF(3, 2), 3),
+                 _jordan_twisted(GF(2, 2), [(3, 1)], rng)]
+    for name in ("commutant_basis", "twisted_commutant_basis",
+                 "span_invertible_counts", "min_rank_shift"):
+        monkeypatch.setattr(linalg, name, refuse)
+        monkeypatch.setattr(metrics, name, refuse, raising=False)
+    for m in elements:
+        assert len(_closed_form_sizes(m)) == 3
+
+
+def test_class_size_matrix_serves_word_size_fields():
+    """PSL_3(257), PSL_3(125), PSL_2(1031) and PSL_2(65537), each refused
+    by the enumeration budget, are served.  [[0, 1], [-1, 1]] has order 6
+    and an irreducible charpoly when q = 5 mod 6, so its centralizer in
+    SL_2(q) is the torus of order q + 1; the 3-cycle has charpoly (T - 1)
+    (T^2 + T + 1), irreducible when q = 2 mod 3, so its SL_3(q)
+    centralizer has order q^2 - 1.  No twist applies: gcd(n, q - 1) = 1,
+    or lambda = -1 sends T^2 - T + 1 to T^2 + T + 1."""
+    cases = ((3, (257, 1), lambda q: q**3 * (q**3 - 1)),
+             (3, (5, 3), lambda q: q**3 * (q**3 - 1)),
+             (2, (1031, 1), lambda q: q * (q - 1)),
+             (2, (65537, 1), lambda q: q * (q - 1)))
+    for n, (p, e), expected in cases:
+        field = GF(p, e)
+        if n == 2:
+            m = Matrix.from_packed(field, [[0, 1], [field.neg(1), 1]])
+        else:
+            m = Matrix.from_packed(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert class_size_matrix(ClassicalElement(m, PSL_REP)) == \
+            expected(field.q)

@@ -114,6 +114,32 @@ def test_factor_distinct_matches_brute_divisors():
     assert (2, 1) in poly.pfactor_distinct(GF(2, 2), (3, 1, 2, 2, 1))
 
 
+def test_factor_once_repeated_matches_multiplicities():
+    """Every monic f of degree <= 5 over GF(2), GF(3) and GF(4): the
+    distinct-degree blocks of pfactor_once_repeated multiply to the factors
+    of multiplicity 1, each block of one degree, and the repeated list is
+    the factors of multiplicity >= 2, counted by trial division; p-th
+    powers (T^2 over GF(2), T^3 over GF(3)) are among them."""
+    for field in [GF(2), GF(3), GF(2, 2)]:
+        for d in range(1, 6):
+            for f in _monic_polys(field, d):
+                mult = {}
+                for g in poly.pfactor_distinct(field, f):
+                    rest = f
+                    while not poly.pmod(field, rest, g):
+                        mult[g] = mult.get(g, 0) + 1
+                        rest = poly.pdivmod(field, rest, g)[0]
+                once, repeated = poly.pfactor_once_repeated(field, f)
+                assert repeated == [g for g in mult if mult[g] > 1]
+                prod = (field.one,)
+                for block, k in once:
+                    assert {poly.pdeg(g) for g in
+                            poly.pfactor_distinct(field, block)} == {k}
+                    prod = poly.pmul(field, prod, block)
+                assert poly.pfactor_distinct(field, prod) == [
+                    g for g in mult if mult[g] == 1]
+
+
 # -- scalar-Field reference arithmetic ---------------------------------------
 # pmul, pdivmod and ppowmod as they were before the row kernel: one scalar
 # Field call per coefficient operation, ppowmod right to left with a full
@@ -244,3 +270,25 @@ def test_prime_field_builds_no_pair_tables():
         min_rank_shift(Matrix.from_packed(GF(1021), g.rows),
                        Matrix.identity(GF(1021), 3))
     assert field._pair_tables is None
+
+
+def test_row_kernel_built_once_per_field(monkeypatch):
+    """Field.row_axpy is built on first use and kept: gcds, products and
+    powers over a fresh GF(9) read the pair tables once, not per call."""
+    field = Field(GF(3, 2).spec)
+    f, g = (1, 2, 0, 1), (4, 1, 1)
+    expected = (poly.pgcd(GF(3, 2), f, g), poly.pmul(GF(3, 2), f, g),
+                poly.ppowmod(GF(3, 2), (0, 1), 9, f))
+    calls = []
+    tables = Field.pair_tables
+
+    def counted(self):
+        calls.append(self)
+        return tables(self)
+
+    monkeypatch.setattr(Field, "pair_tables", counted)
+    for _ in range(3):
+        assert (poly.pgcd(field, f, g), poly.pmul(field, f, g),
+                poly.ppowmod(field, (0, 1), 9, f)) == expected
+    assert field.row_axpy() is field.row_axpy()
+    assert sum(c is field for c in calls) == 1
