@@ -118,9 +118,6 @@ class SplitDecomposition:
     def L_matrix(self):
         return self._l_matrix
 
-    def S_matrix(self):
-        return self.basis().take_columns(range(self.dim_L, self.n))
-
     def L_coordinates(self):
         """T, the dim L x n matrix of the L rows of basis()^-1: T v is the
         L part of the coordinates of v in [L | S], so T L = 1 and T S = 0."""
@@ -582,12 +579,7 @@ def project_to_sl(g):
         raise ValueError("input must be invertible")
     if d == field.one:
         return ClassicalElement(m, SL)
-    dinv = field.inv(d)
-    n = m.nrows
-    rows = [[m.entry(r, c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        rows[r][0] = field.mul(rows[r][0], dinv)
-    fixed = Matrix.from_packed(field, rows)
+    fixed = m @ Matrix.diagonal(field, [field.inv(d)] + [1] * (m.nrows - 1))
     assert (fixed - m).rank() <= 1
     return ClassicalElement(fixed, SL)
 

@@ -10,11 +10,21 @@ with the constant term least significant.
 Moduli are monic with coefficients listed constant-first; the default
 modulus for GF(p^e) is the lexicographically smallest monic irreducible
 of degree e (find_irreducible).
+
+Matrices and polynomials compute through Field.kernel(), the one place
+that picks their arithmetic: inline mod p when e == 1 (a product packs
+the rows of its right factor into 64-bit slots, _packed_row_product); the
+q x q pair tables when e > 1 and q <= _PAIR_TABLE_MAX; the scalar Field
+operations above that.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -111,6 +121,19 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def power(mul, a, k: int):
+    """a^k, k >= 0, by square and multiply with the product mul, starting
+    from the integer 1; mul(1, a) = a makes it serve packed elements and,
+    for k >= 1, int64 arrays of them."""
+    result = 1
+    while k:
+        if k & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        k >>= 1
+    return result
+
+
 def _unpack_int(value: int, p: int, e: int) -> list[int]:
     out = []
     for _ in range(e):
@@ -135,7 +158,7 @@ class Field:
         self._inv_table = None
         self._pair_tables = None
         self._packed_tables = None
-        self._row_axpy = None
+        self._kernel = None
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -219,14 +242,7 @@ class Field:
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(a), -k)
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return power(self.mul, a, k)
 
     # -- enumeration and structure ----------------------------------------
 
@@ -270,43 +286,29 @@ class Field:
     # -- lookup tables -----------------------------------------------------
 
     def pair_tables(self):
-        """(add, sub, mul) lookups over packed values, read as t[a][b].
-
-        Up to _PAIR_TABLE_MAX they are q x q nested lists; above it each
-        lookup calls the scalar operation, so callers index both the same
-        way."""
+        """(add, sub, mul) as q x q nested lists read t[a][b]; refused
+        above _PAIR_TABLE_MAX."""
         if self._pair_tables is None:
             if self.q > _PAIR_TABLE_MAX:
-                self._pair_tables = (_OpTable(self.add), _OpTable(self.sub),
-                                     _OpTable(self.mul))
-            else:
-                # entries point into elems, one int object per value, which
-                # keeps the three tables at 8 bytes an entry
-                elems = list(range(self.q))
-                add = [[elems[self.add(a, b)] for b in elems] for a in elems]
-                neg = [self.neg(b) for b in elems]
-                sub = [[row[nb] for nb in neg] for row in add]
-                mul = [[elems[self.mul(a, b)] for b in elems] for a in elems]
-                self._pair_tables = (add, sub, mul)
+                raise ValueError(f"pair tables refused for q = {self.q}")
+            # entries point into elems, one int object per value, which
+            # keeps the three tables at 8 bytes an entry
+            elems = list(range(self.q))
+            add = [[elems[self.add(a, b)] for b in elems] for a in elems]
+            neg = [self.neg(b) for b in elems]
+            sub = [[row[nb] for nb in neg] for row in add]
+            mul = [[elems[self.mul(a, b)] for b in elems] for a in elems]
+            self._pair_tables = (add, sub, mul)
         return self._pair_tables
 
-    def row_axpy(self):
-        """The row kernel axpy(ys, c, xs) = ys + c xs over the shorter of ys
-        and xs, built once: inline mod p when e == 1, else the pair tables."""
-        if self._row_axpy is None:
-            if self.e == 1:
-                p = self.p
-                self._row_axpy = lambda ys, c, xs: [(y + c * x) % p
-                                                    for y, x in zip(ys, xs)]
-            else:
-                add, _, mul = self.pair_tables()
-
-                def axpy(ys, c, xs):
-                    mc = mul[c]
-                    return [add[y][mc[x]] for y, x in zip(ys, xs)]
-
-                self._row_axpy = axpy
-        return self._row_axpy
+    def kernel(self) -> "Kernel":
+        """The row, matrix and array arithmetic of this field, built on
+        first use and kept: the one switch among the regimes."""
+        if self._kernel is None:
+            build = (_prime_kernel if self.e == 1 else _table_kernel
+                     if self.q <= _PAIR_TABLE_MAX else _scalar_kernel)
+            self._kernel = build(self)
+        return self._kernel
 
     def inv_table(self) -> np.ndarray:
         """Packed inverses for all nonzero elements (index 0 unused)."""
@@ -354,19 +356,9 @@ class Field:
         can seed the tables that mul reads."""
         n = self.q - 1
         primes = poly._prime_divisors(n) if n > 1 else []
-
-        def pow_direct(a, k):
-            result = self.one
-            base = a
-            while k:
-                if k & 1:
-                    result = self._mul_direct(result, base)
-                base = self._mul_direct(base, base)
-                k >>= 1
-            return result
-
         for g in range(1, self.q):
-            if all(pow_direct(g, n // r) != self.one for r in primes):
+            if all(power(self._mul_direct, g, n // r) != self.one
+                   for r in primes):
                 return g
         raise AssertionError("no generator found")
 
@@ -385,20 +377,187 @@ class Field:
         return f"GF({self.p}^{self.e})"
 
 
-class _OpTable:
-    """op(a, b) behind the t[a][b] syntax of the pair tables, for fields
-    too large to tabulate."""
+# The arithmetic of one field (Field.kernel()), as plain functions:
+# axpy(ys, c, xs) = ys + c xs over the shorter row, a list; add(A, B),
+# sub(A, B), scale(c, A) and matmul(A, B, ncols) on sequences of rows, B
+# having ncols columns, as tuples of row tuples; pivot(R, r, c, reduce_up),
+# one Gauss-Jordan step in the row lists R, zero left of column c from row
+# r down: row r is scaled by Field.inv of R[r][c] != 0, then column c is
+# cleared in the other rows, or only below r unless reduce_up; neg(a);
+# arrays(), built on its first call: (mul, fma, inv) elementwise on int64
+# arrays, fma(x, a, b) = x + a b.
+Kernel = namedtuple("Kernel", "axpy add sub scale matmul pivot neg arrays")
 
-    __slots__ = ("op", "a")
 
-    def __init__(self, op, a=None):
-        self.op = op
-        self.a = a
+def _prime_kernel(f: Field) -> Kernel:
+    p = f.p
 
-    def __getitem__(self, b):
-        if self.a is None:
-            return _OpTable(self.op, b)
-        return self.op(self.a, b)
+    def axpy(ys, c, xs):
+        return [(y + c * x) % p for y, x in zip(ys, xs)]
+
+    def add(A, B):
+        return tuple([tuple([(a + b) % p for a, b in zip(ra, rb)])
+                      for ra, rb in zip(A, B)])
+
+    def sub(A, B):
+        return tuple([tuple([(a - b) % p for a, b in zip(ra, rb)])
+                      for ra, rb in zip(A, B)])
+
+    def scale(c, A):
+        return tuple([tuple([c * v % p for v in row]) for row in A])
+
+    def matmul(A, B, ncols):
+        # packing pays off from three columns; one or two are dot
+        # products, as is any shape whose 64-bit slots could overflow
+        if ncols > 2 and (p - 1) ** 2 * len(B) < 2**64:
+            return _packed_row_product(A, B, ncols, p)
+        cols = list(zip(*B)) or [()] * ncols
+        return tuple([tuple([sum(map(operator.mul, row, col)) % p
+                             for col in cols]) for row in A])
+
+    def pivot(R, r, c, reduce_up):
+        row = R[r]
+        if row[c] != 1:
+            inv = f.inv(row[c])
+            row[c:] = [v * inv % p for v in row[c:]]
+        tail = row[c:]
+        for other in (R if reduce_up else R[r + 1:]):
+            a = other[c]
+            if a and other is not row:
+                other[c:] = [(v - a * t) % p for v, t in zip(other[c:], tail)]
+
+    @lru_cache(maxsize=None)
+    def arrays():
+        return (lambda a, b: a * b % p, lambda x, a, b: (x + a * b) % p,
+                _array_inv(f))
+
+    return Kernel(axpy, add, sub, scale, matmul, pivot, lambda a: -a % p,
+                  arrays)
+
+
+def _table_kernel(f: Field) -> Kernel:
+    add_t, sub_t, mul_t = f.pair_tables()
+
+    def axpy(ys, c, xs):
+        mc = mul_t[c]
+        return [add_t[y][mc[x]] for y, x in zip(ys, xs)]
+
+    def entrywise(t):  # (A, B) -> t[a][b] at each entry
+        return lambda A, B: tuple([tuple([t[a][b] for a, b in zip(ra, rb)])
+                                   for ra, rb in zip(A, B)])
+
+    def scale(c, A):
+        mc = mul_t[c]
+        return tuple([tuple([mc[v] for v in row]) for row in A])
+
+    def matmul(A, B, ncols):
+        # row i of the product is the sum over k of A[i][k] B[k]
+        out = []
+        for row in A:
+            acc = [0] * ncols
+            for a, brow in zip(row, B):
+                if a:
+                    m = mul_t[a]
+                    acc = [add_t[s][m[b]] for s, b in zip(acc, brow)]
+            out.append(tuple(acc))
+        return tuple(out)
+
+    def pivot(R, r, c, reduce_up):
+        row = R[r]
+        if row[c] != 1:
+            m = mul_t[f.inv(row[c])]
+            row[c:] = [m[v] for v in row[c:]]
+        tail = row[c:]
+        for other in (R if reduce_up else R[r + 1:]):
+            a = other[c]
+            if a and other is not row:
+                m = mul_t[a]
+                other[c:] = [sub_t[v][m[t]] for v, t in zip(other[c:], tail)]
+
+    @lru_cache(maxsize=None)
+    def arrays():
+        add, _, mul, _ = f.packed_tables()
+        return (lambda a, b: mul[a, b], lambda x, a, b: add[x, mul[a, b]],
+                f.inv_table().__getitem__)
+
+    return Kernel(axpy, entrywise(add_t), entrywise(sub_t), scale, matmul,
+                  pivot, sub_t[0].__getitem__, arrays)
+
+
+def _scalar_kernel(f: Field) -> Kernel:
+    """Every entry through the scalar operations, one axpy per row."""
+
+    def axpy(ys, c, xs):
+        return [f.add(y, f.mul(c, x)) for y, x in zip(ys, xs)]
+
+    def plus(c):  # (A, B) -> A + c B
+        return lambda A, B: tuple([tuple(axpy(ra, c, rb))
+                                   for ra, rb in zip(A, B)])
+
+    def scale(c, A):
+        return tuple([tuple([f.mul(c, v) for v in row]) for row in A])
+
+    def matmul(A, B, ncols):
+        out = []
+        for row in A:
+            acc = [0] * ncols
+            for a, brow in zip(row, B):
+                if a:
+                    acc = axpy(acc, a, brow)
+            out.append(tuple(acc))
+        return tuple(out)
+
+    def pivot(R, r, c, reduce_up):
+        row = R[r]
+        if row[c] != 1:
+            inv = f.inv(row[c])
+            row[c:] = [f.mul(inv, v) for v in row[c:]]
+        tail = row[c:]
+        for other in (R if reduce_up else R[r + 1:]):
+            if other[c] and other is not row:
+                other[c:] = axpy(other[c:], f.neg(other[c]), tail)
+
+    @lru_cache(maxsize=None)
+    def arrays():
+        mul, add = _ufunc(f.mul, 2), _ufunc(f.add, 2)
+        return (mul, lambda x, a, b: add(x, mul(a, b)), _array_inv(f))
+
+    return Kernel(axpy, plus(1), plus(f.neg(1)), scale, matmul, pivot, f.neg,
+                  arrays)
+
+
+def _array_inv(f: Field):
+    if f.q <= _TABLE_MAX:
+        return f.inv_table().__getitem__
+    return _ufunc(f.inv, 1)
+
+
+def _ufunc(op, nargs):
+    """A scalar Field operation applied elementwise, int64 in and out."""
+    ufunc = np.frompyfunc(lambda *args: op(*map(int, args)), nargs, 1)
+    return lambda *arrays: ufunc(*arrays).astype(np.int64)
+
+
+def _packed_row_product(rows, other_rows, ncols: int, p: int):
+    """rows @ other_rows mod p as a tuple of row tuples, for (p - 1)^2
+    times the inner dimension below 2^64.
+
+    Row k of the right factor becomes one int with entry j in 64-bit slot
+    j: the bytes of array('Q', row) read in native byte order.  A product
+    row is then the integer sum of row[k] * packed[k] over k, whose slot j
+    is the exact dot product, since no slot can carry into the next; the
+    sums are cast back to unsigned 64-bit ints and reduced mod p once per
+    entry (Kronecker substitution, one matrix row at a time)."""
+    if not ncols:
+        return ((),) * len(rows)
+    order = sys.byteorder
+    width = 8 * ncols
+    packed = [int.from_bytes(array("Q", row).tobytes(), order)
+              for row in other_rows]
+    sums = b"".join([sum(map(operator.mul, row, packed)).to_bytes(width, order)
+                     for row in rows])
+    vals = [v % p for v in memoryview(sums).cast("Q")]
+    return tuple([tuple(vals[i:i + ncols]) for i in range(0, len(vals), ncols)])
 
 
 def field_arith(spec: FieldSpec) -> Field:

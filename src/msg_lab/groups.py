@@ -242,14 +242,6 @@ class ClassicalElement:
             raise ValueError("form mismatch")
         return ClassicalElement(self.matrix @ other.matrix, self.group_tag, self.form)
 
-    def equals(self, other):
-        """Group equality: modulo scalars for PSL_REP, exact otherwise."""
-        if self.group_tag != other.group_tag:
-            return False
-        if self.group_tag == PSL_REP:
-            return proj_equal(self.matrix, other.matrix)
-        return self.matrix == other.matrix
-
 
 def _check_alternating(j):
     """Require j invertible with j^T = -j and zero diagonal."""
@@ -325,11 +317,8 @@ def random_sl(n, spec, seed):
         raise ValueError("need n >= 2")
     field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     m = random_invertible(n, field, seed)
-    dinv = field.inv(m.det())
-    rows = [[m.entry(r, c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        rows[r][0] = field.mul(rows[r][0], dinv)
-    return ClassicalElement(Matrix.from_packed(field, rows), SL)
+    column0 = Matrix.diagonal(field, [field.inv(m.det())] + [1] * (n - 1))
+    return ClassicalElement(m @ column0, SL)
 
 
 def random_sp(n2, spec, seed, num_transvections=None):

@@ -2,20 +2,12 @@
 
 Matrices are immutable values: every operation returns a fresh Matrix.
 Entries are packed field elements, the integer encoding of gf, held as a
-tuple of row tuples of Python ints.  Over a prime field (e == 1) the
-arithmetic is inline mod p.  A product packs each row of its right factor
-into one int of 64-bit slots, so that a product row is one integer sum of
-the left row's entries times the packed rows, unpacked and reduced once
-per entry (_packed_row_product); where the right factor has one or two
-columns, or (p - 1)^2 times the inner dimension reaches 2^64, which p near
-2^31 allows, each entry is a dot product summed before its single
-reduction.  Over an extension field the arithmetic reads the pair tables
-of gf, which defer to the scalar Field operations above
-gf._PAIR_TABLE_MAX.  Rank, rref, det, inverse, solve, kernel_basis and
-the commutant bases all ride one Gauss-Jordan routine with first-nonzero
-pivot selection, so pivot choice is deterministic; rank and det clear
-only below the pivots.  charpoly reduces to Hessenberg form with the row
-kernel Field.row_axpy (the inline or tabled arithmetic of poly), and
+tuple of row tuples of Python ints, with their arithmetic on the kernel
+of the field (gf.Field.kernel), one call per matrix operation or pivot.
+Rank, rref, det, inverse, solve, kernel_basis and the commutant bases all
+ride one Gauss-Jordan routine with first-nonzero pivot selection, so
+pivot choice is deterministic; rank and det clear only below the pivots.
+charpoly reduces to Hessenberg form with the kernel's axpy, and
 min_rank_shift computes ranks only at the roots of the characteristic
 polynomial in F^x, found with the polynomial arithmetic of poly, so its
 cost grows with log q, not q; it takes them on the Hessenberg form H,
@@ -32,8 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +31,7 @@ import numpy as np
 
 from . import poly
 from .errors import BudgetError, UnsupportedCaseError
-from .gf import _PAIR_TABLE_MAX, _TABLE_MAX, Field
+from .gf import Field, power
 
 def _element(field: Field, a) -> int:
     """a as a packed element of field; ValueError outside [0, q)."""
@@ -184,38 +174,21 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same(other)
-        pairs = zip(self.rows, other.rows)
-        if self.field.e == 1:
-            p = self.field.p
-            return self._new([(a + b) % p for a, b in zip(ra, rb)]
-                             for ra, rb in pairs)
-        return self._tabled(pairs, 0)
+        rows = self.field.kernel().add(self.rows, other.rows)
+        return Matrix(self.field, rows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same(other)
-        pairs = zip(self.rows, other.rows)
-        if self.field.e == 1:
-            p = self.field.p
-            return self._new([(a - b) % p for a, b in zip(ra, rb)]
-                             for ra, rb in pairs)
-        return self._tabled(pairs, 1)
-
-    def _tabled(self, pairs, table: int) -> "Matrix":
-        """Entrywise pair_tables()[table] over pairs of rows (e > 1)."""
-        t = self.field.pair_tables()[table]
-        return self._new([t[a][b] for a, b in zip(ra, rb)] for ra, rb in pairs)
+        rows = self.field.kernel().sub(self.rows, other.rows)
+        return Matrix(self.field, rows, self.ncols)
 
     def __neg__(self) -> "Matrix":
         return Matrix.zeros(self.field, *self.shape) - self
 
     def scale(self, packed_scalar: int) -> "Matrix":
         f = self.field
-        s = _element(f, packed_scalar)
-        if f.e == 1:
-            p = f.p
-            return self._new([s * v % p for v in row] for row in self.rows)
-        mul = f.pair_tables()[2][s]
-        return self._new([mul[v] for v in row] for row in self.rows)
+        rows = f.kernel().scale(_element(f, packed_scalar), self.rows)
+        return Matrix(f, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -223,28 +196,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
-        if f.e == 1:
-            p = f.p
-            # packing pays off from three columns; one or two are dot
-            # products, as is any shape whose 64-bit slots could overflow
-            if other.ncols > 2 and (p - 1) ** 2 * other.nrows < 2**64:
-                return Matrix(f, _packed_row_product(self.rows, other.rows,
-                                                     other.ncols, p),
-                              other.ncols)
-            cols = list(zip(*other.rows)) or [()] * other.ncols
-            return self._new(([sum(map(operator.mul, row, col)) % p for col in cols]
-                              for row in self.rows), other.ncols)
-        # row i of the product is the sum over k of row[k] * other.rows[k]
-        add, _, mul = f.pair_tables()
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for a, orow in zip(row, other.rows):
-                if a:
-                    m = mul[a]
-                    acc = [add[s][m[b]] for s, b in zip(acc, orow)]
-            out.append(acc)
-        return self._new(out, other.ncols)
+        return Matrix(f, f.kernel().matmul(self.rows, other.rows, other.ncols),
+                      other.ncols)
 
     def matpow(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -277,16 +230,12 @@ class Matrix:
 
         Returns (R as a list of row lists, pivot column tuple, det_packed)
         where det_packed is the determinant when square and track_det is
-        set (0 when singular), else None.  Pivot inverses come from
-        Field.inv.  With reduce_up false only rows below a pivot are
-        cleared: R is then not reduced, but the pivots and det are the same.
+        set (0 when singular), else None.  Each pivot is one kernel pivot
+        step.  With reduce_up false only rows below a pivot are cleared: R
+        is then not reduced, but the pivots and det are the same.
         """
         f = self.field
-        prime = f.e == 1
-        if prime:
-            p = f.p
-        else:
-            _, sub, mul = f.pair_tables()
+        pivot = f.kernel().pivot
         R = [list(row) for row in self.rows]
         rows, cols = self.shape
         pivots = []
@@ -302,27 +251,9 @@ class Matrix:
                 R[r], R[i] = R[i], R[r]
                 if track_det:
                     det = f.neg(det)
-            row = R[r]
-            pv = row[c]
             if track_det:
-                det = f.mul(det, pv)
-            # entries left of column c are zero in every row from r down
-            if pv != f.one:
-                inv = f.inv(pv)
-                if prime:
-                    row[c:] = [v * inv % p for v in row[c:]]
-                else:
-                    m = mul[inv]
-                    row[c:] = [m[v] for v in row[c:]]
-            tail = row[c:]
-            for other in (R if reduce_up else R[r + 1:]):
-                a = other[c]
-                if a and other is not row:
-                    if prime:
-                        other[c:] = [(v - a * t) % p for v, t in zip(other[c:], tail)]
-                    else:
-                        m = mul[a]
-                        other[c:] = [sub[v][m[t]] for v, t in zip(other[c:], tail)]
+                det = f.mul(det, R[r][c])
+            pivot(R, r, c, reduce_up)
             pivots.append(c)
             r += 1
         if track_det:
@@ -382,6 +313,7 @@ class Matrix:
         free column c is 1 at c, minus column c of the reduced rows at the
         pivots, 0 elsewhere.  No elimination."""
         f = self.field
+        neg = f.kernel().neg
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         out = []
@@ -389,31 +321,9 @@ class Matrix:
             vec = [0] * self.ncols
             vec[c] = f.one
             for row, pc in zip(self.rows, pivots):
-                vec[pc] = f.neg(row[c])
+                vec[pc] = neg(row[c])
             out.append(Matrix(f, tuple([(v,) for v in vec]), 1))
         return out
-
-
-def _packed_row_product(rows, other_rows, ncols: int, p: int):
-    """rows @ other_rows mod p as a tuple of row tuples, for (p - 1)^2
-    times the inner dimension below 2^64.
-
-    Row k of the right factor becomes one int with entry j in 64-bit slot
-    j: the bytes of array('Q', row) read in native byte order.  A product
-    row is then the integer sum of row[k] * packed[k] over k, whose slot j
-    is the exact dot product, since no slot can carry into the next; the
-    sums are cast back to unsigned 64-bit ints and reduced mod p once per
-    entry (Kronecker substitution, one matrix row at a time)."""
-    if not ncols:
-        return ((),) * len(rows)
-    order = sys.byteorder
-    width = 8 * ncols
-    packed = [int.from_bytes(array("Q", row).tobytes(), order)
-              for row in other_rows]
-    sums = b"".join([sum(map(operator.mul, row, packed)).to_bytes(width, order)
-                     for row in rows])
-    vals = [v % p for v in memoryview(sums).cast("Q")]
-    return tuple([tuple(vals[i:i + ncols]) for i in range(0, len(vals), ncols)])
 
 
 # -- derived operations ----------------------------------------------------
@@ -478,8 +388,8 @@ def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
     n = m.nrows
     if m.ncols != n:
         raise ValueError("charpoly needs a square matrix")
-    axpy = f.row_axpy()
-    neg = f.neg if f.e == 1 else f.pair_tables()[1][0].__getitem__
+    kernel = f.kernel()
+    axpy, neg = kernel.axpy, kernel.neg
     H = [list(row) for row in m.rows]
     for c in range(n - 2):
         # clear column c below the subdiagonal with pivot row k
@@ -552,8 +462,9 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     if poly.pdeg(split) < 1:
         return MinRankShift(n, range(1, field.q))
     ranks = {}
+    neg = field.kernel().neg
     for factor in poly._edf(field, split, 1):
-        alpha = field.neg(factor[0])
+        alpha = neg(factor[0])
         ranks[alpha] = (H - Matrix.scalar(field, n, alpha)).rank()
     r = min(ranks.values())
     return MinRankShift(r, tuple(sorted(a for a, v in ranks.items() if v == r)))
@@ -594,47 +505,11 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
 _SPAN_CHUNK = 2**14  # span representatives per batched elimination
 
 
-def _array_ops(field: Field):
-    """(mul, fma, inv) on packed int64 arrays, elementwise with
-    broadcasting: mul(a, b) = a b, fma(x, a, b) = x + a b, and inv of
-    nonzero entries.  Mod p when e == 1, the packed tables when e > 1, and
-    the scalar Field operations where gf keeps no table."""
-    if field.q <= _TABLE_MAX:
-        inv = field.inv_table().__getitem__
-    else:
-        inv = _lifted(field.inv, 1)
-    if field.e == 1:
-        p = field.p
-        return (lambda a, b: a * b % p, lambda x, a, b: (x + a * b) % p, inv)
-    if field.q <= _PAIR_TABLE_MAX:
-        add, _, mul, _ = field.packed_tables()
-        return (lambda a, b: mul[a, b], lambda x, a, b: add[x, mul[a, b]], inv)
-    add, mul = _lifted(field.add, 2), _lifted(field.mul, 2)
-    return (mul, lambda x, a, b: add(x, mul(a, b)), inv)
-
-
-def _lifted(op, nargs):
-    """A scalar Field operation applied elementwise, int64 in and out."""
-    ufunc = np.frompyfunc(lambda *args: op(*map(int, args)), nargs, 1)
-    return lambda *arrays: ufunc(*arrays).astype(np.int64)
-
-
-def _array_pow(mul, a: np.ndarray, k: int) -> np.ndarray:
-    """a^k elementwise, k >= 0, by square and multiply with an array mul."""
-    out = np.ones_like(a)
-    while k:
-        if k & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        k >>= 1
-    return out
-
-
 def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
     """Determinants of a (B, n, n) int64 array of packed matrices, 0 for
     the singular ones, by one Gaussian elimination over the whole batch
     with the first nonzero pivot of each column.  mats is overwritten."""
-    mul, fma, inv = _array_ops(field)
+    mul, fma, inv = field.kernel().arrays()
     minus_one = field.neg(field.one)
     count, n = mats.shape[0], mats.shape[1]
     det = np.ones(count, dtype=np.int64)
@@ -683,7 +558,7 @@ def span_invertible_counts(
     if total > budget:
         raise BudgetError(f"span has {q}^{d} members, budget {budget}")
     n = basis[0].nrows
-    mul, fma, _ = _array_ops(field)
+    mul, fma, _ = field.kernel().arrays()
     g = math.gcd(n, q - 1)
     flat = [b.packed().reshape(n * n) for b in basis]
     # member m < q^d takes coefficient (m // q^i) % q on basis[i]; the
@@ -704,6 +579,6 @@ def span_invertible_counts(
         dets = _batched_dets(field, mats.reshape(-1, n, n))
         dets = dets[dets != 0]
         invertible += dets.size
-        powered = _array_pow(mul, dets, (q - 1) // g)
+        powered = power(mul, dets, (q - 1) // g)
         nth_powers += int((powered == field.one).sum())
     return (q - 1) * invertible, g * nth_powers

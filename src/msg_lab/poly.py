@@ -3,12 +3,10 @@
 A polynomial is a tuple of packed field elements, index = degree, with no
 trailing zeros; the zero polynomial is ().  The field argument `K` is a
 gf.Field.  Sums, products and remainders all run on one row kernel,
-axpy(ys, c, xs) = ys + c xs (K.row_axpy(), built once per field), inline
-mod p over a prime field and on the pair tables of K over an extension
-field, so they make no scalar Field call per coefficient.  K also
-supplies the scalar operations (add/mul/inv/neg/pow, zero, one, p, q,
-elements) for the one inverse per division and the scalar helpers peval,
-pderiv and psquarefree_part's p-th roots.  Sizes here are tiny (degree
+axpy(ys, c, xs) = ys + c xs (K.kernel().axpy).  K also supplies the
+scalar operations (add/mul/inv/neg/pow, zero, one, p, q, elements) for
+the one inverse per division and the scalar helpers peval, pderiv and
+psquarefree_part's p-th roots.  Sizes here are tiny (degree
 <= a few dozen), so everything is plain Python.
 """
 
@@ -34,7 +32,7 @@ def pdeg(f: Poly) -> int:
 def _combine(K, f: Poly, c: int, g: Poly) -> Poly:
     """f + c g."""
     zeros = [0] * max(len(f), len(g))
-    return pnorm(K.row_axpy()(list(f) + zeros[len(f):], c,
+    return pnorm(K.kernel().axpy(list(f) + zeros[len(f):], c,
                               list(g) + zeros[len(g):]))
 
 
@@ -60,7 +58,7 @@ def _product(axpy, f, g) -> list:
 def pmul(K, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
-    return pnorm(_product(K.row_axpy(), f, g))
+    return pnorm(_product(K.kernel().axpy, f, g))
 
 
 def pmonic(K, f: Poly) -> Poly:
@@ -90,7 +88,7 @@ def pdivmod(K, f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return (), f
-    axpy = K.row_axpy()
+    axpy = K.kernel().axpy
     n = len(g) - 1
     inv_lead = K.inv(g[-1])
     rem = list(f)
@@ -119,7 +117,7 @@ def _mulmod(K, mod: Poly):
     monic form of mod (the remainder is the same), with no quotient."""
     if not mod:
         raise ZeroDivisionError("polynomial division by zero")
-    axpy = K.row_axpy()
+    axpy = K.kernel().axpy
     n = len(mod) - 1
     neg_low = axpy([0] * n, K.neg(K.inv(mod[-1])), mod)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,20 @@ def test_prime_power_split():
         with pytest.raises(ValueError):
             prime_power_split(bad)
     assert spec_for_q(9).p == 3 and spec_for_q(9).e == 2
+
+
+def test_prime_power_split_of_word_size_prime_is_quick():
+    """Trial division stops at sqrt(q): the largest prime field below the
+    2^31 cap splits, and its PSL family parses, in under 0.1 s; the square
+    of a prime near sqrt(2^31) splits and a product of two such primes is
+    refused."""
+    start = time.perf_counter()
+    assert prime_power_split(2**31 - 1) == (2**31 - 1, 1)
+    assert parse_family("PSL:2:2147483647").field_schedule == (2**31 - 1,)
+    assert time.perf_counter() - start < 0.1
+    assert prime_power_split(46337**2) == (46337, 2)
+    with pytest.raises(ValueError):
+        prime_power_split(46337 * 46327)
 
 
 def test_family_parse_format_roundtrip():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from msg_lab.gf import GF, Field, FieldSpec, field_arith, find_irreducible
@@ -145,8 +146,10 @@ def test_packed_tables_match_scalar_ops():
                 assert int(add_t[a, b]) == field.add(a, b)
                 assert int(sub_t[a, b]) == field.sub(a, b)
                 assert int(mul_t[a, b]) == field.mul(a, b)
-    with pytest.raises(ValueError):
-        GF(2, 11).packed_tables()
+    for big in (GF(2, 11), GF(3, 7)):
+        for tables in (big.pair_tables, big.packed_tables):
+            with pytest.raises(ValueError):
+                tables()
 
 
 def _digit_add(field, a, b, sign=1):
@@ -231,3 +234,157 @@ def test_zero_inverse_rejected():
     for field in FIELDS:
         with pytest.raises(Exception):
             field.inv(field.zero)
+
+
+# Field.kernel() against the scalar Field operations.  Every element (and
+# pair, and triple for fma) of the small fields, random rows over the
+# larger ones: inline mod p (GF(2), GF(7), GF(2^31 - 1)), the pair tables
+# (GF(4), GF(9), GF(3^4)) and the scalar operations (GF(2^11), GF(3^7)).
+KERNEL_EXHAUSTIVE = [GF(2), GF(7), GF(2, 2), GF(3, 2)]
+KERNEL_RANDOM = [GF(3, 4), GF(2, 11), GF(3, 7), GF(2**31 - 1)]
+
+
+def _ref_matmul(field, A, B, ncols):
+    out = []
+    for row in A:
+        sums = []
+        for j in range(ncols):
+            acc = field.zero
+            for a, brow in zip(row, B):
+                acc = field.add(acc, field.mul(a, brow[j]))
+            sums.append(acc)
+        out.append(tuple(sums))
+    return tuple(out)
+
+
+def _ref_pivot(field, R, r, c, reduce_up):
+    inv = field.inv(R[r][c])
+    top = [field.mul(inv, v) for v in R[r]]
+    out = []
+    for i, row in enumerate(R):
+        if i == r:
+            out.append(top)
+        elif reduce_up or i > r:
+            out.append([field.sub(v, field.mul(row[c], t))
+                        for v, t in zip(row, top)])
+        else:
+            out.append(list(row))
+    return out
+
+
+def _pivot_input(field, rows, cols, r, c, value, rng):
+    """A rows x cols list of row lists, zero left of column c from row r
+    down, with value at (r, c) and random entries elsewhere."""
+    R = [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)]
+    for row in R[r:]:
+        row[:c] = [0] * c
+    R[r][c] = value
+    return R
+
+
+def _check_kernel_rows(field, ys, xs, scalars, rng):
+    """axpy, add, sub, scale, neg and arrays on the rows ys and xs of
+    equal length, at every scalar in scalars."""
+    k = field.kernel()
+    width = int(len(ys) ** 0.5) or 1
+    A = [tuple(ys[i:i + width]) for i in range(0, len(ys), width)]
+    B = [tuple(xs[i:i + width]) for i in range(0, len(xs), width)]
+    assert k.add(A, B) == tuple(tuple(map(field.add, a, b)) for a, b in zip(A, B))
+    assert k.sub(A, B) == tuple(tuple(map(field.sub, a, b)) for a, b in zip(A, B))
+    assert [k.neg(y) for y in ys] == [field.neg(y) for y in ys]
+    for c in scalars:
+        assert k.axpy(ys, c, xs) == [field.add(y, field.mul(c, x))
+                                     for y, x in zip(ys, xs)]
+        assert k.axpy(ys[:3], c, xs) == k.axpy(ys, c, xs)[:3]
+        assert k.scale(c, A) == tuple(tuple(field.mul(c, v) for v in row)
+                                      for row in A)
+    mul, fma, inv = k.arrays()
+    a, b = np.array(ys, dtype=np.int64), np.array(xs, dtype=np.int64)
+    assert mul(a, b).tolist() == list(map(field.mul, ys, xs))
+    x = np.array([rng.randrange(field.q) for _ in ys], dtype=np.int64)
+    assert fma(x, a, b).tolist() == [field.add(int(v), field.mul(y, w))
+                                     for v, y, w in zip(x, ys, xs)]
+    nonzero = [y for y in ys if y]
+    assert inv(np.array(nonzero, dtype=np.int64)).tolist() == \
+        [field.inv(y) for y in nonzero]
+    assert k.arrays() is k.arrays()
+
+
+def _check_kernel_matrices(field, rng, values):
+    """matmul on every shape up to 6 x 6 by 6 x 6, zero dimensions and
+    1, 2 and 3 right-hand columns included, and pivot at every pivot
+    value in values, both ways."""
+    k = field.kernel()
+    for rows, inner, ncols in [(0, 3, 3), (3, 0, 3), (2, 3, 0)] + [
+            (rng.randrange(1, 7), rng.randrange(1, 7), ncols)
+            for ncols in (1, 2, 3, 4, 6) for _ in range(4)]:
+        A = [tuple(rng.randrange(field.q) for _ in range(inner))
+             for _ in range(rows)]
+        B = [tuple(rng.randrange(field.q) for _ in range(ncols))
+             for _ in range(inner)]
+        assert k.matmul(A, B, ncols) == _ref_matmul(field, A, B, ncols)
+    for value in values:
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
+        r, c = rng.randrange(rows), rng.randrange(cols)
+        for reduce_up in (True, False):
+            R = _pivot_input(field, rows, cols, r, c, value, rng)
+            expected = _ref_pivot(field, R, r, c, reduce_up)
+            k.pivot(R, r, c, reduce_up)
+            assert R == expected
+
+
+def test_kernel_exhaustive_small_fields(rng):
+    """Every kernel member over GF(2), GF(7), GF(4) and GF(9): axpy and
+    scale at every scalar on the rows of all pairs (a, b), add, sub, neg,
+    the array mul, fma and inv on all of them, the q x q matrices of all
+    pairs multiplied, and a pivot at every nonzero pivot value."""
+    for field in KERNEL_EXHAUSTIVE:
+        elems = list(field.elements())
+        ys = [a for a in elems for _ in elems]
+        xs = [b for _ in elems for b in elems]
+        _check_kernel_rows(field, ys, xs, elems, rng)
+        k = field.kernel()
+        mul, fma, _ = k.arrays()
+        triples = np.array(list(np.ndindex(field.q, field.q, field.q)))
+        assert fma(*triples.T).tolist() == [
+            field.add(int(x), field.mul(int(a), int(b))) for x, a, b in triples]
+        square = [tuple(xs[i:i + field.q]) for i in range(0, len(xs), field.q)]
+        assert k.matmul(square, square, field.q) == \
+            _ref_matmul(field, square, square, field.q)
+        _check_kernel_matrices(field, rng, list(field.nonzero_elements()) * 3)
+
+
+def test_kernel_random_rows_larger_fields(rng):
+    """Every kernel member on random rows over GF(3^4), GF(2^11), GF(3^7)
+    and GF(2^31 - 1), and GF(2^31 - 1) products on both sides of the
+    64-bit slot limit: (p - 1)^2 times an inner dimension of 4 fits, of 5
+    does not."""
+    for field in KERNEL_RANDOM:
+        ys = [rng.randrange(field.q) for _ in range(64)] + [0, 1, field.q - 1]
+        xs = [rng.randrange(field.q) for _ in range(64)] + [field.q - 1] * 3
+        scalars = [0, 1, field.q - 1] + [rng.randrange(field.q) for _ in range(5)]
+        _check_kernel_rows(field, ys, xs, scalars, rng)
+        values = [1, field.q - 1] + [rng.randrange(1, field.q) for _ in range(10)]
+        _check_kernel_matrices(field, rng, values)
+    big = GF(2**31 - 1)
+    top = big.q - 1
+    for inner in range(1, 8):
+        for A in ([(top,) * inner] * 2,
+                  [tuple(rng.randrange(big.q) for _ in range(inner))] * 2):
+            B = [(top,) * 4] * inner
+            assert big.kernel().matmul(A, B, 4) == _ref_matmul(big, A, B, 4)
+
+
+def test_kernel_built_on_first_use_and_kept():
+    """A Field builds no kernel, and a kernel no array tables, until asked:
+    the kernel is made on the first kernel() call and kept, and the
+    packed and inverse tables wait for the first arrays() call."""
+    for spec in (GF(7).spec, GF(3, 2).spec, GF(2, 11).spec):
+        field = Field(spec)
+        assert field._kernel is None
+        k = field.kernel()
+        assert field.kernel() is k
+        k.matmul([(1, 1)], [(1,), (1,)], 1)
+        assert field._inv_table is None and field._packed_tables is None
+        k.arrays()
+        assert field._inv_table is not None

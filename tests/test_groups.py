@@ -6,7 +6,8 @@ from msg_lab.groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                             ClassicalElement, Permutation, PSLDescriptor,
                             enumerate_alternating, enumerate_gl2,
                             enumerate_psl2, enumerate_sl2,
-                            perm_compose, psl_canonical, random_even_perm,
+                            perm_compose, proj_equal, psl_canonical,
+                            random_even_perm,
                             random_invertible, random_perm, random_sl,
                             random_sp, standard_symplectic_form)
 from msg_lab.linalg import Matrix
@@ -142,10 +143,11 @@ def test_classical_equality_modulo_centre():
     m = Matrix.diagonal(field, [2, 3])  # det 6 = 1
     a = ClassicalElement(m, PSL_REP)
     b = ClassicalElement(m.scale(4), PSL_REP)  # 4^2 = 16 = 1, det kept
-    assert a.equals(b)
+    assert a != b and proj_equal(a.matrix, b.matrix)
+    assert a == ClassicalElement(m, PSL_REP)
     c = ClassicalElement(m, GL)
     d = ClassicalElement(m.scale(4), GL)
-    assert not c.equals(d)
+    assert c != d and c == ClassicalElement(m, GL)
     with pytest.raises(ValueError):
         ClassicalElement(Matrix.diagonal(field, [2, 1]), PSL_REP)
 

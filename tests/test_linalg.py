@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msg_lab import gf
 from msg_lab import linalg as L
 from msg_lab import poly
 from msg_lab.constructions import check_split_condition, prepare_near_root
@@ -63,9 +64,10 @@ def test_packed_row_product_matches_dot_products(rng):
     field of FIELDS on shapes with 0 rows, columns or inner dimension, 1 x n,
     n x 1 and n x n up to 12, and right factors of 1, 2 and 3 columns on
     both sides of the switch to the dot form below 3 columns, where
-    _packed_row_product itself is checked too; and GF(2^31 - 1) with
+    gf._packed_row_product itself is checked too; and GF(2^31 - 1) with
     inner dimension 1 to 6, random and all entries p - 1, where (p - 1)^2
-    times the inner dimension is below 2^64 up to 4 and above it from 5."""
+    times the inner dimension is below 2^64 up to 4 and above it from 5.
+    Matrix products and the kernel's matmul give the same rows."""
     big = GF(2**31 - 1)
     cases = []
     for field in [f for f in FIELDS if f.e == 1]:
@@ -78,7 +80,7 @@ def test_packed_row_product_matches_dot_products(rng):
         for r, k, c in narrow:
             a = _rand_matrix(field, r, k, rng)
             b = _rand_matrix(field, k, c, rng)
-            assert L._packed_row_product(a.rows, b.rows, c, field.p) == \
+            assert gf._packed_row_product(a.rows, b.rows, c, field.p) == \
                 _dot_product(a, b)
         shapes += narrow
         for r, k, c in shapes:
@@ -98,6 +100,7 @@ def test_packed_row_product_matches_dot_products(rng):
         product = a @ b
         assert product.shape == (a.nrows, b.ncols)
         assert product.rows == _dot_product(a, b)
+        assert a.field.kernel().matmul(a.rows, b.rows, b.ncols) == product.rows
     assert (Matrix.from_packed(big, [[big.p - 1] * 5]) @
             Matrix.from_packed(big, [[big.p - 1]] * 5)).rows == ((5,),)
 

@@ -257,9 +257,10 @@ def test_ppowmod_squares_and_multiplies_left_to_right(monkeypatch):
 
 
 def test_prime_field_builds_no_pair_tables():
-    """Over a prime field the row kernel is inline mod p: no pair tables,
+    """Over a prime field the kernel is inline mod p: no pair tables,
     which would hold q^2 entries, are built by the polynomial arithmetic
-    or by a projective rank over a fresh GF(1021)."""
+    or by a projective rank over a fresh GF(1021), and no inverse table
+    either, since neither reads the kernel's arrays."""
     field = Field(FieldSpec(1021, 1, (0, 1)))
     f = (5, 0, 1020, 3, 1)
     assert poly.pfactor_distinct(field, f) == poly.pfactor_distinct(GF(1021), f)
@@ -269,16 +270,24 @@ def test_prime_field_builds_no_pair_tables():
     assert min_rank_shift(g, Matrix.identity(field, 3)) == \
         min_rank_shift(Matrix.from_packed(GF(1021), g.rows),
                        Matrix.identity(GF(1021), 3))
-    assert field._pair_tables is None
+    assert field._kernel is not None
+    assert field._pair_tables is None and field._inv_table is None
 
 
 def test_row_kernel_built_once_per_field(monkeypatch):
-    """Field.row_axpy is built on first use and kept: gcds, products and
-    powers over a fresh GF(9) read the pair tables once, not per call."""
+    """Field.kernel is built on first use and kept: gcds, products and
+    powers over a fresh GF(9), and matrix sums, products and eliminations,
+    read the pair tables once, not per call."""
     field = Field(GF(3, 2).spec)
     f, g = (1, 2, 0, 1), (4, 1, 1)
     expected = (poly.pgcd(GF(3, 2), f, g), poly.pmul(GF(3, 2), f, g),
                 poly.ppowmod(GF(3, 2), (0, 1), 9, f))
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 0]]
+
+    def matrix_ops(m):
+        return (m @ m + m - m.scale(2)).rref()
+
+    expected_m = matrix_ops(Matrix.from_packed(GF(3, 2), rows))
     calls = []
     tables = Field.pair_tables
 
@@ -287,8 +296,11 @@ def test_row_kernel_built_once_per_field(monkeypatch):
         return tables(self)
 
     monkeypatch.setattr(Field, "pair_tables", counted)
+    m = Matrix.from_packed(field, rows)
     for _ in range(3):
         assert (poly.pgcd(field, f, g), poly.pmul(field, f, g),
                 poly.ppowmod(field, (0, 1), 9, f)) == expected
-    assert field.row_axpy() is field.row_axpy()
+        reduced, pivots = matrix_ops(m)
+        assert (reduced.rows, pivots) == (expected_m[0].rows, expected_m[1])
+    assert field.kernel() is field.kernel()
     assert sum(c is field for c in calls) == 1
