@@ -485,13 +485,14 @@ def _table_kernel(f: Field) -> Kernel:
 
 
 def _scalar_kernel(f: Field) -> Kernel:
-    """Every entry through the scalar operations, one axpy per row."""
+    """Every entry through the scalar operations; products and pivots take
+    one axpy per row."""
 
     def axpy(ys, c, xs):
         return [f.add(y, f.mul(c, x)) for y, x in zip(ys, xs)]
 
-    def plus(c):  # (A, B) -> A + c B
-        return lambda A, B: tuple([tuple(axpy(ra, c, rb))
+    def entrywise(op):  # (A, B) -> op(a, b) at each entry
+        return lambda A, B: tuple([tuple(map(op, ra, rb))
                                    for ra, rb in zip(A, B)])
 
     def scale(c, A):
@@ -522,8 +523,8 @@ def _scalar_kernel(f: Field) -> Kernel:
         mul, add = _ufunc(f.mul, 2), _ufunc(f.add, 2)
         return (mul, lambda x, a, b: add(x, mul(a, b)), _array_inv(f))
 
-    return Kernel(axpy, plus(1), plus(f.neg(1)), scale, matmul, pivot, f.neg,
-                  arrays)
+    return Kernel(axpy, entrywise(f.add), entrywise(f.sub), scale, matmul,
+                  pivot, f.neg, arrays)
 
 
 def _array_inv(f: Field):

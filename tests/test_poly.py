@@ -195,7 +195,7 @@ def _ref_combine(op, K, f, g):
 
 # prime fields inline mod p, small and word-sized; extension fields on the
 # pair tables, char 2 and odd; GF(2^11) above gf._PAIR_TABLE_MAX, where the
-# tables call the scalar operations
+# kernel calls the scalar operations
 _KERNEL_FIELDS = [GF(2), GF(7), GF(2, 2), GF(3, 2), GF(3, 4), GF(2, 11),
                   GF(2**31 - 1)]
 
