@@ -120,7 +120,7 @@ def centralizer_factorization(x, dec):
     return CentralizerDescriptor(tuple(factors), total)
 
 
-def perm_centralizer_structure(sigma, n=None):
+def perm_centralizer_structure(sigma):
     """Wreath-product factorization of a permutation centralizer in S_n.
 
     One factor C_k wr S_{m_k} per cycle length k with multiplicity m_k
@@ -129,9 +129,6 @@ def perm_centralizer_structure(sigma, n=None):
     """
     if not isinstance(sigma, Permutation):
         raise TypeError("expected a Permutation")
-    if n is not None and n != sigma.n:
-        raise ValueError("n does not match the permutation degree")
-    n = sigma.n
     mult = {}
     for c in sigma.cycles(include_fixed=True):
         mult[len(c)] = mult.get(len(c), 0) + 1

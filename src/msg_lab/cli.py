@@ -41,12 +41,10 @@ def _parse_matrix_like(field, text):
     return parse_matrix(field, text)
 
 
-def _field_from_args(args, required=True):
+def _field_from_args(args):
     if getattr(args, "field", None):
         return parse_field(args.field)
-    if required:
-        raise ValueError("this input needs --field")
-    return None
+    raise ValueError("this input needs --field")
 
 
 def _cmd_metric(args):
@@ -94,7 +92,7 @@ def _cmd_prepare(args):
     _print_kv("x", format_matrix(x))
     _print_kv("k", dec.k)
     _print_kv("alpha", dec.alpha)
-    _print_kv("dim_L", len(dec.L_basis))
+    _print_kv("dim_L", dec.dim_L)
     _print_kv("dim_S", dec.dim_S)
     _print_kv("rank_x_minus_y", (x - y).rank())
     _print_kv("rank_shift", shift.rank())

@@ -60,71 +60,56 @@ COMMUTATOR_BUDGET = 10**4  # elements in a commutator witness enumeration
 class SplitDecomposition:
     """A splitting V = L + S with the exponent data (k, alpha).
 
-    L_basis and S_basis are tuples of column vectors (n x 1 matrices)
-    that together form a basis of the space; k is coprime to the
+    Each subspace is one matrix: L is n x dim L and S is n x dim S, and
+    their columns together form a basis of the space; k is coprime to the
     characteristic and alpha is a nonzero packed field element.
     """
 
-    L_basis: tuple
-    S_basis: tuple
+    L: Matrix
+    S: Matrix
     k: int
     alpha: int
 
     def __post_init__(self):
-        object.__setattr__(self, "L_basis", tuple(self.L_basis))
-        object.__setattr__(self, "S_basis", tuple(self.S_basis))
-        combined = self.L_basis + self.S_basis
-        if not combined:
+        if self.L.field != self.S.field or self.L.nrows != self.S.nrows:
+            raise ValueError("L and S must share the field and the row count")
+        if not self.n:
             raise ValueError("empty decomposition")
-        field = combined[0].field
-        n = combined[0].nrows
-        for v in combined:
-            if v.field != field or v.shape != (n, 1):
-                raise ValueError("basis vectors must be columns over one field")
         object.__setattr__(self, "k", _integer("k", self.k))
         if self.k < 1:
             raise ValueError("k must be positive")
-        if math.gcd(self.k, field.p) != 1:
+        if math.gcd(self.k, self.field.p) != 1:
             raise ValueError("k must be coprime to the characteristic")
-        object.__setattr__(self, "alpha", _check_alpha(field, self.alpha))
-        if len(combined) != n:
+        object.__setattr__(self, "alpha", _check_alpha(self.field, self.alpha))
+        if self.dim_L + self.dim_S != self.n:
             raise ValueError("L and S do not fill the space")
-        basis = Matrix.hstack(combined)
         try:
-            inverse = basis.inverse()
+            inverse = Matrix.hstack([self.L, self.S]).inverse()
         except ZeroDivisionError:
             raise ValueError("L and S columns are not a basis") from None
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_l_matrix", basis.block(0, n, 0, self.dim_L))
         object.__setattr__(self, "_l_coordinates",
-                           inverse.block(0, self.dim_L, 0, n))
+                           inverse.block(0, self.dim_L, 0, self.n))
 
     @property
     def field(self):
-        return self._basis.field
+        return self.L.field
 
     @property
     def n(self):
-        return self._basis.nrows
+        return self.L.nrows
 
     @property
     def dim_L(self):
-        return len(self.L_basis)
+        return self.L.ncols
 
     @property
     def dim_S(self):
-        return len(self.S_basis)
-
-    def L_matrix(self):
-        return self._l_matrix
+        return self.S.ncols
 
     def L_coordinates(self):
-        """T, the dim L x n matrix of the L rows of basis()^-1: T v is the
+        """T, the dim L x n matrix of the L rows of [L | S]^-1: T v is the
         L part of the coordinates of v in [L | S], so T L = 1 and T S = 0."""
         return self._l_coordinates
-
-    def basis(self):
-        return self._basis
 
 
 def _integer(name, value):
@@ -154,40 +139,37 @@ def _greedy_orbits(candidates, start=None, x=None, deg=1):
     v, x v, ..., x^(deg-1) v into the span, and the orbit must be
     independent of it (true for a simple module that meets the span
     trivially).  Returns the picked orbits side by side, an m x (deg *
-    picks) matrix.  The span is held as one incremental echelon basis, so
-    each candidate costs O(m^2).
+    picks) matrix: a subspace is one matrix, and so is `start`.
+
+    Precondition when deg > 1: span(start) is x-invariant.  The three
+    calls in _repair_block meet it: im a_f with a_f commuting with x_f,
+    the orbit span kdom, and no start.  Then the span of the start and
+    the orbits picked so far is invariant and holds the orbit of every
+    candidate it holds, so one rref of [start | orbits of every
+    candidate], column deg j + i of the orbits holding x^i c_j, makes the
+    walk: the picks are the candidates whose own column is a pivot, and a
+    pick's whole orbit must be pivots.
     """
     field = candidates.field
     m = candidates.nrows
-    echelon = []  # (pivot, column): 1 at its pivot, 0 at earlier pivots
-
-    def insert(v):
-        """Add column v to the span; False when it was already inside."""
-        for c, b in echelon:
-            if v.entry(c, 0):
-                v = v - b.scale(v.entry(c, 0))
-        c = next((i for i, (a,) in enumerate(v.rows) if a), None)
-        if c is None:
-            return False
-        echelon.append((c, v.scale(field.inv(v.entry(c, 0)))))
-        return True
-
-    for col in (start.columns() if start is not None else ()):
-        insert(col)
+    if start is None:
+        start = Matrix.zeros(field, m, 0)
+    powers = [candidates]
+    for _ in range(deg - 1):
+        powers.append(x @ powers[-1])
+    orbits = candidates._new(([v for vs in zip(*rows) for v in vs]
+                              for rows in zip(*[p.rows for p in powers])),
+                             deg * candidates.ncols)
+    _, pivots = Matrix.hstack([start, orbits]).rref()
+    pivots = {c - start.ncols for c in pivots}
     picked = []
-    for col in candidates.columns():
-        if len(echelon) == m:
-            break
-        if insert(col):
-            orbit = [col]
-            for _ in range(deg - 1):
-                orbit.append(x @ orbit[-1])
-                if not insert(orbit[-1]):
-                    raise AssertionError("an orbit meets the span")
+    for c in range(0, orbits.ncols, deg):
+        if c in pivots:
+            orbit = range(c, c + deg)
+            if not pivots.issuperset(orbit):
+                raise AssertionError("an orbit meets the span")
             picked.extend(orbit)
-    if picked:
-        return Matrix.hstack(picked)
-    return Matrix.zeros(field, m, 0)
+    return orbits.take_columns(picked)
 
 
 def prepare_near_root(y, k, alpha):
@@ -217,11 +199,10 @@ def prepare_near_root(y, k, alpha):
     alpha = _check_alpha(field, alpha)
 
     defect = y.matpow(k) - Matrix.scalar(field, n, alpha)
-    kerl = defect.kernel_basis()
-    free = [max(i for i, (a,) in enumerate(v.rows) if a) for v in kerl]
-    pivots = [c for c in range(n) if c not in free]
+    reduced, pivots = defect.rref()
+    L = reduced.rref_kernel_basis(pivots)
+    free = [c for c in range(n) if c not in pivots]
     ident = Matrix.identity(field, n)
-    L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
     S = ident.take_columns(pivots)
     # the rows of (x - 1)^T: the columns of y L - L at free, zero elsewhere
     u_cols = dict(zip(free, (y @ L - L).transpose().rows))
@@ -229,7 +210,7 @@ def prepare_near_root(y, k, alpha):
     x = ident + Matrix(field, tuple([u_cols.get(c, zero) for c in range(n)]),
                        n).transpose()
 
-    dec = SplitDecomposition(tuple(kerl), tuple(S.columns()), k, alpha)
+    dec = SplitDecomposition(L, S, k, alpha)
     # exact postconditions; cheap at these sizes
     assert dec.dim_S == len(pivots)
     assert (x - y).rank() <= len(pivots)
@@ -241,7 +222,7 @@ def check_split_condition(x, dec):
     """Raise ValueError unless x preserves L, is the identity on S, and
     satisfies (x restricted to L)^k = alpha * identity.
 
-    Returns x|L, the dim L x dim L matrix C of x in the basis L_basis.
+    Returns x|L, the dim L x dim L matrix C of x in the basis L.
     With P = [L | S] and T = dec.L_coordinates() (T L = 1, T S = 0),
     C = T x L, and x preserves L exactly when x L = L C.  Then, with
     U = x L - L, (x - 1) P = [U | x S - S] and U T P = [U | 0], so x is the
@@ -257,7 +238,7 @@ def _split_condition(x, dec):
     n = x.nrows
     if dec.n != n or dec.field != field:
         raise ValueError("decomposition does not match the matrix")
-    L = dec.L_matrix()
+    L = dec.L
     T = dec.L_coordinates()
     xL = x @ L
     C = T @ xL
@@ -278,15 +259,15 @@ def _repair_block(x_f, a_f, deg):
     polynomial equal to a single irreducible of degree deg)."""
     field = a_f.field
     m = a_f.nrows
-    kerl = a_f.kernel_basis()
-    if not kerl:
+    ker = a_f.kernel_basis()
+    if not ker.ncols:
         return Matrix.zeros(field, m, m)
     ident = Matrix.identity(field, m)
     # an invariant complement of the image (target of the correction)
     compl_of_image = _greedy_orbits(ident, a_f, x_f, deg)
     # the kernel as concatenated orbits of greedy generators
-    kdom = _greedy_orbits(Matrix.hstack(kerl), None, x_f, deg)
-    assert kdom.ncols == len(kerl) == compl_of_image.ncols
+    kdom = _greedy_orbits(ker, None, x_f, deg)
+    assert kdom.ncols == ker.ncols == compl_of_image.ncols
     # send the i-th kernel orbit onto the i-th complement orbit and kill an
     # invariant complement of the kernel
     rest = _greedy_orbits(ident, kdom, x_f, deg)
@@ -333,9 +314,7 @@ def approx_centralize(x, dec, phi):
     blocks = [(f, w_cols @ basis)
               for f, basis in primary_blocks(x_w, k, dec.alpha)]
     t_minus_1 = (field.neg(field.one), field.one)
-    s_list = reduced.rref_kernel_basis(pivots)
-    if s_list:
-        blocks.append((t_minus_1, Matrix.hstack(s_list)))
+    blocks.append((t_minus_1, reduced.rref_kernel_basis(pivots)))
     Q = Matrix.hstack([basis for _, basis in blocks])
     Qinv = Q.inverse()
     cx = Matrix.identity(field, n) + (Qinv @ U) @ (T @ Q)
@@ -635,17 +614,16 @@ def commutator_witness_table(elements, key_fn=None):
     return table
 
 
-def commutator_witness(g, elements, key_fn=None, table=None):
+def commutator_witness(g, elements, key_fn=None):
     """An exact witness (a, b) with g = a^-1 b^-1 a b, or None after an
-    exhaustive scan of the enumeration.  Without a table the pairs are
-    scanned in the table's order up to the first hit, so the witness is
-    the one commutator_witness_table records."""
+    exhaustive scan of the enumeration.  The pairs are scanned in the
+    table's order up to the first hit, so the witness is the one
+    commutator_witness_table records (a caller holding that table reads
+    table.get(key) instead)."""
     _, _, key = _element_ops(g)
     if key_fn is not None:
         key = key_fn
     target = key(g)
-    if table is not None:
-        return table.get(target)
     check_commutator_budget(len(elements))
     return next(((a, b) for gk, a, b in _commutators(elements, key_fn)
                  if gk == target), None)

@@ -9,11 +9,10 @@ every row can be regenerated independently because the per-trial
 generator is derived from (seed, family index, trial) alone.
 """
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import poly
 from .constructions import build_niceblock, prepare_near_root
@@ -70,13 +69,16 @@ class FamilyDescriptor:
     size_schedule must be strictly increasing.  For PSL families the
     field schedule pairs with the sizes, and the declared characteristic
     is forced: the common characteristic if all fields share one, or
-    infinite if the characteristics strictly increase.
+    infinite if the characteristics strictly increase.  row_specs holds
+    the FieldSpec of each PSL row, built once here for the experiments.
     """
 
     kind: str
     size_schedule: tuple
     field_schedule: tuple = ()
     declared_characteristic: object = None
+    row_specs: tuple = dataclasses.field(default=(), init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "size_schedule",
@@ -97,9 +99,11 @@ class FamilyDescriptor:
         elif self.kind == PSL_FAMILY:
             if len(self.field_schedule) != len(sizes):
                 raise ValueError("field schedule must pair with sizes")
-            chars = [prime_power_split(q)[0] for q in self.field_schedule]
-            for n, q in zip(sizes, self.field_schedule):
-                PSLDescriptor(n, spec_for_q(q))
+            specs = tuple(spec_for_q(q) for q in self.field_schedule)
+            chars = [spec.p for spec in specs]
+            for n, spec in zip(sizes, specs):
+                PSLDescriptor(n, spec)
+            object.__setattr__(self, "row_specs", specs)
             if all(c == chars[0] for c in chars):
                 computed = chars[0]
             elif all(b > a for a, b in zip(chars, chars[1:])):
@@ -206,7 +210,7 @@ def equivalence_experiment(family, trials, seed):
             group = AlternatingDescriptor(n)
             spec = None
         else:
-            spec = spec_for_q(q)
+            spec = family.row_specs[fi]
             group = PSLDescriptor(n, spec)
         for trial in range(trials):
             rng = rng_for(seed, fi, trial)
@@ -234,8 +238,7 @@ def equivalence_experiment(family, trials, seed):
 def _order_p_semisimple(field, p, n):
     """x in GL_n with x^p = I, x != I, annihilated by squarefree T^p - 1."""
     target = (field.neg(field.one),) + (field.zero,) * (p - 1) + (field.one,)
-    factors = sorted(poly.pfactor_distinct(field, target),
-                     key=lambda t: (len(t), t))
+    factors = poly.pfactor_distinct(field, target)
     t_minus_1 = (field.neg(field.one), field.one)
     nontrivial = [f for f in factors if f != t_minus_1]
     d = len(nontrivial[0]) - 1
@@ -244,14 +247,14 @@ def _order_p_semisimple(field, p, n):
             "an order-%d semisimple element needs dimension >= %d, have %d"
             % (p, d, n))
     f = nontrivial[0]
-    packed = np.zeros((n, n), dtype=np.int64)
+    rows = [[0] * n for _ in range(n)]
     for i in range(1, d):
-        packed[i, i - 1] = field.one
+        rows[i][i - 1] = field.one
     for i in range(d):
-        packed[i, d - 1] = field.neg(f[i])
+        rows[i][d - 1] = field.neg(f[i])
     for i in range(d, n):
-        packed[i, i] = field.one
-    return Matrix.from_packed(field, packed), d
+        rows[i][i] = field.one
+    return Matrix.from_packed(field, rows), d
 
 
 def fingerprint_experiment(family, primes, seed):
@@ -273,7 +276,7 @@ def fingerprint_experiment(family, primes, seed):
             raise ValueError("%d is not prime" % p)
     rows = []
     for fi, n, q in family.rows():
-        spec = spec_for_q(q)
+        spec = family.row_specs[fi]
         field = field_arith(spec)
         for p in primes:
             tag = "p%d" % p

@@ -281,14 +281,14 @@ def rank_metric_chain(g, max_step):
     return _assemble(elements, PRANK, g, 0, 0, n, None)
 
 
-def verify_chain(chain, kind=None):
+def verify_chain(chain):
     """Recompute every step of a chain from scratch and compare.
 
     Mismatches are collected and reported, never raised; valid means the
     endpoints, every step annotation, the total, and the overshoot all
     agree with independent recomputation.
     """
-    kind = kind if kind is not None else chain.kind
+    kind = chain.kind
     mismatches = []
     elements = chain.elements
     if not elements:

@@ -88,21 +88,13 @@ class FieldSpec:
             raise ValueError("modulus coefficients must lie in [0, p)")
         if m[-1] != 1:
             raise ValueError("modulus must be monic")
-        if self.e >= 2 and not _modulus_irreducible(self.p, m):
+        if self.e >= 2 and not poly.pirreducible(
+                Field(FieldSpec(self.p, 1, (0, 1))), m):
             raise ValueError(f"modulus {m} is reducible over GF({self.p})")
 
     @property
     def q(self) -> int:
         return self.p**self.e
-
-
-def _modulus_irreducible(p: int, modulus: tuple[int, ...]) -> bool:
-    base = Field(FieldSpec(p, 1, (0, 1)))
-    e = len(modulus) - 1
-    if e <= 3 and p <= 4096:
-        # for degrees 2 and 3 reducibility forces a linear factor
-        return all(poly.peval(base, modulus, a) != 0 for a in range(p))
-    return poly.pirreducible(base, modulus)
 
 
 @lru_cache(maxsize=None)
@@ -561,13 +553,9 @@ def _packed_row_product(rows, other_rows, ncols: int, p: int):
     return tuple([tuple(vals[i:i + ncols]) for i in range(0, len(vals), ncols)])
 
 
-def field_arith(spec: FieldSpec) -> Field:
-    """Arithmetic bundle for a validated field spec."""
-    return _field_cached(spec)
-
-
 @lru_cache(maxsize=None)
-def _field_cached(spec: FieldSpec) -> Field:
+def field_arith(spec: FieldSpec) -> Field:
+    """Arithmetic bundle for a validated field spec, one per spec."""
     return Field(spec)
 
 

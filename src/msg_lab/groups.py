@@ -321,16 +321,14 @@ def random_sl(n, spec, seed):
     return ClassicalElement(m @ column0, SL)
 
 
-def random_sp(n2, spec, seed, num_transvections=None):
-    """Random symplectic matrix: a product of >= 3*n2 random transvections."""
+def random_sp(n2, spec, seed):
+    """Random symplectic matrix: a product of 3*n2 random transvections."""
     field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     rng = _as_rng(seed)
     j = standard_symplectic_form(field, n2)
-    if num_transvections is None:
-        num_transvections = 3 * n2
     q = field.q
     m = Matrix.identity(field, n2)
-    for _ in range(num_transvections):
+    for _ in range(3 * n2):
         while True:
             v = [rng.randrange(q) for _ in range(n2)]
             if any(v):

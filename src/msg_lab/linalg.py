@@ -7,6 +7,8 @@ of the field (gf.Field.kernel), one call per matrix operation or pivot.
 Rank, rref, det, inverse, solve, kernel_basis and the commutant bases all
 ride one Gauss-Jordan routine with first-nonzero pivot selection, so
 pivot choice is deterministic; rank and det clear only below the pivots.
+A subspace is one n x d Matrix whose columns are a basis of it: kernels,
+primary components and the halves of a split all come in that form.
 charpoly reduces to Hessenberg form with the kernel's axpy, and
 min_rank_shift computes ranks only at the roots of the characteristic
 polynomial in F^x, found with the polynomial arithmetic of poly, so its
@@ -141,12 +143,6 @@ class Matrix:
     def key(self) -> tuple:
         """Hashable identity, suitable for dict/set membership."""
         return (self.shape, tuple([v for row in self.rows for v in row]))
-
-    def col(self, j: int) -> "Matrix":
-        return self._new(([row[j]] for row in self.rows), 1)
-
-    def columns(self) -> list["Matrix"]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
         idx = list(idx)
@@ -301,29 +297,27 @@ class Matrix:
             out[c] = R[row_idx][cols:]
         return rhs._new(out)
 
-    def kernel_basis(self) -> list["Matrix"]:
-        """Column vectors spanning the right null space, in the
-        deterministic order induced by the free columns."""
+    def kernel_basis(self) -> "Matrix":
+        """The right null space as one ncols x nullity matrix, a column per
+        free column in ascending order (ncols x 0 when it is trivial)."""
         R, pivots, _ = self._gauss_jordan()
         return self._new(R).rref_kernel_basis(pivots)
 
-    def rref_kernel_basis(self, pivots: Sequence[int]) -> list["Matrix"]:
+    def rref_kernel_basis(self, pivots: Sequence[int]) -> "Matrix":
         """kernel_basis of a matrix already in reduced row echelon form
-        with pivot columns `pivots`, as rref returns them: the vector of
+        with pivot columns `pivots`, as rref returns them: the column of
         free column c is 1 at c, minus column c of the reduced rows at the
         pivots, 0 elsewhere.  No elimination."""
         f = self.field
         neg = f.kernel().neg
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        out = []
-        for c in free:
-            vec = [0] * self.ncols
-            vec[c] = f.one
-            for row, pc in zip(self.rows, pivots):
-                vec[pc] = neg(row[c])
-            out.append(Matrix(f, tuple([(v,) for v in vec]), 1))
-        return out
+        out = [[0] * len(free) for _ in range(self.ncols)]
+        for j, c in enumerate(free):
+            out[c][j] = f.one
+        for row, pc in zip(self.rows, pivots):
+            out[pc] = [neg(row[c]) for c in free]
+        return self._new(out, len(free))
 
 
 # -- derived operations ----------------------------------------------------
@@ -366,8 +360,8 @@ def twisted_commutant_basis(x: Matrix, lam: int) -> list[Matrix]:
                 eq[c * n + b] = field.add(eq[c * n + b], minus_lam_x[a][c])
             system.append(eq)
     kernel = x._new(system, n * n).kernel_basis()
-    return [x._new([v for (v,) in vec.rows[i * n:(i + 1) * n]] for i in range(n))
-            for vec in kernel]
+    return [x._new(vec[i * n:(i + 1) * n] for i in range(n))
+            for vec in zip(*kernel.rows)]
 
 
 def charpoly(m: Matrix) -> poly.Poly:
@@ -472,11 +466,11 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
 
 def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matrix]]:
     """Primary decomposition of the space under x, for x satisfying
-    (T^k - alpha)(T - 1) = 0: pairs (irreducible factor f, column basis
-    of ker f(x)), sorted by (degree, coefficients).  An irreducible f has
-    ker f(x) != 0 exactly when f divides chi = charpoly(x), so only the
-    factors of gcd(T^k - alpha, chi) are tried, and T - 1 (the identity
-    on the complement block) when chi(1) = 0."""
+    (T^k - alpha)(T - 1) = 0: pairs (irreducible factor f, ker f(x) as
+    one n x dim matrix), sorted by (degree, coefficients).  An irreducible
+    f has ker f(x) != 0 exactly when f divides chi = charpoly(x), so only
+    the factors of gcd(T^k - alpha, chi) are tried, and T - 1 (the
+    identity on the complement block) when chi(1) = 0."""
     field = x.field
     n = x.nrows
     target = (field.neg(alpha),) + (field.zero,) * (k - 1) + (field.one,)
@@ -487,9 +481,8 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
     blocks = []
     total = 0
     for f in sorted(factors, key=lambda t: (len(t), t)):
-        ker = evaluate_poly_at(f, x).kernel_basis()
-        if ker:
-            basis = Matrix.hstack(ker)
+        basis = evaluate_poly_at(f, x).kernel_basis()
+        if basis.ncols:
             blocks.append((f, basis))
             total += basis.ncols
     if total != n:

@@ -53,6 +53,7 @@ from .textio import format_field, format_matrix, format_value
 DEFAULT_SEED = 12345
 
 _PROP_FIELDS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2))
+_FLOAT_TOL = 1e-9  # slack of the float comparisons of the conjugacy metric
 
 
 @dataclass(frozen=True)
@@ -86,16 +87,17 @@ def _result(name, ok, rows, details, t0, extra=""):
 # -- shared instance stream for the three split-element suites -------------
 
 
-def _split_instances(seed, per_field, max_n=12, max_k=6):
+def _split_instances(seed, per_field):
     """Round-robin stream of (field, n, k, alpha, y, rng) over the six
-    standard fields, deterministic in (seed, field index, instance)."""
+    standard fields, n <= 12 and k <= 6, deterministic in (seed, field
+    index, instance)."""
     fields = [GF(p, e) for p, e in _PROP_FIELDS]
     for i in range(per_field):
         for fidx, field in enumerate(fields):
             rng = rng_for(seed, fidx, i)
-            n = rng.randint(1, max_n)
+            n = rng.randint(1, 12)
             while True:
-                k = rng.randint(1, max_k)
+                k = rng.randint(1, 6)
                 if math.gcd(k, field.p) == 1:
                     break
             alpha = rng.randrange(1, field.q)
@@ -323,7 +325,7 @@ def suite_sl_projection(seed=DEFAULT_SEED, scale=None):
     return _result("sl-projection", not failures, rows, failures[:10], t0)
 
 
-def _check_metric_axioms(d, triple, exact, tol=1e-9):
+def _check_metric_axioms(d, triple, exact):
     """Symmetry, identity, triangle, normalization for one distance
     function on one triple; returns the list of violated axioms."""
     a, b, c = triple
@@ -341,11 +343,11 @@ def _check_metric_axioms(d, triple, exact, tol=1e-9):
         if dac.value > dab.value + dbc.value:
             problems.append("triangle")
     else:
-        if abs(float(dab) - float(dba)) > tol:
+        if abs(float(dab) - float(dba)) > _FLOAT_TOL:
             problems.append("symmetry")
-        if abs(float(daa)) > tol:
+        if abs(float(daa)) > _FLOAT_TOL:
             problems.append("identity")
-        if float(dac) > float(dab) + float(dbc) + tol:
+        if float(dac) > float(dab) + float(dbc) + _FLOAT_TOL:
             problems.append("triangle")
     return problems
 
@@ -396,9 +398,9 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 300, i)
         a, b, c, g = (random_even_perm(9, rng) for _ in range(4))
         problems = _check_metric_axioms(d_c, (a, b, c), False)
-        if abs(float(d_c(g * a, g * b)) - float(d_c(a, b))) > 1e-9:
+        if abs(float(d_c(g * a, g * b)) - float(d_c(a, b))) > _FLOAT_TOL:
             problems.append("left invariance")
-        if abs(float(d_c(a * g, b * g)) - float(d_c(a, b))) > 1e-9:
+        if abs(float(d_c(a * g, b * g)) - float(d_c(a, b))) > _FLOAT_TOL:
             problems.append("right invariance")
         if problems:
             failures.append("conj triple %d: %s" % (i, problems))
@@ -409,7 +411,7 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 400, i)
         a, b, c, g = (random_sl(2, GF(7).spec, rng) for _ in range(4))
         problems = _check_metric_axioms(d_p, (a, b, c), False)
-        if abs(float(d_p(g * a, g * b)) - float(d_p(a, b))) > 1e-9:
+        if abs(float(d_p(g * a, g * b)) - float(d_p(a, b))) > _FLOAT_TOL:
             problems.append("left invariance")
         if problems:
             failures.append("psl conj triple %d: %s" % (i, problems))

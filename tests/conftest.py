@@ -68,9 +68,9 @@ def primary_blocks_unfiltered(x, k, alpha):
     total = 0
     for f in sorted(factors, key=lambda t: (len(t), t)):
         ker = evaluate_poly_at(f, x).kernel_basis()
-        if ker:
-            blocks.append((f, Matrix.hstack(ker)))
-            total += len(ker)
+        if ker.ncols:
+            blocks.append((f, ker))
+            total += ker.ncols
     if total != x.nrows:
         raise UnsupportedCaseError("primary blocks cover %d of %d dimensions"
                                    % (total, x.nrows))

@@ -174,8 +174,8 @@ def test_perm_centralizer_random_brute():
 
 def test_perm_centralizer_input_checks():
     sigma = Permutation.from_cycles(5, [(0, 1)])
-    with pytest.raises(ValueError):
-        perm_centralizer_structure(sigma, n=6)
+    # the degree is read off the permutation: C_2 x S_3 inside S_5
+    assert perm_centralizer_structure(sigma).total_order == 2 * 6
     with pytest.raises(TypeError):
         perm_centralizer_structure((1, 0, 2))
 
@@ -233,9 +233,9 @@ def test_fingerprint_unsupported_cases():
     # characteristic, so the semisimple family never overlaps it
     from msg_lab.constructions import SplitDecomposition
     field2 = GF(2)
-    cols = Matrix.identity(field2, 2).columns()
-    with pytest.raises(ValueError):
-        SplitDecomposition(tuple(cols), (), 2, 1)
+    with pytest.raises(ValueError, match="coprime"):
+        SplitDecomposition(Matrix.identity(field2, 2),
+                           Matrix.zeros(field2, 2, 0), 2, 1)
     # composite order permutation
     sigma = Permutation.from_cycles(7, [(0, 1), (2, 3, 4)])
     assert sigma.order() == 6

@@ -22,15 +22,7 @@ from msg_lab.metrics import PRANK, length
 from conftest import FIELDS, near_root_input
 
 
-def _span_columns(basis_vectors):
-    if not basis_vectors:
-        return None
-    return Matrix.hstack(list(basis_vectors))
-
-
 def _in_column_span(span, v):
-    if span is None:
-        return v.rank() == 0
     joined = Matrix.hstack([span, v])
     return joined.rank() == span.rank()
 
@@ -50,19 +42,16 @@ def test_prepare_postconditions_random(rng):
             x, dec = prepare_near_root(y, k, alpha)
             assert x.is_invertible()
             check_split_condition(x, dec)
-            L = _span_columns(dec.L_basis)
-            S = _span_columns(dec.S_basis)
-            for v in dec.L_basis:
-                assert _in_column_span(L, x @ v)
-            for v in dec.S_basis:
-                assert x @ v == v
-            if L is not None:
-                xk = x.matpow(k)
-                assert xk @ L == L.scale(alpha)
+            L, S = dec.L, dec.S
+            assert L.shape == (n, dec.dim_L) and S.shape == (n, dec.dim_S)
+            assert _in_column_span(L, x @ L)
+            assert x @ S == S
+            xk = x.matpow(k)
+            assert xk @ L == L.scale(alpha)
             r = (y.matpow(k) - Matrix.scalar(field, n, alpha)).rank()
             assert dec.dim_S <= r
             assert (x - y).rank() <= r
-            assert len(dec.L_basis) + dec.dim_S == n
+            assert dec.dim_L + dec.dim_S == n
 
 
 # -- the rank-probe greedy loops the echelon helper replaced, as its oracle --
@@ -77,7 +66,7 @@ def _complete_basis_oracle(cols):
     for i in range(n):
         if rank == n:
             break
-        e = Matrix.identity(field, n).col(i)
+        e = Matrix.identity(field, n).take_columns([i])
         cand = Matrix.hstack([current, e])
         if cand.rank() > rank:
             current = cand
@@ -93,7 +82,7 @@ def _module_generators_oracle(x_f, span_cols, deg):
     m = x_f.nrows
     current = Matrix.zeros(field, m, 0)
     for j in range(span_cols.ncols):
-        v = span_cols.col(j)
+        v = span_cols.take_columns([j])
         cand = Matrix.hstack([current, v])
         if cand.rank() == current.rank():
             continue
@@ -113,7 +102,7 @@ def _invariant_complement_oracle(x_f, sub_cols, deg):
     for i in range(m):
         if current.rank() == m:
             break
-        e = Matrix.identity(field, m).col(i)
+        e = Matrix.identity(field, m).take_columns([i])
         if Matrix.hstack([current, e]).rank() == current.rank():
             continue
         orbit = [e]
@@ -147,7 +136,7 @@ def test_greedy_orbits_complete_basis_matches_rank_probe(rng):
                 c = rng.randint(1, n + 1)
                 cols = _random_columns(field, n, c, rng)
                 if rng.random() < 0.5:  # append a dependent column
-                    cols = Matrix.hstack([cols, cols.col(0).scale(
+                    cols = Matrix.hstack([cols, cols.take_columns([0]).scale(
                         rng.randrange(field.q))])
                 starts.append(cols)
             # a singular square start, as _repair_block passes its block
@@ -195,7 +184,8 @@ def test_greedy_orbits_match_rank_probe_on_primary_blocks(rng):
                 # listed with repeats so that some columns are dependent
                 seeds = _random_columns(field, d, rng.randint(1, d), rng)
                 cols = []
-                for v in seeds.columns():
+                for j in range(seeds.ncols):
+                    v = seeds.take_columns([j])
                     orbit = [v]
                     for _ in range(deg):
                         orbit.append(x_f @ orbit[-1])
@@ -211,13 +201,48 @@ def test_greedy_orbits_match_rank_probe_on_primary_blocks(rng):
     assert max(degs) > 1
 
 
+def test_greedy_orbits_reject_an_orbit_meeting_the_span():
+    """With x the companion block of T^2 + T + 1 over GF(2) and the
+    non-invariant start e2, the first candidate e1 is outside the span but
+    its orbit x e1 = e2 is not: the orbit AssertionError."""
+    field = GF(2)
+    x = Matrix.from_packed(field, [[0, 1], [1, 1]])
+    ident = Matrix.identity(field, 2)
+    with pytest.raises(AssertionError, match="an orbit meets the span"):
+        _greedy_orbits(ident, ident.take_columns([1]), x, 2)
+    # from the invariant start 0 the orbit of e1 fills the space
+    assert _greedy_orbits(ident, None, x, 2) == \
+        Matrix.hstack([ident.take_columns([0]), x.take_columns([0])])
+
+
+def test_split_decomposition_takes_one_matrix_per_subspace():
+    """L and S are matrices; the decomposition refuses halves over two
+    fields or of two heights, halves that do not fill the space or whose
+    columns are dependent, and the empty space."""
+    field = GF(5)
+    x, dec = prepare_near_root(Matrix.diagonal(field, [2, 1, 1]), 2, 1)
+    assert (dec.L.shape, dec.S.shape) == ((3, 2), (3, 1))
+    assert dec == SplitDecomposition(dec.L, dec.S, 2, 1)
+    assert Matrix.hstack([dec.L, dec.S]).take_columns([0, 1]) == dec.L
+    ident = Matrix.identity(field, 3)
+    cases = [
+        (ident, Matrix.zeros(GF(7), 3, 0), "share the field"),
+        (ident, Matrix.zeros(field, 2, 0), "row count"),
+        (ident.take_columns([0, 1]), Matrix.zeros(field, 3, 0), "fill"),
+        (ident.take_columns([0, 1]), ident.take_columns([1]), "not a basis"),
+        (Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 0), "empty"),
+    ]
+    for L, S, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SplitDecomposition(L, S, 2, 1)
+
+
 def _prepare_oracle(y, k, alpha):
     """(x, S, P) as prepare_near_root computed them before the closed
     form: S the greedy completion of L from the standard basis, P = [L | S]
     and x = [y L | S] P^-1."""
     field, n = y.field, y.nrows
-    kerl = (y.matpow(k) - Matrix.scalar(field, n, alpha)).kernel_basis()
-    L = Matrix.hstack(kerl) if kerl else Matrix.zeros(field, n, 0)
+    L = (y.matpow(k) - Matrix.scalar(field, n, alpha)).kernel_basis()
     S = _greedy_orbits(Matrix.identity(field, n), L)
     P = Matrix.hstack([L, S])
     return Matrix.hstack([y @ L, S]) @ P.inverse(), S, P
@@ -226,7 +251,7 @@ def _prepare_oracle(y, k, alpha):
 def _tampered(x, dec, entries):
     """x with entries {(i, j): value} of its matrix in the basis [L | S]
     replaced."""
-    P = dec.basis()
+    P = Matrix.hstack([dec.L, dec.S])
     rows = [list(row) for row in (P.inverse() @ x @ P).rows]
     for (i, j), value in entries.items():
         rows[i][j] = value
@@ -251,7 +276,7 @@ def test_prepare_near_root_matches_greedy_oracle(rng):
                 x, dec = prepare_near_root(y, k, alpha)
                 x_old, S_old, P = _prepare_oracle(y, k, alpha)
                 assert dec.dim_L == dim_l
-                assert dec.basis().take_columns(range(dim_l, n)) == S_old
+                assert dec.S == S_old
                 assert x == x_old
                 C = P.inverse() @ x @ P
                 assert check_split_condition(x, dec) == C.block(0, dim_l, 0, dim_l)
@@ -278,10 +303,10 @@ def _check_split_oracle(x, dec):
     if dec.n != n or dec.field != field:
         raise ValueError("decomposition does not match the matrix")
     dl = dec.dim_L
-    C = dec.basis().solve(x @ dec.L_matrix())
+    C = Matrix.hstack([dec.L, dec.S]).solve(x @ dec.L)
     if C.block(dl, n, 0, dl) != Matrix.zeros(field, dec.dim_S, dl):
         raise ValueError("x does not preserve L")
-    S = dec.basis().take_columns(range(dl, n))
+    S = dec.S
     if x @ S != S:
         raise ValueError("x is not the identity on S")
     xl = C.block(0, dl, 0, dl)
@@ -354,13 +379,13 @@ def test_prepare_worked_examples():
     y = Matrix.diagonal(field, [2, 1])
     x, dec = prepare_near_root(y, 2, 1)
     assert x == Matrix.identity(field, 2)
-    assert dec.dim_S == 1 and len(dec.L_basis) == 1
+    assert dec.dim_S == 1 and dec.dim_L == 1
     assert (x - y).rank() == 1
     # y^k - alpha I invertible: L = 0, x = identity
     y = Matrix.diagonal(field, [2, 3])
     x, dec = prepare_near_root(y, 2, 1)  # y^2 - I = 3I invertible
     assert x == Matrix.identity(field, 2)
-    assert dec.dim_S == 2 and len(dec.L_basis) == 0
+    assert dec.dim_S == 2 and dec.dim_L == 0
 
 
 def test_prepare_rejects_bad_inputs():
@@ -380,12 +405,12 @@ def test_non_integer_k_and_alpha_rejected():
     stored as an int."""
     field = GF(5)
     y = Matrix.diagonal(field, [2, 1])
-    cols = tuple(y.columns())
+    empty = Matrix.zeros(field, 2, 0)
     for k, alpha in ((2.0, 1), (2, 1.5), (2, 1.0), ("2", 1)):
         with pytest.raises(ValueError, match="must be an integer"):
             prepare_near_root(y, k, alpha)
         with pytest.raises(ValueError, match="must be an integer"):
-            SplitDecomposition(cols, (), k, alpha)
+            SplitDecomposition(y, empty, k, alpha)
     x, dec = prepare_near_root(y, np.int64(2), np.int64(1))
     assert (type(dec.k), type(dec.alpha)) == (int, int)
     assert (x, dec) == prepare_near_root(y, 2, 1)
@@ -406,7 +431,7 @@ def test_packed_scalars_outside_field_rejected():
         with pytest.raises(ValueError):
             prepare_near_root(y, 2, bad)
         with pytest.raises(ValueError):
-            SplitDecomposition(tuple(y.columns()), (), 2, bad)
+            SplitDecomposition(y, Matrix.zeros(field, 2, 0), 2, bad)
 
 
 def test_check_split_condition_rejects_tampering():
@@ -463,14 +488,14 @@ def test_approx_centralize_exhaustive_oracle_gf5():
 def _repair_block_oracle(x_f, a_f, deg):
     field = a_f.field
     m = a_f.nrows
-    kerl = a_f.kernel_basis()
-    if not kerl:
+    ker = a_f.kernel_basis()
+    if not ker.ncols:
         return Matrix.zeros(field, m, m)
     ident = Matrix.identity(field, m)
     _, im_pivots = a_f.rref()
     compl_of_image = _greedy_orbits(ident, a_f.take_columns(im_pivots),
                                     x_f, deg)
-    kdom = _greedy_orbits(Matrix.hstack(kerl), None, x_f, deg)
+    kdom = _greedy_orbits(ker, None, x_f, deg)
     rest = _greedy_orbits(ident, kdom, x_f, deg)
     domain = Matrix.hstack([kdom, rest])
     image = Matrix.hstack([compl_of_image,
@@ -492,8 +517,7 @@ def _approx_centralize_oracle(x, dec, phi):
     b = x - ident
     _, b_pivots = b.rref()
     w_cols = b.take_columns(b_pivots)
-    s_list = b.kernel_basis()
-    s_cols = Matrix.hstack(s_list) if s_list else Matrix.zeros(field, n, 0)
+    s_cols = b.kernel_basis()
     m = w_cols.ncols
     P = Matrix.hstack([w_cols, s_cols])
     Pinv = P.inverse()
@@ -829,8 +853,8 @@ def test_sl2_3_witnesses_from_ambient_gl():
 
 
 def test_commutator_witness_matches_table_lookup():
-    """The early-exit scan returns the pair the table records, for every
-    element of A_5 and of PSL_2(5)."""
+    """The early-exit scan returns the pair the table records, read with
+    table.get, for every element of A_5 and of PSL_2(5)."""
     from msg_lab.groups import enumerate_alternating, enumerate_psl2, psl_canonical
     key_fn = lambda m: psl_canonical(m).key()
     for elements, kf in ((enumerate_alternating(5), None),
@@ -839,8 +863,6 @@ def test_commutator_witness_matches_table_lookup():
         for g in elements:
             expected = table.get((kf or _plain_key)(g))
             assert commutator_witness(g, elements, key_fn=kf) == expected
-            assert commutator_witness(g, elements, key_fn=kf,
-                                      table=table) == expected
 
 
 def _plain_key(g):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from msg_lab import experiments
 from msg_lab.errors import UnsupportedCaseError
 from msg_lab.experiments import (ALTERNATING, INFINITE, PSL_FAMILY,
                                  FamilyDescriptor, derive_seed,
@@ -49,6 +50,28 @@ def test_prime_power_split_of_word_size_prime_is_quick():
     assert prime_power_split(46337**2) == (46337, 2)
     with pytest.raises(ValueError):
         prime_power_split(46337 * 46327)
+
+
+def test_each_scheduled_q_is_split_once(monkeypatch):
+    """parse_family builds the field of each PSL row once, and both
+    experiments reuse it: one prime_power_split per scheduled q across
+    the parse and one experiment."""
+    calls = []
+    real = experiments.prime_power_split
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(experiments, "prime_power_split", counted)
+    for run in (lambda fam: equivalence_experiment(fam, 2, 5),
+                lambda fam: fingerprint_experiment(fam, (2, 3), 5)):
+        del calls[:]
+        family = parse_family("PSL:2,3:5,25")
+        assert [spec.q for spec in family.row_specs] == [5, 25]
+        run(family)
+        assert calls == [5, 25]
+    assert parse_family("ALT:5,6").row_specs == ()
 
 
 def test_family_parse_format_roundtrip():

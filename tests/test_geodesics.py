@@ -171,5 +171,6 @@ def test_verify_chain_detects_tampering():
     assert not verify_chain(bad).valid
     bad = dataclasses.replace(chain, step_lengths=chain.step_lengths[:-1])
     assert not verify_chain(bad).valid
-    report = verify_chain(chain, kind="no-such-metric")
+    report = verify_chain(dataclasses.replace(chain, kind="no-such-metric"))
     assert not report.valid
+    assert report.mismatches == ("unknown metric kind 'no-such-metric'",)

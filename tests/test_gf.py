@@ -119,6 +119,34 @@ def test_spec_validation():
         GF(5, 2, modulus=(4, 0, 1))  # t^2 - 1 = (t-1)(t+1)
     spec = FieldSpec(3, 2, (1, 0, 1))
     assert field_arith(spec).q == 9
+    # one Field per spec
+    assert field_arith(spec) is field_arith(FieldSpec(3, 2, (1, 0, 1))) \
+        is GF(3, 2, modulus=(1, 0, 1))
+
+
+def test_modulus_check_matches_root_scan_in_degrees_2_and_3():
+    """A monic polynomial of degree 2 or 3 is reducible exactly when it
+    has a root: FieldSpec, which asks Rabin's test (poly.pirreducible),
+    accepts every such modulus over GF(2), GF(3), GF(5), GF(7) and GF(11)
+    exactly when a scan over the p values finds no root."""
+    import itertools
+
+    for p in (2, 3, 5, 7, 11):
+        for e in (2, 3):
+            accepted = 0
+            for low in itertools.product(range(p), repeat=e):
+                modulus = low + (1,)
+                has_root = any(
+                    sum(c * a**i for i, c in enumerate(modulus)) % p == 0
+                    for a in range(p))
+                if has_root:
+                    with pytest.raises(ValueError, match="reducible"):
+                        FieldSpec(p, e, modulus)
+                else:
+                    assert FieldSpec(p, e, modulus).q == p**e
+                    accepted += 1
+            # the number of monic irreducibles: (p^2 - p)/2, (p^3 - p)/3
+            assert accepted == (p**e - p) // e
 
 
 def test_coeffs_round_trip():

@@ -1,17 +1,20 @@
 """Dead-name guard: every module-level function, class and constant of
 msg_lab is either used somewhere in the package or exported by its
-__init__, and every public method of its classes is referenced somewhere
-in the package.  A name only tests reach is dead code with a test
-attached.
+__init__, every public method of its classes is referenced somewhere in
+the package, and every defaulted parameter of its functions is passed by
+some call in the package or the benchmark.  A name or a parameter only
+tests reach is dead code with a test attached.
 """
 
 import ast
+import fnmatch
 import functools
 from pathlib import Path
 
 import msg_lab
 
 PACKAGE = Path(msg_lab.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _definitions(tree):
@@ -110,6 +113,92 @@ def dead_methods(package=PACKAGE):
     return dead
 
 
+# defaulted parameters that no call passes by name or position, kept, and
+# why: (module, function pattern, parameter) -> reason
+KEPT_PARAMETERS = {
+    ("suites", "suite_*", "seed"): "set only by run_suite's "
+                                   "SUITES[name](seed=..., scale=...)",
+    ("suites", "suite_*", "scale"): "set only by run_suite's "
+                                    "SUITES[name](seed=..., scale=...)",
+}
+
+
+def _callee(call):
+    """The name a call goes through: a bare name or an attribute."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _defaulted(fn, bound):
+    """(parameter, position) for each parameter of fn with a default; the
+    position counts the arguments a call passes (after self when bound),
+    None for a keyword-only parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if bound else 0
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether a call may set the parameter: by keyword, through **kwargs
+    or *args, or with more positional arguments than its position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _functions(tree):
+    """(qualified name, name a call uses, node, bound) of each module-level
+    function and each method of a module-level class; a class call
+    resolves to its __init__."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                called = node.name if fn.name == "__init__" else fn.name
+                yield f"{node.name}.{fn.name}", called, fn, not static
+
+
+def dead_parameters(package=PACKAGE, callers=(PERFBENCH,),
+                    kept=KEPT_PARAMETERS):
+    """(module, "function(parameter)") for each defaulted parameter that
+    no call in the package or in the caller directories passes, matched
+    by the called name as dead_methods matches references."""
+    trees = _parse(package)
+    others = [ast.parse(path.read_text(), str(path)) for directory in callers
+              for path in sorted(directory.glob("*.py"))]
+    calls = {}
+    for tree in list(trees.values()) + others:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        for qualname, called, fn, bound in _functions(tree):
+            for name, position in _defaulted(fn, bound):
+                if any(module == m and fnmatch.fnmatch(qualname, pattern)
+                       and name == param for m, pattern, param in kept):
+                    continue
+                if not any(_passes(call, name, position)
+                           for call in calls.get(called, ())):
+                    dead.append((module, f"{qualname}({name})"))
+    return dead
+
+
 def test_every_module_level_name_is_used_or_exported():
     assert dead_names() == []
 
@@ -150,3 +239,46 @@ def test_guard_flags_an_unreferenced_method(tmp_path):
         "    def unused(self):\n        return self.unused()\n")
     assert dead_methods(tmp_path) == [("a", "Box.unused")]
     assert dead_names(tmp_path) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert dead_parameters() == []
+
+
+def test_kept_parameters_are_still_unpassed():
+    """An allowlisted parameter that gains a caller is no longer needed."""
+    flagged = dead_parameters(kept={})
+    for module, pattern, param in KEPT_PARAMETERS:
+        assert any(m == module and fnmatch.fnmatch(q.split("(")[0], pattern)
+                   and q.endswith(f"({param})") for m, q in flagged)
+
+
+def test_guard_flags_an_unpassed_default(tmp_path):
+    package = tmp_path / "pkg"
+    callers = tmp_path / "bench"
+    package.mkdir()
+    callers.mkdir()
+    (package / "__init__.py").write_text("from .a import Box, run\n")
+    (package / "a.py").write_text(
+        "def run(x, fast=False, *, depth=1, tag=None):\n"
+        "    return Box(x, 2).get(x, limit=3)\n"
+        "def helper(a, b=0, c=0):\n    return helper(a, 1)\n"
+        "class Box:\n"
+        "    def __init__(self, v, w=0, z=0):\n        self.v = v\n"
+        "    def get(self, x, limit=1, unused=0):\n        return x\n"
+        "    @staticmethod\n"
+        "    def make(v, w=0):\n        return Box(v)\n")
+    (callers / "bench.py").write_text(
+        "import pkg\n"
+        "pkg.run(1, True, depth=2)\n"
+        "pkg.Box.make(1, 2)\n")
+    assert dead_parameters(package, (callers,), {}) == [
+        ("a", "run(tag)"), ("a", "helper(c)"), ("a", "Box.__init__(z)"),
+        ("a", "Box.get(unused)")]
+    assert dead_parameters(package, (), {}) == [
+        ("a", "run(fast)"), ("a", "run(depth)"), ("a", "run(tag)"),
+        ("a", "helper(c)"), ("a", "Box.__init__(z)"),
+        ("a", "Box.get(unused)"), ("a", "Box.make(w)")]
+    assert dead_parameters(package, (callers,),
+                           {("a", "Box.*", "unused"): "kept"}) == [
+        ("a", "run(tag)"), ("a", "helper(c)"), ("a", "Box.__init__(z)")]

@@ -132,3 +132,70 @@ def test_split_instances_reproducible():
         assert y1 == y2
         assert y1.is_invertible()
         assert 1 <= n1 <= 12 and 1 <= k1 <= 6 and k1 % f1.p != 0
+
+
+def _reproducer_fields(detail):
+    """The key=value tokens before the " :: " of a failure detail line."""
+    head, _, message = detail.partition(" :: ")
+    return dict(token.split("=", 1) for token in head.split(" ")), message
+
+
+def test_split_prep_failure_carries_a_reproducer(monkeypatch):
+    """One instance of split-prep at scale 1, the 2 x 2 one over GF(9),
+    fails its split check: the CSV counts it, and the detail line's
+    field=, k=, alpha= and y= parse back to that instance."""
+    from msg_lab.textio import parse_field, parse_matrix
+
+    instances = list(suites._split_instances(DEFAULT_SEED, 1))
+    real = suites.check_split_condition
+    calls = []
+
+    def planted(x, dec):
+        calls.append(x)
+        if len(calls) == 6:
+            raise AssertionError("planted failure")
+        return real(x, dec)
+
+    monkeypatch.setattr(suites, "check_split_condition", planted)
+    result = suites.suite_split_prep(scale=1)
+    assert not result.ok
+    assert "failures,1\n" in result.csv_text
+    assert len(result.details) == 1
+    fields, message = _reproducer_fields(result.details[0])
+    assert message == "planted failure"
+    field, n, k, alpha, y, _ = instances[5]
+    assert (field.q, n) == (9, 2) and y != y.transpose()
+    assert parse_field(fields["field"]) == field
+    assert (int(fields["k"]), int(fields["alpha"])) == (k, alpha)
+    assert parse_matrix(field, fields["y"]) == y
+
+
+def test_approx_centralize_failure_carries_a_reproducer(monkeypatch):
+    """The same for approx-centralize at scale 12 and its last instance,
+    6 x 6 over GF(9): the detail line also carries phi=, the matrix it
+    centralized."""
+    from msg_lab.textio import parse_field, parse_matrix
+
+    instances = list(suites._split_instances(DEFAULT_SEED, 2))
+    real = suites.approx_centralize
+    phis = []
+
+    def planted(x, dec, phi):
+        phis.append(phi)
+        if len(phis) == 12:
+            raise AssertionError("planted failure")
+        return real(x, dec, phi)
+
+    monkeypatch.setattr(suites, "approx_centralize", planted)
+    result = suites.suite_approx_centralize(scale=12)
+    assert not result.ok
+    assert "instances,12\n" in result.csv_text
+    assert "failures,1\n" in result.csv_text
+    fields, message = _reproducer_fields(result.details[0])
+    assert message == "planted failure"
+    field, n, k, alpha, y, _ = instances[11]
+    assert (field.q, n) == (9, 6) and phis[11] != phis[11].transpose()
+    assert parse_field(fields["field"]) == field
+    assert (int(fields["k"]), int(fields["alpha"])) == (k, alpha)
+    assert parse_matrix(field, fields["y"]) == y
+    assert parse_matrix(field, fields["phi"]) == phis[11]
