@@ -121,8 +121,9 @@ def power(mul, a, k: int):
     while k:
         if k & 1:
             result = mul(result, a)
-        a = mul(a, a)
         k >>= 1
+        if k:
+            a = mul(a, a)
     return result
 
 
@@ -468,8 +469,11 @@ def _table_kernel(f: Field) -> Kernel:
 
     @lru_cache(maxsize=None)
     def arrays():
-        add, _, mul, _ = f.packed_tables()
-        return (lambda a, b: mul[a, b], lambda x, a, b: add[x, mul[a, b]],
+        # gathers from the raveled tables: t[a * q + b] is t[a][b]
+        add, _, mul, _ = (t.ravel() for t in f.packed_tables())
+        q = f.q
+        return (lambda a, b: mul[a * q + b],
+                lambda x, a, b: add[x * q + mul[a * q + b]],
                 f.inv_table().__getitem__)
 
     return Kernel(axpy, entrywise(add_t), entrywise(sub_t), scale, matmul,
@@ -561,7 +565,13 @@ def field_arith(spec: FieldSpec) -> Field:
 
 def GF(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
     """GF(p^e) with the default (lexicographically smallest) modulus
-    unless one is supplied."""
+    unless one is supplied.  A repeated call is a dictionary lookup; input
+    that fails validation is not cached, so it raises on every call."""
     if modulus is None:
         modulus = find_irreducible(p, e)
-    return field_arith(FieldSpec(p, e, tuple(modulus)))
+    return _validated_field(p, e, tuple(modulus))
+
+
+@lru_cache(maxsize=None)
+def _validated_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
+    return field_arith(FieldSpec(p, e, modulus))

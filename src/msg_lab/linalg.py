@@ -16,10 +16,13 @@ cost grows with log q, not q; it takes them on the Hessenberg form H,
 which is similar to h^-1 g and leaves one row to clear per column.
 primary_blocks tries only the factors that divide the characteristic
 polynomial.  span_invertible_counts enumerates one member per F^x orbit of
-a span, (q^dim - 1)/(q - 1) in all, through one batched elimination on
-int64 arrays (the only numpy code here besides Matrix.packed()), and
-weights each invertible one by the q - 1 members of its orbit; its
-budget still counts all q^dim members.
+a span, (q^dim - 1)/(q - 1) in all, as outer sums: a low table of the
+span of the first basis matrices, at most _SPAN_CHUNK rows, plus one
+representative of the span of the rest, one add per entry.  It takes
+their determinants by one batched elimination on int64 arrays (the only
+numpy code here besides Matrix.packed()) and weights each invertible one
+by the q - 1 members of its orbit; its budget still counts all q^dim
+members.
 """
 
 from __future__ import annotations
@@ -495,7 +498,7 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
 
 # -- batched enumeration kernel --------------------------------------------
 
-_SPAN_CHUNK = 2**14  # span representatives per batched elimination
+_SPAN_CHUNK = 2**14  # rows per batched elimination and in the low table
 
 
 def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
@@ -527,6 +530,45 @@ def _batched_dets(field: Field, mats: np.ndarray) -> np.ndarray:
     return det
 
 
+def _span_table(fma, flat: np.ndarray, q: int) -> np.ndarray:
+    """span(flat) as a (q^d, n^2) array, d = len(flat), whose row
+    c_0 + c_1 q + ... + c_(d-1) q^(d-1) is the member sum c_i flat[i]:
+    built one basis row at a time, each step one broadcast fma over the
+    table so far.  So span(flat[:k]) is its first q^k rows, and rows
+    [q^k, 2 q^k) are flat[k] + span(flat[:k])."""
+    table = np.zeros((1, flat.shape[1]), dtype=np.int64)
+    coeffs = np.arange(q, dtype=np.int64)[:, None, None]
+    for b in flat:
+        table = fma(table[None], coeffs, b).reshape(-1, flat.shape[1])
+    return table
+
+
+def _representatives(fma, flat: np.ndarray, q: int) -> np.ndarray:
+    """The members of span(flat) whose last nonzero coefficient is 1,
+    level k being flat[k] + span(flat[:k]): slices of the table of
+    flat[:-1], which is not expanded by the last row, plus that row."""
+    if len(flat) == 1:
+        return flat
+    table = _span_table(fma, flat[:-1], q)
+    return np.concatenate([table[q**k:2 * q**k] for k in range(len(flat) - 1)]
+                          + [fma(table, 1, flat[-1])])
+
+
+def _outer_batches(fma, low: np.ndarray, head: list, high: np.ndarray):
+    """The outer sums low + h over the rows h of high, one add per entry,
+    as fresh arrays of at most _SPAN_CHUNK rows: as many rows of high per
+    array as fit, and the row blocks in head joined to the first array
+    with room for them, or last on their own."""
+    step = _SPAN_CHUNK // len(low)
+    for i in range(0, len(high), step):
+        mats = fma(low, 1, high[i:i + step, None]).reshape(-1, low.shape[1])
+        if head and sum(map(len, head)) + len(mats) <= _SPAN_CHUNK:
+            mats, head = np.concatenate(head + [mats]), []
+        yield mats
+    if head:
+        yield np.concatenate(head)
+
+
 def span_invertible_counts(
     basis: Sequence[Matrix],
     budget: int = 10**6,
@@ -541,7 +583,12 @@ def span_invertible_counts(
     representative of determinant delta stands for q - 1 invertible
     members, g = gcd(n, q - 1) of them of determinant one if delta is an
     n-th power (delta^((q-1)/g) = 1) and none otherwise.  The budget still
-    counts all members: BudgetError when q^dim exceeds it."""
+    counts all members: BudgetError when q^dim exceeds it.
+
+    The members are outer sums: a low table of span(basis[:kl]), the
+    largest kl < dim with q^kl <= _SPAN_CHUNK, holds the levels below kl
+    as slices, and every higher representative is the low table plus one
+    representative of span(basis[kl:]), one add per entry."""
     if not basis:
         return (0, 0)
     field = basis[0].field
@@ -553,22 +600,15 @@ def span_invertible_counts(
     n = basis[0].nrows
     mul, fma, _ = field.kernel().arrays()
     g = math.gcd(n, q - 1)
-    flat = [b.packed().reshape(n * n) for b in basis]
-    # member m < q^d takes coefficient (m // q^i) % q on basis[i]; the
-    # representatives are the m whose top nonzero digit is 1, in ascending
-    # order, so level k (m in [q^k, 2 q^k)) starts at rank (q^k - 1)/(q - 1)
-    reps_total = (total - 1) // (q - 1)
-    level_start = np.array([(q**k - 1) // (q - 1) for k in range(d)])
-    level_base = np.array([q**k for k in range(d)], dtype=np.int64)
+    flat = np.array([b.rows for b in basis], dtype=np.int64).reshape(d, n * n)
+    kl = 0
+    while kl < d - 1 and q ** (kl + 1) <= _SPAN_CHUNK:
+        kl += 1
+    low = _span_table(fma, flat[:kl], q)
+    head = [low[q**k:2 * q**k] for k in range(kl)]
+    high = _representatives(fma, flat[kl:], q)
     invertible = nth_powers = 0  # among the representatives
-    for start in range(0, reps_total, _SPAN_CHUNK):
-        reps = np.arange(start, min(start + _SPAN_CHUNK, reps_total))
-        k = np.searchsorted(level_start, reps, side="right") - 1
-        digits = level_base[k] + reps - level_start[k]
-        mats = np.zeros((digits.size, n * n), dtype=np.int64)
-        for b in flat:
-            mats = fma(mats, (digits % q)[:, None], b)
-            digits //= q
+    for mats in _outer_batches(fma, low, head, high):
         dets = _batched_dets(field, mats.reshape(-1, n, n))
         dets = dets[dets != 0]
         invertible += dets.size

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from msg_lab import poly
 from msg_lab.gf import GF, Field, FieldSpec, field_arith, find_irreducible
 
 from conftest import FIELDS
@@ -122,6 +123,27 @@ def test_spec_validation():
     # one Field per spec
     assert field_arith(spec) is field_arith(FieldSpec(3, 2, (1, 0, 1))) \
         is GF(3, 2, modulus=(1, 0, 1))
+
+
+def test_repeated_gf_is_a_lookup(monkeypatch):
+    """A repeated GF(3, 2) returns the same Field without checking its
+    modulus again, also when the modulus comes as a list; input that fails
+    validation raises ValueError on every call."""
+    field = GF(3, 2)
+    modulus = list(field.spec.modulus)
+
+    def fail(*args):
+        raise AssertionError("modulus checked again")
+
+    monkeypatch.setattr(poly, "pirreducible", fail)
+    assert GF(3, 2) is field
+    assert GF(3, 2, modulus=modulus) is field
+    monkeypatch.undo()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            GF(5, 2, modulus=[4, 0, 1])
+        with pytest.raises(ValueError):
+            GF(4)
 
 
 def test_modulus_check_matches_root_scan_in_degrees_2_and_3():

@@ -470,8 +470,8 @@ def test_forward_rank_det_match_rref_and_leibniz(rng):
 
 
 def test_span_invertible_counts_tiny():
-    """Span of diag(1,0) and diag(0,1) over GF(3): 9 matrices, 4
-    invertible, 1 with det one... det(diag(a,b)) = ab, so three."""
+    """Span of diag(1,0) and diag(0,1) over GF(3): 9 matrices diag(a, b)
+    of det ab, 4 invertible (ab != 0), 2 with det one (ab = 1)."""
     field = GF(3)
     basis = [Matrix.diagonal(field, [1, 0]), Matrix.diagonal(field, [0, 1])]
     invertible, det1 = span_invertible_counts(basis)
@@ -569,6 +569,51 @@ def test_span_invertible_counts_match_member_oracle(rng):
                 if basis:
                     assert counts == _member_counts(basis)
                 assert counts[0] > 0 or not conjugate
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_span_chunks_match_member_oracle(monkeypatch, rng, chunk):
+    """With _SPAN_CHUNK at 1, 4 and 16 the member-oracle sizes run the
+    outer sums of the low table with several high representatives and
+    join small blocks into one batch.  The counts still match the member
+    oracle, on dependent bases, with q - 1 = 1 and on twisted commutants;
+    every batch holds at most _SPAN_CHUNK rows, the low table (the first
+    table built) too, and the batches hold each representative once."""
+    monkeypatch.setattr(L, "_SPAN_CHUNK", chunk)
+    batches, tables = [], []
+    batched_dets, span_table = L._batched_dets, L._span_table
+
+    def recording_dets(field, mats):
+        batches.append(len(mats))
+        return batched_dets(field, mats)
+
+    def recording_table(fma, flat, q):
+        tables.append(span_table(fma, flat, q))
+        return tables[-1]
+
+    monkeypatch.setattr(L, "_batched_dets", recording_dets)
+    monkeypatch.setattr(L, "_span_table", recording_table)
+
+    def check(basis):
+        batches.clear()
+        tables.clear()
+        assert span_invertible_counts(basis) == _member_counts(basis)
+        q = basis[0].field.q
+        assert max(batches) <= chunk and len(tables[0]) <= chunk
+        assert sum(batches) == (q ** len(basis) - 1) // (q - 1)
+
+    for field, n in [(GF(2), 2), (GF(2), 3), (GF(3), 2), (GF(2, 2), 2),
+                     (GF(3, 2), 2), (GF(7), 2)]:
+        dim = max(d for d in (1, 2, 3, 4, 5) if field.q**(d + 1) <= 2000)
+        basis = [_rand_matrix(field, n, n, rng) for _ in range(dim)]
+        check(basis)
+        check(basis + [basis[0]])
+        check(basis + [Matrix.zeros(field, n, n)])
+        roots = _roots_of_unity(field, n)
+        if len(roots) == n - 1:
+            x = Matrix.diagonal(field, [field.pow(roots[0], i) for i in range(n)])
+            for lam in roots:
+                check(L.twisted_commutant_basis(x, lam))
 
 
 def test_span_invertible_counts_one_dim_above_table_cap(rng):
