@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundViolationError, BudgetError
-from .groups import (SL, SP, ClassicalElement, Permutation, psl_canonical,
+from .groups import (SL, SP, ClassicalElement, Permutation,
                      standard_symplectic_form)
 from .linalg import Matrix, primary_blocks
 from .metrics import PRANK, length
@@ -568,14 +568,6 @@ def _element_ops(sample):
         return (lambda a, b: a * b,
                 lambda a: a.inverse(),
                 lambda a: a.images)
-    if isinstance(sample, ClassicalElement):
-        if sample.group_tag == "PSL_REP":
-            return (lambda a, b: a * b,
-                    lambda a: a.inverse(),
-                    lambda a: psl_canonical(a.matrix).key())
-        return (lambda a, b: a * b,
-                lambda a: a.inverse(),
-                lambda a: a.matrix.key())
     if isinstance(sample, Matrix):
         return (lambda a, b: a @ b,
                 lambda a: a.inverse(),

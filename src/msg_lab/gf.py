@@ -378,7 +378,8 @@ class Field:
 # r down: row r is scaled by Field.inv of R[r][c] != 0, then column c is
 # cleared in the other rows, or only below r unless reduce_up; neg(a);
 # arrays(), built on its first call: (mul, fma, inv) elementwise on int64
-# arrays, fma(x, a, b) = x + a b.
+# arrays, fma(x, a, b) = x + a b; the inverse table waits for the first
+# inv.
 Kernel = namedtuple("Kernel", "axpy add sub scale matmul pivot neg arrays")
 
 
@@ -473,8 +474,7 @@ def _table_kernel(f: Field) -> Kernel:
         add, _, mul, _ = (t.ravel() for t in f.packed_tables())
         q = f.q
         return (lambda a, b: mul[a * q + b],
-                lambda x, a, b: add[x * q + mul[a * q + b]],
-                f.inv_table().__getitem__)
+                lambda x, a, b: add[x * q + mul[a * q + b]], _array_inv(f))
 
     return Kernel(axpy, entrywise(add_t), entrywise(sub_t), scale, matmul,
                   pivot, sub_t[0].__getitem__, arrays)
@@ -524,8 +524,10 @@ def _scalar_kernel(f: Field) -> Kernel:
 
 
 def _array_inv(f: Field):
+    """Elementwise inverse: a gather from the inverse table, built on the
+    first call, up to _TABLE_MAX, and the scalar Field.inv above it."""
     if f.q <= _TABLE_MAX:
-        return f.inv_table().__getitem__
+        return lambda a: f.inv_table()[a]
     return _ufunc(f.inv, 1)
 
 

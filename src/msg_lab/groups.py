@@ -95,18 +95,6 @@ class Permutation:
             inv[j] = i
         return Permutation(inv)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each starting at its smallest point, sorted.
 

@@ -11,9 +11,11 @@ A subspace is one n x d Matrix whose columns are a basis of it: kernels,
 primary components and the halves of a split all come in that form.
 charpoly reduces to Hessenberg form with the kernel's axpy, and
 min_rank_shift computes ranks only at the roots of the characteristic
-polynomial in F^x, found with the polynomial arithmetic of poly, so its
-cost grows with log q, not q; it takes them on the Hessenberg form H,
-which is similar to h^-1 g and leaves one row to clear per column.
+polynomial in F^x, found by poly.proots: a scan of every element at q <=
+gf._PAIR_TABLE_MAX, and above it gcd with T^(q-1) - 1 and equal-degree
+splitting, whose cost grows with log q, not q.  It takes the ranks on the
+Hessenberg form H, which is similar to h^-1 g and leaves one row to clear
+per column.
 primary_blocks tries only the factors that divide the characteristic
 polynomial.  span_invertible_counts enumerates one member per F^x orbit of
 a span, (q^dim - 1)/(q - 1) in all, as outer sums: a low table of the
@@ -438,12 +440,13 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     otherwise).
 
     rank(g - alpha h) = rank(m - alpha I) for m = h^-1 g, which is below n
-    exactly when alpha is an eigenvalue of m.  The eigenvalues in F^x are
-    the roots of gcd(charpoly(m), T^(q-1) - 1), a squarefree product of
-    linear factors that equal-degree splitting separates; a rank is
-    computed at those at most n roots alone, so the cost grows with log q,
-    not q.  With no such root every alpha gives rank n and argmins is
-    range(1, q).
+    exactly when alpha is an eigenvalue of m: a nonzero root of
+    charpoly(m), from poly.proots.  At q <= gf._PAIR_TABLE_MAX that
+    evaluates charpoly(m) at every element at once, n array steps; above
+    it the roots are the linear factors of gcd(charpoly(m), T^(q-1) - 1),
+    which equal-degree splitting separates, at a cost that grows with
+    log q, not q.  A rank is computed at those at most n roots alone.
+    With no such root every alpha gives rank n and argmins is range(1, q).
     """
     if g.field != h.field or g.shape != h.shape or g.nrows != g.ncols:
         raise ValueError("need square matrices of equal shape over one field")
@@ -454,17 +457,12 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     if pivots != tuple(range(n)):
         raise ValueError("second element must be invertible")
     chi, H = _charpoly_hessenberg(reduced.block(0, n, n, 2 * n))
-    power = poly.ppowmod(field, (0, 1), field.q - 1, chi)
-    split = poly.pgcd(field, poly.psub(field, power, (field.one,)), chi)
-    if poly.pdeg(split) < 1:
+    ranks = {alpha: (H - Matrix.scalar(field, n, alpha)).rank()
+             for alpha in poly.proots(field, chi) if alpha}
+    if not ranks:
         return MinRankShift(n, range(1, field.q))
-    ranks = {}
-    neg = field.kernel().neg
-    for factor in poly._edf(field, split, 1):
-        alpha = neg(factor[0])
-        ranks[alpha] = (H - Matrix.scalar(field, n, alpha)).rank()
     r = min(ranks.values())
-    return MinRankShift(r, tuple(sorted(a for a, v in ranks.items() if v == r)))
+    return MinRankShift(r, tuple(a for a, v in ranks.items() if v == r))
 
 
 def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matrix]]:

@@ -7,12 +7,19 @@ axpy(ys, c, xs) = ys + c xs (K.kernel().axpy).  K also supplies the
 scalar operations (add/mul/inv/neg/pow, zero, one, p, q, elements) for
 the one inverse per division and the scalar helpers peval, pderiv and
 psquarefree_part's p-th roots.  Sizes here are tiny (degree
-<= a few dozen), so everything is plain Python.
+<= a few dozen), so everything is plain Python, except proots at q <=
+gf._PAIR_TABLE_MAX: it finds the roots in F by evaluating f at all q
+elements at once, on the kernel's int64 array operations.  Above that
+cap it splits gcd(T^(q-1) - 1, f) by equal-degree splitting.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
+
+import numpy as np
+
+from . import gf
 
 Poly = Tuple[int, ...]
 
@@ -272,6 +279,28 @@ def psquarefree_part(K, f: Poly) -> Poly:
     # g(T) = h(T)^p with h's coefficients the p-th roots c^(q/p)
     root = [K.pow(g[i], K.q // K.p) for i in range(0, len(g), K.p)]
     return pmul(K, w, psquarefree_part(K, pnorm(root)))
+
+
+def proots(K, f: Poly) -> list[int]:
+    """The distinct roots of the nonzero f in F, ascending.
+
+    At q <= gf._PAIR_TABLE_MAX, f is evaluated at every element at once
+    by Horner's rule on one int64 array, deg f steps of the kernel's
+    array fma (a Chien search).  Above it a scan would take q values, so
+    the roots in F^x are the linear factors of gcd(T^(q-1) - 1, f),
+    separated by equal-degree splitting, and 0 is a root when f(0) = 0."""
+    if K.q <= gf._PAIR_TABLE_MAX:
+        _, fma, _ = K.kernel().arrays()
+        xs = np.arange(K.q, dtype=np.int64)
+        acc = np.full(K.q, f[-1], dtype=np.int64)
+        for c in reversed(f[:-1]):
+            acc = fma(c, acc, xs)
+        return np.flatnonzero(acc == 0).tolist()
+    roots = [0] if f[0] == 0 else []
+    split = pgcd(K, psub(K, ppowmod(K, _X, K.q - 1, f), (K.one,)), f)
+    if pdeg(split) > 0:
+        roots += [K.neg(g[0]) for g in _edf(K, split, 1)]
+    return sorted(roots)
 
 
 def _factor_squarefree(K, sf: Poly) -> list[Poly]:

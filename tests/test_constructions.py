@@ -13,8 +13,8 @@ from msg_lab.constructions import (SplitDecomposition, _block_diagonal,
                                    commutator_witness_table,
                                    prepare_near_root, project_to_sl)
 from msg_lab.gf import GF
-from msg_lab.groups import (SL, SP, Permutation, enumerate_gl2,
-                            enumerate_sl2, random_invertible,
+from msg_lab.groups import (SL, SP, ClassicalElement, Permutation,
+                            enumerate_gl2, enumerate_sl2, random_invertible,
                             standard_symplectic_form)
 from msg_lab.linalg import Matrix, commutant_basis, primary_blocks
 from msg_lab.metrics import PRANK, length
@@ -833,6 +833,15 @@ def test_commutator_witness_identity():
     assert witness is not None
     a, b = witness
     assert a.inverse() @ b.inverse() @ a @ b == ident
+
+
+def test_commutator_witness_rejects_classical_element():
+    """Elements are Matrix or Permutation values; a ClassicalElement
+    wrapper is refused with TypeError."""
+    elements = enumerate_sl2(GF(3).spec)
+    g = ClassicalElement(Matrix.identity(GF(3), 2), SL)
+    with pytest.raises(TypeError):
+        commutator_witness(g, elements)
 
 
 def test_sl2_3_witnesses_from_ambient_gl():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from msg_lab import poly
+from msg_lab import gf, poly
 from msg_lab.gf import GF, Field, FieldSpec, field_arith, find_irreducible
 
 from conftest import FIELDS
@@ -235,6 +235,28 @@ def test_pow_agrees_with_repeated_mul():
             acc = field.mul(acc, a)
 
 
+def test_pow_negative_exponent_inverts(rng):
+    """a^-k a^k = 1, and a^-(q-1) = 1, over GF(7), GF(3^2) and GF(2^17),
+    the last above the exp/log table cap."""
+    for field in (GF(7), GF(3, 2), GF(2, 17)):
+        samples = [1, field.q - 1] + [rng.randrange(1, field.q)
+                                      for _ in range(20)]
+        for a in samples:
+            for k in (1, 2, 5, field.q - 2):
+                assert field.mul(field.pow(a, -k), field.pow(a, k)) == field.one
+            assert field.pow(a, 1 - field.q) == field.one
+
+
+def test_inv_above_table_cap_extension_field(rng):
+    """Above _TABLE_MAX with e > 1, inv is a^(q-2) by _mul_direct: a inv(a)
+    = 1 on sampled a in GF(2^17)."""
+    field = GF(2, 17)
+    assert field.q > gf._TABLE_MAX
+    for a in [1, 2, field.q - 1] + [rng.randrange(1, field.q)
+                                    for _ in range(50)]:
+        assert field.mul(a, field.inv(a)) == field.one
+
+
 def test_roots_of_unity_match_full_scan():
     """The n-th roots of unity are the lambda in F^x with lambda^n = 1, in
     ascending order, and there are gcd(n, q - 1) of them, also above the
@@ -427,8 +449,9 @@ def test_kernel_random_rows_larger_fields(rng):
 
 def test_kernel_built_on_first_use_and_kept():
     """A Field builds no kernel, and a kernel no array tables, until asked:
-    the kernel is made on the first kernel() call and kept, and the
-    packed and inverse tables wait for the first arrays() call."""
+    the kernel is made on the first kernel() call and kept, the packed
+    tables wait for the first arrays() call, and the inverse table for
+    the first array inverse, after which it is kept."""
     for spec in (GF(7).spec, GF(3, 2).spec, GF(2, 11).spec):
         field = Field(spec)
         assert field._kernel is None
@@ -436,5 +459,12 @@ def test_kernel_built_on_first_use_and_kept():
         assert field.kernel() is k
         k.matmul([(1, 1)], [(1,), (1,)], 1)
         assert field._inv_table is None and field._packed_tables is None
-        k.arrays()
-        assert field._inv_table is not None
+        _, _, inv = k.arrays()
+        assert field._inv_table is None
+        assert (field._packed_tables is not None) == (
+            spec.e > 1 and spec.q <= gf._PAIR_TABLE_MAX)
+        assert inv(np.array([1], dtype=np.int64)).tolist() == [1]
+        table = field._inv_table
+        assert table is not None
+        inv(np.array([1], dtype=np.int64))
+        assert field._inv_table is table

@@ -253,11 +253,13 @@ def _scan_min_rank_shift(g, h):
     return r, tuple(a for a in sorted(ranks) if ranks[a] == r)
 
 
-# prime and extension fields up to q = 2^10; GF(2^10) itself is left out
-# because building its pair tables alone takes about a second
+# prime and extension fields on both sides of gf._PAIR_TABLE_MAX, where
+# poly.proots switches from a scan of F to gcd and equal-degree splitting:
+# up to q = 1021 below it, GF(1031) and GF(2^11) above; GF(2^10) itself is
+# left out because building its pair tables alone takes about a second
 _ORACLE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
                   GF(2, 4), GF(5, 2), GF(2, 6), GF(3, 4), GF(251), GF(5, 4),
-                  GF(1021)]
+                  GF(1021), GF(1031), GF(2, 11)]
 
 
 def _shift_case(field, n, kind, rng):

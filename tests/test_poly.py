@@ -208,6 +208,32 @@ def _rand_poly(field, degree, rng, lead=None):
     return tuple(rng.randrange(field.q) for _ in range(degree)) + (top,)
 
 
+# both sides of gf._PAIR_TABLE_MAX: the scan over every element below it,
+# inline mod p and on the pair tables; gcd with T^(q-1) - 1 and
+# equal-degree splitting above it, odd and char 2
+_ROOT_FIELDS = [GF(2), GF(3, 2), GF(2, 6), GF(1021), GF(1031), GF(2, 11)]
+
+
+def test_proots_match_evaluation_at_every_element(rng):
+    """proots(f) lists the a in F with f(a) = 0, ascending: for random
+    non-monic f of degree 0 to 6, and for f = u T^z prod (T - a_i)^(m_i)
+    with u random of degree up to 2, z from 0 to 2 and m_i from 1 to 3,
+    so that roots repeat and 0 is one of them."""
+    for field in _ROOT_FIELDS:
+        cases = [_rand_poly(field, rng.randrange(0, 7), rng) for _ in range(6)]
+        for z in (0, 1, 2, 0, 1, 2):
+            f = poly.pmul(field, _rand_poly(field, rng.randrange(0, 3), rng),
+                          (0,) * z + (field.one,))
+            for _ in range(rng.randrange(1, 5)):
+                linear = (field.neg(rng.randrange(field.q)), field.one)
+                for _ in range(rng.randrange(1, 4)):
+                    f = poly.pmul(field, f, linear)
+            cases.append(f)
+        for f in cases:
+            assert poly.proots(field, f) == [
+                a for a in field.elements() if poly.peval(field, f, a) == 0]
+
+
 def test_row_kernel_matches_scalar_reference(rng):
     """padd, psub, pmul, pdivmod and ppowmod equal the scalar-Field
     reference over every field of _KERNEL_FIELDS: zero and constant
