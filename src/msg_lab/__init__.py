@@ -25,7 +25,7 @@ from .experiments import (ExperimentReport, FamilyDescriptor, derive_seed,
                           format_family, parse_family, rng_for)
 from .geodesics import (ChainPath, VerifyReport, hamming_chain,
                         rank_metric_chain, verify_chain)
-from .gf import GF, Field, FieldSpec, field_arith
+from .gf import GF, Field
 from .groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                      ClassicalElement, Permutation, PSLDescriptor,
                      enumerate_alternating, enumerate_gl2, enumerate_psl2,

@@ -69,7 +69,7 @@ def _cmd_metric(args):
         if isinstance(group, AlternatingDescriptor):
             parse = lambda text: parse_permutation(text, n=group.n)
         else:
-            field = group.field()
+            field = group.field
             parse = lambda text: _parse_matrix_like(field, text)
         a = parse(args.elem1)
         if args.elem2 is None:
@@ -119,7 +119,7 @@ def _cmd_centralize(args):
 def _cmd_niceblock(args):
     field = _field_from_args(args)
     group = SP if args.group == "SP" else SL
-    cert = build_niceblock(args.half_size, field.spec, group)
+    cert = build_niceblock(args.half_size, field, group)
     _print_kv("x", format_classical(cert.x))
     _print_kv("half_size", cert.half_size)
     _print_kv("ell_pr", format_value(length(cert.x, PRANK)))
@@ -156,11 +156,11 @@ def _cmd_commutator(args):
         key_fn = None
         fmt = format_permutation
     else:
-        field = group.field()
+        field = group.field
         g = _parse_matrix_like(field, args.element)
         if not isinstance(g, Matrix):
             g = g.matrix
-        elements = enumerate_psl2(group.spec)
+        elements = enumerate_psl2(field)
         key_fn = lambda m: psl_canonical(m).key()
         fmt = format_matrix
     witness = commutator_witness(g, elements, key_fn=key_fn)
@@ -211,7 +211,7 @@ def _cmd_fingerprint(args):
     else:
         field = _field_from_args(args)
         group = SP if args.group == "SP" else SL
-        cert = build_niceblock(args.half_size, field.spec, group)
+        cert = build_niceblock(args.half_size, field, group)
         rec = characteristic_fingerprint(cert.x, cert)
     _print_kv("p", rec.p)
     _print_kv("has_large_p_core", format_value(rec.has_large_p_core))

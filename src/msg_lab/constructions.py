@@ -360,7 +360,7 @@ def approx_centralize(x, dec, phi):
             "rank(phi - psi) = %d exceeds 2k^2 r + 3 dim S = %d"
             % (achieved, bound),
             payload={
-                "field": (field.p, field.e, field.spec.modulus),
+                "field": field,
                 "x": x.packed().tolist(),
                 "phi": phi.packed().tolist(),
                 "k": k,
@@ -438,7 +438,7 @@ def _unit_matrix(field, n, i, j, value=1):
     return Matrix.from_packed(field, rows)
 
 
-def build_niceblock(n, spec, group):
+def build_niceblock(n, field, group):
     """Certificate for x = [[I_n, I_n], [0, I_n]] in SL_2n or Sp_2n.
 
     The A-generators span the full abelian group {[[I, B], [0, I]]} with B
@@ -449,9 +449,6 @@ def build_niceblock(n, spec, group):
     the commutator differs from a scalar in rank at least n - 1, so its
     length is at least (n - 1)/(2n), above the (1/3)(1 - 2/n) target.
     """
-    from .gf import FieldSpec, field_arith
-
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     if n < 2:
         raise ValueError("need n >= 2")
     if group not in (SL, SP):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import poly
 from .constructions import build_niceblock, prepare_near_root
 from .errors import MsgLabError, UnsupportedCaseError
-from .gf import GF, field_arith, is_prime
+from .gf import GF, check_order, is_prime
 from .groups import (PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
                      PSLDescriptor, random_even_perm, random_sl)
 from .linalg import Matrix
@@ -49,7 +49,9 @@ def rng_for(seed, *indices):
 
 
 def prime_power_split(q):
-    """(p, e) with q = p^e, p prime, by trial division up to sqrt(q)."""
+    """(p, e) with q = p^e, p prime, by trial division up to sqrt(q), once
+    q is known to lie below the field order cap."""
+    check_order(q)
     primes = poly._prime_divisors(q) if q > 1 else []
     if len(primes) != 1:
         raise ValueError("%d is not a prime power" % q)
@@ -57,9 +59,9 @@ def prime_power_split(q):
     return p, next(e for e in range(1, q.bit_length() + 1) if p**e == q)
 
 
-def spec_for_q(q):
+def field_for_q(q):
     p, e = prime_power_split(q)
-    return GF(p, e).spec
+    return GF(p, e)
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,16 @@ class FamilyDescriptor:
     size_schedule must be strictly increasing.  For PSL families the
     field schedule pairs with the sizes, and the declared characteristic
     is forced: the common characteristic if all fields share one, or
-    infinite if the characteristics strictly increase.  row_specs holds
-    the FieldSpec of each PSL row, built once here for the experiments.
+    infinite if the characteristics strictly increase.  row_fields holds
+    the Field of each PSL row, built once here for the experiments.
     """
 
     kind: str
     size_schedule: tuple
     field_schedule: tuple = ()
     declared_characteristic: object = None
-    row_specs: tuple = dataclasses.field(default=(), init=False, repr=False,
-                                         compare=False)
+    row_fields: tuple = dataclasses.field(default=(), init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "size_schedule",
@@ -99,11 +101,11 @@ class FamilyDescriptor:
         elif self.kind == PSL_FAMILY:
             if len(self.field_schedule) != len(sizes):
                 raise ValueError("field schedule must pair with sizes")
-            specs = tuple(spec_for_q(q) for q in self.field_schedule)
-            chars = [spec.p for spec in specs]
-            for n, spec in zip(sizes, specs):
-                PSLDescriptor(n, spec)
-            object.__setattr__(self, "row_specs", specs)
+            fields = tuple(field_for_q(q) for q in self.field_schedule)
+            chars = [field.p for field in fields]
+            for n, field in zip(sizes, fields):
+                PSLDescriptor(n, field)
+            object.__setattr__(self, "row_fields", fields)
             if all(c == chars[0] for c in chars):
                 computed = chars[0]
             elif all(b > a for a, b in zip(chars, chars[1:])):
@@ -208,10 +210,8 @@ def equivalence_experiment(family, trials, seed):
     for fi, n, q in family.rows():
         if family.kind == ALTERNATING:
             group = AlternatingDescriptor(n)
-            spec = None
         else:
-            spec = family.row_specs[fi]
-            group = PSLDescriptor(n, spec)
+            group = PSLDescriptor(n, family.row_fields[fi])
         for trial in range(trials):
             rng = rng_for(seed, fi, trial)
             if family.kind == ALTERNATING:
@@ -219,7 +219,7 @@ def equivalence_experiment(family, trials, seed):
                 ell = length(g, HAMMING)
                 label = "ell_h"
             else:
-                g = ClassicalElement(random_sl(n, spec, rng).matrix,
+                g = ClassicalElement(random_sl(n, group.field, rng).matrix,
                                      PSL_REP)
                 ell = length(g, PRANK)
                 label = "ell_pr"
@@ -276,13 +276,12 @@ def fingerprint_experiment(family, primes, seed):
             raise ValueError("%d is not prime" % p)
     rows = []
     for fi, n, q in family.rows():
-        spec = family.row_specs[fi]
-        field = field_arith(spec)
+        field = family.row_fields[fi]
         for p in primes:
             tag = "p%d" % p
             try:
                 if p == field.p:
-                    cert = build_niceblock(n, spec, SL)
+                    cert = build_niceblock(n, field, SL)
                     rec = characteristic_fingerprint(cert.x, cert)
                     ell = length(cert.x, PRANK).value
                 else:

@@ -7,9 +7,11 @@ range(p**e): integer equality is coefficient-vector equality, and
 ascending integer order is lexicographic order on coefficient vectors
 with the constant term least significant.
 
-Moduli are monic with coefficients listed constant-first; the default
-modulus for GF(p^e) is the lexicographically smallest monic irreducible
-of degree e (find_irreducible).
+A Field is the one handle for a field: it carries p, e, q and the monic
+modulus (coefficients listed constant-first) and is validated when it is
+built.  GF returns it, one object per field, with the lexicographically
+smallest monic irreducible of degree e (find_irreducible) as the default
+modulus; the order is checked against MAX_ORDER before that search.
 
 Matrices and polynomials compute through Field.kernel(), the one place
 that picks their arithmetic: inline mod p when e == 1 (a product packs
@@ -25,7 +27,6 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -65,36 +66,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Characteristic, extension degree, and monic modulus (constant
-    coefficient first, length e + 1)."""
-
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        if self.e < 1:
-            raise ValueError(f"extension degree {self.e} < 1")
-        if self.p**self.e >= MAX_ORDER:
-            raise ValueError(f"field order {self.p}^{self.e} exceeds cap {MAX_ORDER}")
-        m = self.modulus
-        if len(m) != self.e + 1:
-            raise ValueError(f"modulus length {len(m)} != e + 1 = {self.e + 1}")
-        if any(not (0 <= c < self.p) for c in m):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if m[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if self.e >= 2 and not poly.pirreducible(
-                Field(FieldSpec(self.p, 1, (0, 1))), m):
-            raise ValueError(f"modulus {m} is reducible over GF({self.p})")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
+def check_order(p: int, e: int = 1) -> None:
+    """Raise ValueError unless e >= 1 and p^e < MAX_ORDER, without forming
+    p^e past the cap's bit length: cheap enough to run before any search."""
+    if e < 1:
+        raise ValueError(f"extension degree {e} < 1")
+    if e >= MAX_ORDER.bit_length() or p**e >= MAX_ORDER:
+        raise ValueError(f"field order {p}^{e} exceeds cap {MAX_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +81,10 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     GF(p), scanning packed non-leading coefficients in ascending order."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
+    check_order(p, e)
     if e == 1:
         return (0, 1)
-    base = Field(FieldSpec(p, 1, (0, 1)))
+    base = Field(p, 1, (0, 1))
     for packed in range(p**e):
         cand = tuple(_unpack_int(packed, p, e)) + (1,)
         if poly.pirreducible(base, cand):
@@ -136,13 +115,27 @@ def _unpack_int(value: int, p: int, e: int) -> list[int]:
 
 
 class Field:
-    """Arithmetic bundle for GF(p^e) on packed-integer elements."""
+    """GF(p^e) as characteristic p, extension degree e and monic modulus
+    (constant coefficient first, length e + 1), with its arithmetic on
+    packed-integer elements.  The constructor validates all three."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.q = spec.q
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        check_order(p, e)
+        m = tuple(modulus)
+        if len(m) != e + 1:
+            raise ValueError(f"modulus length {len(m)} != e + 1 = {e + 1}")
+        if any(not (0 <= c < p) for c in m):
+            raise ValueError("modulus coefficients must lie in [0, p)")
+        if m[-1] != 1:
+            raise ValueError("modulus must be monic")
+        if e >= 2 and not poly.pirreducible(Field(p, 1, (0, 1)), m):
+            raise ValueError(f"modulus {m} is reducible over GF({p})")
+        self.p = p
+        self.e = e
+        self.q = p**e
+        self.modulus = m
         self.zero = 0
         self.one = 1
         self._generator = None
@@ -208,7 +201,7 @@ class Field:
                 for j, y in enumerate(cb):
                     prod[i + j] += x * y
         # reduce modulo the monic modulus
-        m = self.spec.modulus
+        m = self.modulus
         for d in range(len(prod) - 1, self.e - 1, -1):
             c = prod[d] % self.p
             prod[d] = 0
@@ -316,18 +309,16 @@ class Field:
         return self._inv_table
 
     def packed_tables(self):
-        """The pair tables as read-only int64 arrays, for vectorized
-        arithmetic at small q: (add, sub, mul, neg), add/sub/mul of shape
-        (q, q) and neg of shape (q,)."""
+        """The add and mul pair tables as read-only (q, q) int64 arrays,
+        for vectorized arithmetic at small q."""
         if self._packed_tables is None:
             if self.q > _PAIR_TABLE_MAX:
                 raise ValueError(f"packed tables refused for q = {self.q}")
-            add, sub, mul = (np.array(t, dtype=np.int64)
-                             for t in self.pair_tables())
-            neg = sub[0].copy()
-            for t in (add, sub, mul, neg):
+            add, _, mul = self.pair_tables()
+            self._packed_tables = tuple(np.array(t, dtype=np.int64)
+                                        for t in (add, mul))
+            for t in self._packed_tables:
                 t.setflags(write=False)
-            self._packed_tables = (add, sub, mul, neg)
         return self._packed_tables
 
     def _tables(self):
@@ -359,10 +350,11 @@ class Field:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Field)
-                                 and self.spec == other.spec)
+                                 and self.modulus == other.modulus
+                                 and self.p == other.p)
 
     def __hash__(self):
-        return hash(self.spec)
+        return hash((self.p, self.e, self.modulus))
 
     def __repr__(self):
         if self.e == 1:
@@ -471,7 +463,7 @@ def _table_kernel(f: Field) -> Kernel:
     @lru_cache(maxsize=None)
     def arrays():
         # gathers from the raveled tables: t[a * q + b] is t[a][b]
-        add, _, mul, _ = (t.ravel() for t in f.packed_tables())
+        add, mul = (t.ravel() for t in f.packed_tables())
         q = f.q
         return (lambda a, b: mul[a * q + b],
                 lambda x, a, b: add[x * q + mul[a * q + b]], _array_inv(f))
@@ -547,8 +539,6 @@ def _packed_row_product(rows, other_rows, ncols: int, p: int):
     is the exact dot product, since no slot can carry into the next; the
     sums are cast back to unsigned 64-bit ints and reduced mod p once per
     entry (Kronecker substitution, one matrix row at a time)."""
-    if not ncols:
-        return ((),) * len(rows)
     order = sys.byteorder
     width = 8 * ncols
     packed = [int.from_bytes(array("Q", row).tobytes(), order)
@@ -557,12 +547,6 @@ def _packed_row_product(rows, other_rows, ncols: int, p: int):
                      for row in rows])
     vals = [v % p for v in memoryview(sums).cast("Q")]
     return tuple([tuple(vals[i:i + ncols]) for i in range(0, len(vals), ncols)])
-
-
-@lru_cache(maxsize=None)
-def field_arith(spec: FieldSpec) -> Field:
-    """Arithmetic bundle for a validated field spec, one per spec."""
-    return Field(spec)
 
 
 def GF(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
@@ -576,4 +560,4 @@ def GF(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> Field:
 
 @lru_cache(maxsize=None)
 def _validated_field(p: int, e: int, modulus: tuple[int, ...]) -> Field:
-    return field_arith(FieldSpec(p, e, modulus))
+    return Field(p, e, modulus)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import UnsupportedCaseError
-from .gf import FieldSpec, field_arith
+from .gf import Field
 from .linalg import Matrix
 
 GL = "GL"
@@ -264,8 +264,6 @@ def proj_equal(a, b):
 
 def standard_symplectic_form(field, n2):
     """The block form [[0, I], [-I, 0]] on F^n2 (n2 even)."""
-    if isinstance(field, FieldSpec):
-        field = field_arith(field)
     if n2 % 2:
         raise ValueError("symplectic dimension must be even")
     n = n2 // 2
@@ -287,9 +285,8 @@ def symplectic_transvection(j, v, lam):
     return Matrix.identity(field, n) + (col @ row).scale(lam)
 
 
-def random_invertible(n, spec, seed):
+def random_invertible(n, field, seed):
     """Uniform invertible matrix by rejection on singularity."""
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     rng = _as_rng(seed)
     q = field.q
     while True:
@@ -299,19 +296,17 @@ def random_invertible(n, spec, seed):
             return m
 
 
-def random_sl(n, spec, seed):
+def random_sl(n, field, seed):
     """Random determinant-1 matrix: draw invertible, rescale column 0."""
     if n < 2:
         raise ValueError("need n >= 2")
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     m = random_invertible(n, field, seed)
     column0 = Matrix.diagonal(field, [field.inv(m.det())] + [1] * (n - 1))
     return ClassicalElement(m @ column0, SL)
 
 
-def random_sp(n2, spec, seed):
+def random_sp(n2, field, seed):
     """Random symplectic matrix: a product of 3*n2 random transvections."""
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     rng = _as_rng(seed)
     j = standard_symplectic_form(field, n2)
     q = field.q
@@ -332,9 +327,8 @@ def enumerate_alternating(n):
             if Permutation(p).is_even()]
 
 
-def enumerate_gl2(spec):
+def enumerate_gl2(field):
     """All of GL_2(q) by scanning the q^4 candidate matrices."""
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     q = field.q
     out = []
     for a in range(q):
@@ -347,9 +341,8 @@ def enumerate_gl2(spec):
     return out
 
 
-def enumerate_sl2(spec):
+def enumerate_sl2(field):
     """All of SL_2(q)."""
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     return [m for m in enumerate_gl2(field) if m.det() == field.one]
 
 
@@ -368,9 +361,8 @@ def psl_canonical(m):
     return best
 
 
-def enumerate_psl2(spec):
+def enumerate_psl2(field):
     """Canonical representatives of PSL_2(q), one per centre coset."""
-    field = field_arith(spec) if isinstance(spec, FieldSpec) else spec
     seen = set()
     out = []
     for m in enumerate_sl2(field):
@@ -427,21 +419,18 @@ class PSLDescriptor:
     """The group PSL_n(q), elements given as determinant-1 representatives."""
 
     n: int
-    spec: FieldSpec
+    field: Field
 
     def __post_init__(self):
         if self.n < 2:
             raise UnsupportedCaseError("PSL needs n >= 2")
-        q = self.spec.q
+        q = self.field.q
         if self.n == 2 and q <= 3:
             raise UnsupportedCaseError("PSL_2(2) and PSL_2(3) are not simple")
 
-    def field(self):
-        return field_arith(self.spec)
-
     def order(self):
-        q = self.spec.q
+        q = self.field.q
         return sl_order(self.n, q) // math.gcd(self.n, q - 1)
 
     def identity(self):
-        return ClassicalElement(Matrix.identity(self.field(), self.n), PSL_REP)
+        return ClassicalElement(Matrix.identity(self.field, self.n), PSL_REP)

@@ -166,7 +166,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field.spec,) + self.key())
+        return hash((self.field,) + self.key())
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(row) for row in self.rows]})"

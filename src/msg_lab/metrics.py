@@ -173,7 +173,7 @@ def conjugacy_distance(g, h, group):
     if isinstance(group, PSLDescriptor):
         gm = _as_matrix(g)
         hm = _as_matrix(h)
-        if gm.nrows != group.n or gm.field.spec != group.spec:
+        if gm.nrows != group.n or gm.field != group.field:
             raise ValueError("element does not match the group descriptor")
         x = gm @ hm.inverse()
         if proj_equal(x, Matrix.identity(gm.field, gm.nrows)):

@@ -101,7 +101,7 @@ def _split_instances(seed, per_field):
                 if math.gcd(k, field.p) == 1:
                     break
             alpha = rng.randrange(1, field.q)
-            y = random_invertible(n, field.spec, rng)
+            y = random_invertible(n, field, rng)
             yield field, n, k, alpha, y, rng
 
 
@@ -147,7 +147,7 @@ def suite_approx_centralize(seed=DEFAULT_SEED, scale=None):
     stream = _split_instances(seed, per_field)
     for field, n, k, alpha, y, rng in itertools.islice(stream, total):
         count += 1
-        phi = random_invertible(n, field.spec, rng)
+        phi = random_invertible(n, field, rng)
         try:
             x, dec = prepare_near_root(y, k, alpha)
             psi = approx_centralize(x, dec, phi)
@@ -233,12 +233,12 @@ def suite_niceblock(seed=DEFAULT_SEED, scale=None):
     failures = []
     half = Fraction(1, 2)
     for p in (2, 3, 5):
-        spec = GF(p).spec
+        field = GF(p)
         for n in range(2, 7):
             for group in (SL, SP):
                 label = "%s n=%d q=%d" % (group, n, p)
                 try:
-                    cert = build_niceblock(n, spec, group)
+                    cert = build_niceblock(n, field, group)
                     checked += 1
                     if length(cert.x, PRANK).value != half:
                         raise AssertionError("ell_pr(x) != 1/2")
@@ -247,7 +247,6 @@ def suite_niceblock(seed=DEFAULT_SEED, scale=None):
                         raise AssertionError(
                             "A has %d generators, expected %d"
                             % (len(cert.A_generators), expected_exp))
-                    field = cert.x.field
                     ident = Matrix.identity(field, 2 * n)
                     cols = []
                     for g in cert.A_generators:
@@ -297,21 +296,20 @@ def suite_sl_projection(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 900, i)
         field = fields[i % len(fields)]
         n = rng.randint(1, 6)
-        g = random_invertible(n, field.spec, rng)
+        g = random_invertible(n, field, rng)
         h = project_to_sl(g)
         if h.matrix.det() != field.one:
             failures.append("projection %d lost det 1" % i)
         elif (g - h.matrix).rank() > 1:
             failures.append("projection %d moved rank > 1" % i)
-    spec3 = GF(3).spec
-    gl_table = commutator_witness_table(enumerate_gl2(spec3))
-    missing_sl = [m for m in enumerate_sl2(spec3)
+    gf3 = GF(3)
+    gl_table = commutator_witness_table(enumerate_gl2(gf3))
+    missing_sl = [m for m in enumerate_sl2(gf3)
                   if gl_table.get(m.key()) is None]
     if missing_sl:
         failures.append("%d elements of SL_2(3) lack GL_2(3) commutator "
                         "witnesses" % len(missing_sl))
-    spec7 = GF(7).spec
-    psl_elems = enumerate_psl2(spec7)
+    psl_elems = enumerate_psl2(GF(7))
     key_fn = lambda m: psl_canonical(m).key()
     psl_table = commutator_witness_table(psl_elems, key_fn=key_fn)
     missing_psl = [m for m in psl_elems if psl_table.get(key_fn(m)) is None]
@@ -376,7 +374,7 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 200, i)
         field = fields[i % len(fields)]
         m = rng.randint(1, 5)
-        a, b, c, g = (random_invertible(m, field.spec, rng) for _ in range(4))
+        a, b, c, g = (random_invertible(m, field, rng) for _ in range(4))
         problems = _check_metric_axioms(projective_rank_distance, (a, b, c),
                                         True)
         if projective_rank_distance(g @ a, g @ b).value != \
@@ -405,11 +403,11 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         if problems:
             failures.append("conj triple %d: %s" % (i, problems))
 
-    psl = PSLDescriptor(2, GF(7).spec)
+    psl = PSLDescriptor(2, GF(7))
     d_p = lambda a, b: conjugacy_distance(a, b, psl)
     for i in range(60):
         rng = rng_for(seed, 400, i)
-        a, b, c, g = (random_sl(2, GF(7).spec, rng) for _ in range(4))
+        a, b, c, g = (random_sl(2, GF(7), rng) for _ in range(4))
         problems = _check_metric_axioms(d_p, (a, b, c), False)
         if abs(float(d_p(g * a, g * b)) - float(d_p(a, b))) > _FLOAT_TOL:
             problems.append("left invariance")
@@ -545,7 +543,7 @@ def suite_centralizer_structure(seed=DEFAULT_SEED, scale=None):
             field = GF(char)
             if p == char:
                 for n in (2, 3, 4):
-                    cert = build_niceblock(n, field.spec, SL)
+                    cert = build_niceblock(n, field, SL)
                     rec = characteristic_fingerprint(cert.x, cert)
                     dichotomy_checked += 1
                     if not rec.has_large_p_core or \
@@ -640,7 +638,7 @@ def suite_geodesics(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 520, i)
         field = fields[i % len(fields)]
         n = rng.randint(2, 6)
-        g = random_sl(n, field.spec, rng)
+        g = random_sl(n, field, rng)
         chain = rank_metric_chain(g, Fraction(1, n))
         report = verify_chain(chain)
         if not report.valid:

@@ -16,7 +16,7 @@ Formats, all one-line:
 
 from fractions import Fraction
 
-from .gf import FieldSpec, field_arith
+from .gf import GF
 from .groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                      ClassicalElement, Permutation, PSLDescriptor,
                      standard_symplectic_form)
@@ -39,20 +39,19 @@ def parse_field(text):
     if e < 1:
         raise ValueError("extension degree must be >= 1, got %d" % e)
     if not sep:
-        from .gf import GF
-        return GF(p, e) if e > 1 else GF(p)
+        return GF(p, e)
     coeffs = tuple(int(c) for c in tail.split(","))
     if len(coeffs) != e + 1:
         raise ValueError("modulus needs %d coefficients, got %d"
                          % (e + 1, len(coeffs)))
-    return field_arith(FieldSpec(p, e, coeffs))
+    return GF(p, e, coeffs)
 
 
 def format_field(field):
     if field.e == 1:
         return str(field.p)
     return "%d^%d:%s" % (field.p, field.e,
-                         ",".join(str(c) for c in field.spec.modulus))
+                         ",".join(str(c) for c in field.modulus))
 
 
 def parse_matrix(field, text):
@@ -118,7 +117,7 @@ def parse_group_descriptor(text):
         if len(parts) != 3:
             raise ValueError("projective descriptor is PSL:n:field")
         field = parse_field(parts[2])
-        return PSLDescriptor(int(parts[1]), field.spec)
+        return PSLDescriptor(int(parts[1]), field)
     raise ValueError("unknown group descriptor %r" % text)
 
 

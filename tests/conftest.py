@@ -41,7 +41,7 @@ def near_root_input(field, n, dim_l, rng, alpha_one=None, attempts=200,
                                             for j in range(m)]
                                            for i in range(m)])
         else:
-            M = random_invertible(m, field.spec, rng)
+            M = random_invertible(m, field, rng)
         if not a:
             block = M
         elif not m:
@@ -50,7 +50,7 @@ def near_root_input(field, n, dim_l, rng, alpha_one=None, attempts=200,
             block = Matrix.block2(Matrix.scalar(field, a, c),
                                   Matrix.zeros(field, a, m),
                                   Matrix.zeros(field, m, a), M)
-        Q = random_invertible(n, field.spec, rng)
+        Q = random_invertible(n, field, rng)
         y = Q @ block @ Q.inverse()
         if n - (y.matpow(k) - Matrix.scalar(field, n, alpha)).rank() == dim_l:
             return y, k, alpha

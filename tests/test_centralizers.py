@@ -199,13 +199,13 @@ def test_fingerprint_semisimple_involutions():
 
 def test_fingerprint_niceblock():
     field = GF(3)
-    cert = build_niceblock(2, field.spec, SL)
+    cert = build_niceblock(2, field, SL)
     rec = characteristic_fingerprint(cert.x, cert)
     assert rec.has_large_p_core
     assert rec.p == 3
     assert rec.p_core_order == 3 ** 4 == 81
     assert rec.reductive_part.total_order == gl_order(2, 3) == 48
-    cert = build_niceblock(2, field.spec, SP)
+    cert = build_niceblock(2, field, SP)
     rec = characteristic_fingerprint(cert.x, cert)
     assert rec.p_core_order == 3 ** 3 == 27
     assert rec.reductive_part.total_order == 48
@@ -251,7 +251,7 @@ def test_fingerprint_unsupported_cases():
     with pytest.raises(UnsupportedCaseError):
         characteristic_fingerprint(xi, deci)
     # certificate mismatch
-    cert = build_niceblock(2, GF(3).spec, SL)
+    cert = build_niceblock(2, GF(3), SL)
     with pytest.raises(UnsupportedCaseError):
         characteristic_fingerprint(Matrix.identity(GF(3), 4), cert)
 

@@ -81,6 +81,20 @@ def test_metric_errors(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_field_past_the_cap_exits_2(capsys):
+    """--field 2^400 is refused before any modulus search: exit 2, one
+    error line, no traceback; so is a PSL family past the cap."""
+    code, out, err = _run(capsys, "metric", "--kind", "prank", "--field",
+                          "2^400", "1,0;0,1")
+    assert code == 2 and out == ""
+    assert err == "error: field order 2^400 exceeds cap 2147483648\n"
+    code, out, err = _run(capsys, "experiment", "--name", "equivalence",
+                          "--family", "PSL:2:100000000000000000039",
+                          "--trials", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_prepare(capsys):
     code, out, _ = _run(capsys, "prepare", "--field", "5", "--k", "2",
                         "--alpha", "1", "2,0;0,1")

@@ -38,7 +38,7 @@ def test_prepare_postconditions_random(rng):
                 if k % field.p != 0:
                     break
             alpha = rng.randrange(1, field.q)
-            y = random_invertible(n, field.spec, rng)
+            y = random_invertible(n, field, rng)
             x, dec = prepare_near_root(y, k, alpha)
             assert x.is_invertible()
             check_split_condition(x, dec)
@@ -131,7 +131,7 @@ def test_greedy_orbits_complete_basis_matches_rank_probe(rng):
         for n in range(1, 8):
             ident = Matrix.identity(field, n)
             starts = [Matrix.zeros(field, n, 0),
-                      random_invertible(n, field.spec, rng)]
+                      random_invertible(n, field, rng)]
             for _ in range(6):
                 c = rng.randint(1, n + 1)
                 cols = _random_columns(field, n, c, rng)
@@ -167,7 +167,7 @@ def test_greedy_orbits_match_rank_probe_on_primary_blocks(rng):
                 if k % field.p:
                     break
             alpha = rng.randrange(1, field.q)
-            y = random_invertible(n, field.spec, rng)
+            y = random_invertible(n, field, rng)
             x, dec = prepare_near_root(y, k, alpha)
             blocks = primary_blocks(x, k, alpha)
             prim = Matrix.hstack([basis for _, basis in blocks])
@@ -344,7 +344,7 @@ def test_check_split_condition_matches_solve_oracle(rng, monkeypatch):
                 if case is None:
                     continue
                 x, dec = prepare_near_root(*case)
-                candidates = [x, random_invertible(n, field.spec, rng),
+                candidates = [x, random_invertible(n, field, rng),
                               Matrix.identity(field, n + 1),
                               Matrix.zeros(field, n, n + 1)]
                 if dim_l:
@@ -454,8 +454,33 @@ def test_approx_centralize_trivial_cases(rng):
     y = Matrix.scalar(field, 3, 2)
     x, dec = prepare_near_root(y, 3, 1)  # y^3 = 8 I = I
     assert x == y
-    phi = random_invertible(3, field.spec, rng)
+    phi = random_invertible(3, field, rng)
     assert approx_centralize(x, dec, phi) == phi
+
+
+def test_bound_violation_carries_a_reproducer(monkeypatch):
+    """The rank bound of approx_centralize cannot trip (see the module
+    docstring); with dim S read as -100 it does, and the error's payload
+    holds the field itself and enough to replay the instance."""
+    field = GF(5)
+    x, dec = prepare_near_root(Matrix.diagonal(field, [1, 4]), 2, 1)
+    phi = Matrix.from_packed(field, [[1, 1], [0, 1]])
+    monkeypatch.setattr(SplitDecomposition, "dim_S",
+                        property(lambda self: -100))
+    with pytest.raises(constructions.BoundViolationError) as info:
+        approx_centralize(x, dec, phi)
+    payload = info.value.payload
+    assert payload["field"] is field
+    assert payload["x"] == [[1, 0], [0, 4]]
+    assert payload["phi"] == [[1, 1], [0, 1]]
+    assert (payload["k"], payload["alpha"], payload["dim_S"]) == (2, 1, -100)
+    assert payload["commutator_rank"] == 1
+    assert payload["achieved"] == 1 and payload["bound"] == 8 - 300
+    monkeypatch.undo()
+    replayed = prepare_near_root(
+        Matrix.from_packed(payload["field"], payload["x"]), payload["k"],
+        payload["alpha"])
+    assert replayed[0] == x
 
 
 def test_approx_centralize_exhaustive_oracle_gf5():
@@ -594,7 +619,7 @@ def test_approx_centralize_matches_two_basis_oracle(rng, monkeypatch):
                         continue
                     y, k, alpha = case
                     x, dec = prepare_near_root(y, k, alpha)
-                    phi = random_invertible(n, field.spec, rng)
+                    phi = random_invertible(n, field, rng)
                     psi = approx_centralize(x, dec, phi)
                     assert psi == _approx_centralize_oracle(x, dec, phi)
                     seen_k.add((field.q, k))
@@ -620,7 +645,7 @@ def _non_commuting_cases(rng, count):
         if case is None:
             continue
         x, dec = prepare_near_root(*case)
-        phi = random_invertible(n, field.spec, rng)
+        phi = random_invertible(n, field, rng)
         if x @ phi != phi @ x:
             cases.append((x, dec, phi))
 
@@ -668,7 +693,7 @@ def test_approx_centralize_closing_check_catches_non_commuting_psi(
         calls.append(1)
         if len(calls) % 2:  # the first call assembles x's blocks
             return real(field, mats)
-        return random_invertible(sum(m.nrows for m in mats), field.spec, rng)
+        return random_invertible(sum(m.nrows for m in mats), field, rng)
 
     monkeypatch.setattr(constructions, "_block_diagonal", mutant)
     cases = [case for case in _non_commuting_cases(rng, 40)
@@ -712,11 +737,10 @@ def _is_upper_unipotent_block(m, n, symmetric):
 
 def test_niceblock_invariants():
     for p in (2, 3, 5):
-        spec = GF(p).spec
         field = GF(p)
         for n in (2, 3):
             for group in (SL, SP):
-                cert = build_niceblock(n, spec, group)
+                cert = build_niceblock(n, field, group)
                 x = cert.x.matrix
                 ident = Matrix.identity(field, 2 * n)
                 assert x.matpow(p) == ident and x != ident
@@ -767,10 +791,9 @@ def test_niceblock_commutator_pair_clears_target():
 
 def test_niceblock_a_group_orders():
     """Enumerated A-group orders at half size 2: q^4 for SL, q^3 for Sp."""
-    spec = GF(3).spec
-    cert = build_niceblock(2, spec, SL)
+    cert = build_niceblock(2, GF(3), SL)
     assert len(_closure([g.matrix for g in cert.A_generators])) == 81
-    cert = build_niceblock(2, spec, SP)
+    cert = build_niceblock(2, GF(3), SP)
     assert len(_closure([g.matrix for g in cert.A_generators])) == 27
 
 
@@ -781,7 +804,7 @@ def test_niceblock_centralizer_complete_small():
     expected = {2: 96, 3: 3888}
     for q in (2, 3):
         field = GF(q)
-        cert = build_niceblock(2, field.spec, SL)
+        cert = build_niceblock(2, field, SL)
         x = cert.x.matrix
         basis = commutant_basis(x)
         flats = np.stack([b.packed().reshape(-1) for b in basis])
@@ -803,7 +826,7 @@ def test_niceblock_centralizer_complete_small():
 
 def test_niceblock_rejects_small_n():
     with pytest.raises(Exception):
-        build_niceblock(1, GF(3).spec, SL)
+        build_niceblock(1, GF(3), SL)
 
 
 def test_project_to_sl_examples(rng):
@@ -819,15 +842,14 @@ def test_project_to_sl_examples(rng):
     for _ in range(200):
         f = FIELDS[rng.randrange(len(FIELDS))]
         n = rng.randint(1, 5)
-        g = random_invertible(n, f.spec, rng)
+        g = random_invertible(n, f, rng)
         h = project_to_sl(g)
         assert h.matrix.det() == f.one
         assert (g - h.matrix).rank() <= 1
 
 
 def test_commutator_witness_identity():
-    spec = GF(3).spec
-    elements = enumerate_sl2(spec)
+    elements = enumerate_sl2(GF(3))
     ident = Matrix.identity(GF(3), 2)
     witness = commutator_witness(ident, elements)
     assert witness is not None
@@ -838,7 +860,7 @@ def test_commutator_witness_identity():
 def test_commutator_witness_rejects_classical_element():
     """Elements are Matrix or Permutation values; a ClassicalElement
     wrapper is refused with TypeError."""
-    elements = enumerate_sl2(GF(3).spec)
+    elements = enumerate_sl2(GF(3))
     g = ClassicalElement(Matrix.identity(GF(3), 2), SL)
     with pytest.raises(TypeError):
         commutator_witness(g, elements)
@@ -848,12 +870,11 @@ def test_sl2_3_witnesses_from_ambient_gl():
     """Frozen counts: within SL_2(3) only 8 of 24 elements are
     commutators of SL pairs, but all 24 are commutators of GL_2(3)
     pairs."""
-    spec = GF(3).spec
-    sl = enumerate_sl2(spec)
+    sl = enumerate_sl2(GF(3))
     sl_table = commutator_witness_table(sl)
     self_witnessed = [m for m in sl if sl_table.get(m.key()) is not None]
     assert len(self_witnessed) == 8
-    gl_table = commutator_witness_table(enumerate_gl2(spec))
+    gl_table = commutator_witness_table(enumerate_gl2(GF(3)))
     for m in sl:
         witness = gl_table.get(m.key())
         assert witness is not None
@@ -867,7 +888,7 @@ def test_commutator_witness_matches_table_lookup():
     from msg_lab.groups import enumerate_alternating, enumerate_psl2, psl_canonical
     key_fn = lambda m: psl_canonical(m).key()
     for elements, kf in ((enumerate_alternating(5), None),
-                         (enumerate_psl2(GF(5).spec), key_fn)):
+                         (enumerate_psl2(GF(5)), key_fn)):
         table = commutator_witness_table(elements, key_fn=kf)
         for g in elements:
             expected = table.get((kf or _plain_key)(g))

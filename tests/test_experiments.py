@@ -9,7 +9,7 @@ from msg_lab.experiments import (ALTERNATING, INFINITE, PSL_FAMILY,
                                  FamilyDescriptor, derive_seed,
                                  equivalence_experiment, format_family,
                                  fingerprint_experiment, parse_family,
-                                 prime_power_split, rng_for, spec_for_q,
+                                 field_for_q, prime_power_split, rng_for,
                                  _order_p_semisimple)
 from msg_lab.gf import GF
 from msg_lab.groups import random_even_perm
@@ -35,7 +35,7 @@ def test_prime_power_split():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power_split(bad)
-    assert spec_for_q(9).p == 3 and spec_for_q(9).e == 2
+    assert field_for_q(9) is GF(3, 2)
 
 
 def test_prime_power_split_of_word_size_prime_is_quick():
@@ -50,6 +50,20 @@ def test_prime_power_split_of_word_size_prime_is_quick():
     assert prime_power_split(46337**2) == (46337, 2)
     with pytest.raises(ValueError):
         prime_power_split(46337 * 46327)
+
+
+def test_order_past_the_cap_refused_before_trial_division(monkeypatch):
+    """A scheduled q at or past the 2^31 field order cap is refused with
+    ValueError before any trial division, within 1 s."""
+    def fail(n):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(experiments.poly, "_prime_divisors", fail)
+    for text in ("PSL:2:100000000000000000039", "PSL:2:2147483648"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds cap"):
+            parse_family(text)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_each_scheduled_q_is_split_once(monkeypatch):
@@ -68,10 +82,10 @@ def test_each_scheduled_q_is_split_once(monkeypatch):
                 lambda fam: fingerprint_experiment(fam, (2, 3), 5)):
         del calls[:]
         family = parse_family("PSL:2,3:5,25")
-        assert [spec.q for spec in family.row_specs] == [5, 25]
+        assert [field.q for field in family.row_fields] == [5, 25]
         run(family)
         assert calls == [5, 25]
-    assert parse_family("ALT:5,6").row_specs == ()
+    assert parse_family("ALT:5,6").row_fields == ()
 
 
 def test_family_parse_format_roundtrip():

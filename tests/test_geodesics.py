@@ -147,7 +147,7 @@ def test_rank_chain_random_property(rng):
     for trial in range(30):
         field = FIELDS[trial % len(FIELDS)]
         n = rng.randint(2, 5)
-        g = random_sl(n, field.spec, rng.randrange(10**6))
+        g = random_sl(n, field, rng.randrange(10**6))
         chain = rank_metric_chain(g, Fraction(1, n))
         report = verify_chain(chain)
         assert report.valid, report.mismatches

@@ -1,10 +1,11 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from msg_lab import gf, poly
-from msg_lab.gf import GF, Field, FieldSpec, field_arith, find_irreducible
+from msg_lab.gf import GF, Field, find_irreducible
 
 from conftest import FIELDS
 
@@ -111,18 +112,52 @@ def test_worked_arithmetic_examples():
     assert f4.mul(t, t) == f4.from_coeffs((1, 1))
 
 
-def test_spec_validation():
+def test_field_validation():
     with pytest.raises(Exception):
-        FieldSpec(4, 1, (0, 1))
+        Field(4, 1, (0, 1))
     with pytest.raises(Exception):
-        FieldSpec(2, 2, (0, 0, 1))  # t^2 is reducible
+        Field(2, 2, (0, 0, 1))  # t^2 is reducible
     with pytest.raises(Exception):
         GF(5, 2, modulus=(4, 0, 1))  # t^2 - 1 = (t-1)(t+1)
-    spec = FieldSpec(3, 2, (1, 0, 1))
-    assert field_arith(spec).q == 9
-    # one Field per spec
-    assert field_arith(spec) is field_arith(FieldSpec(3, 2, (1, 0, 1))) \
-        is GF(3, 2, modulus=(1, 0, 1))
+    field = Field(3, 2, (1, 0, 1))
+    assert (field.p, field.e, field.q, field.modulus) == (3, 2, 9, (1, 0, 1))
+    # GF returns one Field per (p, e, modulus); a Field built directly is
+    # equal to it, with the same hash
+    assert GF(3, 2, modulus=(1, 0, 1)) is GF(3, 2, modulus=[1, 0, 1])
+    assert field == GF(3, 2, modulus=(1, 0, 1))
+    assert hash(field) == hash((3, 2, (1, 0, 1)))
+    assert field != Field(3, 2, (2, 2, 1))
+
+
+def test_field_constructor_checks_in_order():
+    """Each check of the Field constructor, with its message; the cap
+    check does not form p^e for a huge e."""
+    cases = [((4, 1, (0, 1)), "characteristic 4 is not prime"),
+             ((2, 0, (1,)), "extension degree 0 < 1"),
+             ((2, -1, ()), "extension degree -1 < 1"),
+             ((2, 31, (1,) * 32), r"field order 2\^31 exceeds cap"),
+             ((2, 10**12, (1,)), r"field order 2\^1000000000000 exceeds"),
+             ((3, 2, (1, 1)), r"modulus length 2 != e \+ 1 = 3"),
+             ((3, 2, (1, 3, 1)), r"coefficients must lie in \[0, p\)"),
+             ((3, 2, (1, 0, 2)), "modulus must be monic"),
+             ((3, 2, (2, 0, 1)), "reducible over GF")]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Field(*args)
+
+
+def test_gf_checks_the_order_before_the_search(monkeypatch):
+    """GF refuses e < 1 and orders at or past the cap with ValueError
+    before find_irreducible searches, within 1 s each."""
+    def fail(*args):
+        raise AssertionError("modulus search ran")
+
+    monkeypatch.setattr(poly, "pirreducible", fail)
+    for args in ((2, 400), (2, 0), (2, -1), (3, 20), (2147483659, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            GF(*args)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_repeated_gf_is_a_lookup(monkeypatch):
@@ -130,7 +165,7 @@ def test_repeated_gf_is_a_lookup(monkeypatch):
     modulus again, also when the modulus comes as a list; input that fails
     validation raises ValueError on every call."""
     field = GF(3, 2)
-    modulus = list(field.spec.modulus)
+    modulus = list(field.modulus)
 
     def fail(*args):
         raise AssertionError("modulus checked again")
@@ -148,7 +183,7 @@ def test_repeated_gf_is_a_lookup(monkeypatch):
 
 def test_modulus_check_matches_root_scan_in_degrees_2_and_3():
     """A monic polynomial of degree 2 or 3 is reducible exactly when it
-    has a root: FieldSpec, which asks Rabin's test (poly.pirreducible),
+    has a root: the Field constructor, which asks Rabin's test (poly.pirreducible),
     accepts every such modulus over GF(2), GF(3), GF(5), GF(7) and GF(11)
     exactly when a scan over the p values finds no root."""
     import itertools
@@ -163,9 +198,9 @@ def test_modulus_check_matches_root_scan_in_degrees_2_and_3():
                     for a in range(p))
                 if has_root:
                     with pytest.raises(ValueError, match="reducible"):
-                        FieldSpec(p, e, modulus)
+                        Field(p, e, modulus)
                 else:
-                    assert FieldSpec(p, e, modulus).q == p**e
+                    assert Field(p, e, modulus).q == p**e
                     accepted += 1
             # the number of monic irreducibles: (p^2 - p)/2, (p^3 - p)/3
             assert accepted == (p**e - p) // e
@@ -189,12 +224,10 @@ def test_inv_table():
 
 def test_packed_tables_match_scalar_ops():
     for field in [GF(5), GF(3, 2), GF(2, 3)]:
-        add_t, sub_t, mul_t, neg_t = field.packed_tables()
+        add_t, mul_t = field.packed_tables()
         for a in field.elements():
-            assert int(neg_t[a]) == field.neg(a)
             for b in field.elements():
                 assert int(add_t[a, b]) == field.add(a, b)
-                assert int(sub_t[a, b]) == field.sub(a, b)
                 assert int(mul_t[a, b]) == field.mul(a, b)
     for big in (GF(2, 11), GF(3, 7)):
         for tables in (big.pair_tables, big.packed_tables):
@@ -286,7 +319,7 @@ def test_generator_searched_once_per_field(monkeypatch):
         return search(self)
 
     monkeypatch.setattr(Field, "_generator_search", counted)
-    big = Field(FieldSpec(2**31 - 1, 1, (0, 1)))
+    big = Field(2**31 - 1, 1, (0, 1))
     for _ in range(3):
         assert big.multiplicative_generator() == 7
         assert big.roots_of_unity(2) == [1, big.q - 1]
@@ -294,7 +327,7 @@ def test_generator_searched_once_per_field(monkeypatch):
         assert big.roots_of_unity(7) == [1, 894255406, 1205362885, 1537170743,
                                          1599590586, 1600955193, 1752599774]
     assert searches == [big.q]
-    mid = Field(FieldSpec(65537, 1, (0, 1)))
+    mid = Field(65537, 1, (0, 1))
     for _ in range(3):
         assert mid.multiplicative_generator() == 3 == mid._tables()[0][1]
         assert mid.roots_of_unity(2) == [1, 65536]
@@ -452,8 +485,8 @@ def test_kernel_built_on_first_use_and_kept():
     the kernel is made on the first kernel() call and kept, the packed
     tables wait for the first arrays() call, and the inverse table for
     the first array inverse, after which it is kept."""
-    for spec in (GF(7).spec, GF(3, 2).spec, GF(2, 11).spec):
-        field = Field(spec)
+    for gf_field in (GF(7), GF(3, 2), GF(2, 11)):
+        field = Field(gf_field.p, gf_field.e, gf_field.modulus)
         assert field._kernel is None
         k = field.kernel()
         assert field.kernel() is k
@@ -462,7 +495,7 @@ def test_kernel_built_on_first_use_and_kept():
         _, _, inv = k.arrays()
         assert field._inv_table is None
         assert (field._packed_tables is not None) == (
-            spec.e > 1 and spec.q <= gf._PAIR_TABLE_MAX)
+            field.e > 1 and field.q <= gf._PAIR_TABLE_MAX)
         assert inv(np.array([1], dtype=np.int64)).tolist() == [1]
         table = field._inv_table
         assert table is not None

@@ -69,7 +69,7 @@ def test_random_sl_det_one(rng):
     for field in [GF(2), GF(5), GF(3, 2)]:
         for _ in range(40):
             n = rng.randint(2, 5)
-            g = random_sl(n, field.spec, rng)
+            g = random_sl(n, field, rng)
             assert g.group_tag == SL
             assert g.matrix.det() == field.one
 
@@ -78,19 +78,19 @@ def test_random_sp_preserves_form(rng):
     for field in [GF(2), GF(3), GF(5)]:
         for _ in range(30):
             n2 = 2 * rng.randint(1, 3)
-            g = random_sp(n2, field.spec, rng)
+            g = random_sp(n2, field, rng)
             assert g.group_tag == SP
             j = standard_symplectic_form(field, n2)
             assert g.matrix.transpose() @ j @ g.matrix == j
 
 
 def test_enumeration_counts():
-    assert len(enumerate_gl2(GF(2).spec)) == 6
-    assert len(enumerate_gl2(GF(3).spec)) == 48
-    assert len(enumerate_sl2(GF(3).spec)) == 24
-    assert len(enumerate_sl2(GF(5).spec)) == 120
-    assert len(enumerate_psl2(GF(5).spec)) == 60
-    assert len(enumerate_psl2(GF(7).spec)) == 168
+    assert len(enumerate_gl2(GF(2))) == 6
+    assert len(enumerate_gl2(GF(3))) == 48
+    assert len(enumerate_sl2(GF(3))) == 24
+    assert len(enumerate_sl2(GF(5))) == 120
+    assert len(enumerate_psl2(GF(5))) == 60
+    assert len(enumerate_psl2(GF(7))) == 168
     assert len(enumerate_alternating(5)) == 60
 
 
@@ -99,7 +99,7 @@ def test_psl_canonical_centre_invariance(rng):
     alpha^n = 1 (the centre of SL_n), exhaustively over F^x."""
     for field in [GF(5), GF(7)]:
         for _ in range(40):
-            g = random_invertible(2, field.spec, rng)
+            g = random_invertible(2, field, rng)
             canon = psl_canonical(g)
             assert psl_canonical(canon) == canon
             for lam in field.nonzero_elements():
@@ -127,14 +127,14 @@ def test_psl_canonical_matches_full_scan(rng):
     elements of SL_3 and SL_4 over every field with q <= 16."""
     for q in (4, 5, 7, 8, 9):
         field = GF(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
-        for m in enumerate_sl2(field.spec):
+        for m in enumerate_sl2(field):
             assert psl_canonical(m) == _psl_canonical_scan(m)
     for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                  (11, 1), (13, 1), (2, 4)):
         field = GF(p, e)
         for n in (3, 4):
             for _ in range(10):
-                m = random_sl(n, field.spec, rng).matrix
+                m = random_sl(n, field, rng).matrix
                 assert psl_canonical(m) == _psl_canonical_scan(m)
 
 
@@ -158,11 +158,11 @@ def test_descriptors():
     assert alt.identity() == Permutation.identity(5)
     with pytest.raises(UnsupportedCaseError):
         AlternatingDescriptor(4)
-    psl = PSLDescriptor(2, GF(7).spec)
+    psl = PSLDescriptor(2, GF(7))
     assert psl.order() == 168
     assert psl.identity().matrix == Matrix.identity(GF(7), 2)
     with pytest.raises(UnsupportedCaseError):
-        PSLDescriptor(2, GF(2).spec)
+        PSLDescriptor(2, GF(2))
     with pytest.raises(UnsupportedCaseError):
-        PSLDescriptor(2, GF(3).spec)
-    assert PSLDescriptor(3, GF(2).spec).order() == 168
+        PSLDescriptor(2, GF(3))
+    assert PSLDescriptor(3, GF(2)).order() == 168

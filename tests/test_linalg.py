@@ -118,7 +118,7 @@ def test_matpow_matches_repeated_products(rng, monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     for field in FIELDS:
-        y = random_invertible(3, field.spec, rng)
+        y = random_invertible(3, field, rng)
         y_inv = y.inverse()
         for k in range(-3, 10):
             expected = Matrix.identity(field, 3)
@@ -190,7 +190,7 @@ def test_solve_and_inverse(rng):
     for field in FIELDS:
         for _ in range(60):
             n = rng.randint(1, 5)
-            m = random_invertible(n, field.spec, rng)
+            m = random_invertible(n, field, rng)
             b = _rand_matrix(field, n, 1, rng)
             sol = m.solve(b)
             assert sol is not None and m @ sol == b
@@ -230,9 +230,9 @@ def test_min_rank_shift_bi_invariance(rng):
         for _ in range(40):
             n = rng.randint(1, 4)
             g = _rand_matrix(field, n, n, rng)
-            h = random_invertible(n, field.spec, rng)
-            u = random_invertible(n, field.spec, rng)
-            v = random_invertible(n, field.spec, rng)
+            h = random_invertible(n, field, rng)
+            u = random_invertible(n, field, rng)
+            v = random_invertible(n, field, rng)
             r = min_rank_shift(g, h).r
             assert min_rank_shift(u @ g, u @ h).r == r
             assert min_rank_shift(g @ v, h @ v).r == r
@@ -265,13 +265,13 @@ _ORACLE_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2),
 def _shift_case(field, n, kind, rng):
     """(g, h) with h invertible and g random, a scalar multiple of h,
     h times a diagonalizable matrix, or h times a scaled unipotent one."""
-    h = random_invertible(n, field.spec, rng)
+    h = random_invertible(n, field, rng)
     if kind == "random":
         return _rand_matrix(field, n, n, rng), h
     if kind == "scalar":
         return h.scale(rng.randrange(field.q)), h
     if kind == "diagonalizable":
-        p = random_invertible(n, field.spec, rng)
+        p = random_invertible(n, field, rng)
         d = Matrix.diagonal(field, [rng.randrange(field.q) for _ in range(n)])
         return h @ p @ d @ p.inverse(), h
     unipotent = Matrix.from_packed(field, [
@@ -361,8 +361,8 @@ def test_min_rank_shift_reach_word_size_field(rng):
     argmin."""
     field = GF(2**31 - 1)
     n = 4
-    h = random_invertible(n, field.spec, rng)
-    p = random_invertible(n, field.spec, rng)
+    h = random_invertible(n, field, rng)
+    p = random_invertible(n, field, rng)
     alpha = rng.randrange(1, field.q)
     nilpotent = Matrix.from_packed(field, [[int(j == i + 1 and i < 2)
                                             for j in range(n)]
@@ -622,7 +622,7 @@ def test_span_invertible_counts_one_dim_above_table_cap(rng):
     """GF(2^11) has no pair tables: the span of one invertible matrix B
     has q - 1 invertible members, and c B has det one iff c^3 det B = 1."""
     field = GF(2, 11)
-    b = random_invertible(3, field.spec, rng)
+    b = random_invertible(3, field, rng)
     invertible, det1 = span_invertible_counts([b])
     assert invertible == field.q - 1
     d = b.det()

@@ -120,9 +120,9 @@ def test_group_orders():
     assert gl_order(2, 3) == 48
     assert sl_order(2, 3) == 24
     assert gl_order(3, 2) == 168
-    assert PSLDescriptor(2, GF(7).spec).order() == 168
-    assert PSLDescriptor(2, GF(5).spec).order() == 60
-    assert PSLDescriptor(2, GF(3, 2).spec).order() == 360
+    assert PSLDescriptor(2, GF(7)).order() == 168
+    assert PSLDescriptor(2, GF(5)).order() == 60
+    assert PSLDescriptor(2, GF(3, 2)).order() == 360
     assert AlternatingDescriptor(5).order() == 60
     assert AlternatingDescriptor(9).order() == math.factorial(9) // 2
 
@@ -145,7 +145,7 @@ def test_class_size_matrix_sl_brute():
     """Oracle: explicit conjugation orbits in SL_2(2), SL_2(3), SL_2(5)."""
     for p in (2, 3, 5):
         field = GF(p)
-        elements = enumerate_sl2(field.spec)
+        elements = enumerate_sl2(field)
 
         def conj_key(x, h):
             if h is None:
@@ -163,7 +163,7 @@ def test_class_size_matrix_psl2_brute():
     with centre cosets taken to their canonical representatives."""
     for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
         field = GF(p, e)
-        elements = enumerate_psl2(field.spec)
+        elements = enumerate_psl2(field)
 
         def conj_key(x, h):
             if h is None:
@@ -171,7 +171,7 @@ def test_class_size_matrix_psl2_brute():
             return psl_canonical(h.inverse() @ x @ h).key()
 
         classes = _brute_classes(elements, conj_key)
-        assert sum(size for _, size in classes) == PSLDescriptor(2, field.spec).order()
+        assert sum(size for _, size in classes) == PSLDescriptor(2, field).order()
         for rep, size in classes:
             assert class_size_matrix(ClassicalElement(rep, PSL_REP)) == size
 
@@ -209,7 +209,7 @@ def test_class_size_matrix_matches_unit_scalar_scan(rng):
             special = {2: [[0, 1], [minus, 0]],
                        3: [[0, 0, 1], [1, 0, 0], [0, 1, 0]]}[n]
             elements = [Matrix.from_packed(field, special)]
-            elements += [random_sl(n, field.spec, rng).matrix
+            elements += [random_sl(n, field, rng).matrix
                          for _ in range(6)]
             for m in elements:
                 t = _unit_scalars_scan(m)
@@ -241,13 +241,25 @@ def test_conjugacy_distance_values():
 
 
 def test_conjugacy_distance_psl():
-    group = PSLDescriptor(2, GF(7).spec)
+    group = PSLDescriptor(2, GF(7))
     field = GF(7)
     x = Matrix.from_packed(field, [[1, 1], [0, 1]])
     ident = Matrix.identity(field, 2)
     d = conjugacy_distance(x, ident, group)
     # transvection class in PSL_2(7) has 24 members
     assert abs(d.value - math.log(24) / math.log(168)) < 1e-12
+
+
+def test_conjugacy_rejects_elements_off_the_descriptor():
+    """A PSL descriptor takes only n x n matrices over its own field: the
+    same transvection over GF(5), or at size 3, is refused."""
+    group = PSLDescriptor(2, GF(7))
+    for field, n in ((GF(5), 2), (GF(7), 3)):
+        x = Matrix.identity(field, n) + Matrix.from_packed(
+            field, [[int(i == 0 and j == 1) for j in range(n)]
+                    for i in range(n)])
+        with pytest.raises(ValueError, match="does not match the group"):
+            conjugacy_distance(x, Matrix.identity(field, n), group)
 
 
 def test_conjugacy_rejects_odd():
@@ -283,7 +295,7 @@ def test_budget_error_surfaces():
                                    [0, 0, 0, 0, 1]])
     with pytest.raises(BudgetError):
         span_invertible_counts(commutant_basis(h), budget=10)
-    group = PSLDescriptor(5, field.spec)
+    group = PSLDescriptor(5, field)
     assert 0 < conjugacy_distance(Matrix.identity(field, 5), h, group).value < 1
 
 
@@ -311,7 +323,7 @@ SMALL_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
 def test_class_sizes_match_enumeration_on_all_of_sl2():
     """GL, SL and PSL sizes of every element of SL_2(q), q <= 9."""
     for p, e in SMALL_FIELDS:
-        for m in enumerate_sl2(GF(p, e).spec):
+        for m in enumerate_sl2(GF(p, e)):
             assert _closed_form_sizes(m) == _enumerated_sizes(m)
 
 
@@ -323,8 +335,8 @@ def test_class_sizes_match_enumeration_on_random_elements(rng):
         field = GF(p, e)
         for n in (2, 3, 4):
             for _ in range(3):
-                for m in (random_invertible(n, field.spec, rng),
-                          random_sl(n, field.spec, rng).matrix):
+                for m in (random_invertible(n, field, rng),
+                          random_sl(n, field, rng).matrix):
                     if field.q ** len(commutant_basis(m)) > 10**6:
                         continue
                     assert _closed_form_sizes(m) == _enumerated_sizes(m)
@@ -343,7 +355,7 @@ def _jordan_twisted(field, blocks, rng):
             if j + 1 < k:
                 rows[i + j][i + j + 1] = field.one
         i += k
-    P = random_invertible(n, field.spec, rng)
+    P = random_invertible(n, field, rng)
     return P @ Matrix.from_packed(field, rows) @ P.inverse()
 
 
@@ -417,7 +429,7 @@ def test_class_size_matrix_makes_no_enumeration(monkeypatch, rng):
         raise AssertionError("class_size_matrix enumerated")
 
     elements = list(_twist_invariant_elements(rng))
-    elements += [random_sl(3, GF(7).spec, rng).matrix,
+    elements += [random_sl(3, GF(7), rng).matrix,
                  Matrix.identity(GF(3, 2), 3),
                  _jordan_twisted(GF(2, 2), [(3, 1)], rng)]
     for name in ("commutant_basis", "twisted_commutant_basis",

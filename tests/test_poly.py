@@ -2,7 +2,7 @@ import itertools
 import random
 
 from msg_lab import poly
-from msg_lab.gf import GF, Field, FieldSpec
+from msg_lab.gf import GF, Field
 from msg_lab.linalg import Matrix, min_rank_shift
 
 from conftest import FIELDS
@@ -289,7 +289,7 @@ def test_prime_field_builds_no_pair_tables():
     which would hold q^2 entries, are built by the polynomial arithmetic
     or by a projective rank over a fresh GF(1021), and no inverse table
     either, since neither reads the kernel's arrays."""
-    field = Field(FieldSpec(1021, 1, (0, 1)))
+    field = Field(1021, 1, (0, 1))
     f = (5, 0, 1020, 3, 1)
     assert poly.pfactor_distinct(field, f) == poly.pfactor_distinct(GF(1021), f)
     assert poly.ppowmod(field, (0, 1), 1020, f) == \
@@ -306,7 +306,7 @@ def test_row_kernel_built_once_per_field(monkeypatch):
     """Field.kernel is built on first use and kept: gcds, products and
     powers over a fresh GF(9), and matrix sums, products and eliminations,
     read the pair tables once, not per call."""
-    field = Field(GF(3, 2).spec)
+    field = Field(3, 2, GF(3, 2).modulus)
     f, g = (1, 2, 0, 1), (4, 1, 1)
     expected = (poly.pgcd(GF(3, 2), f, g), poly.pmul(GF(3, 2), f, g),
                 poly.ppowmod(GF(3, 2), (0, 1), 9, f))

@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from msg_lab import textio
+from msg_lab import poly, textio
 from msg_lab.gf import GF
 from msg_lab.groups import (SP, AlternatingDescriptor, ClassicalElement,
                             Permutation, PSLDescriptor,
@@ -15,16 +16,32 @@ def test_field_round_trip():
     for text in ["7", "2^4", "3^2:1,0,1", "5"]:
         field = textio.parse_field(text)
         again = textio.parse_field(textio.format_field(field))
-        assert again.spec == field.spec
+        assert again is field
     assert textio.parse_field("7").q == 7
     assert textio.parse_field("2^4").q == 16
-    assert textio.parse_field("3^2:1,0,1").spec.modulus == (1, 0, 1)
+    assert textio.parse_field("3^2:1,0,1").modulus == (1, 0, 1)
 
 
 def test_field_parse_errors():
     for bad in ["", "4", "2^0", "3^2:1,1", "3^2:2,0,2"]:
         with pytest.raises(Exception):
             textio.parse_field(bad)
+
+
+def test_field_bounds_checked_before_any_search(monkeypatch):
+    """An order at or past the 2^31 cap, or a degree below 1, is refused
+    with ValueError before the search for a modulus, within 1 s."""
+    def fail(*args):
+        raise AssertionError("modulus search ran")
+
+    monkeypatch.setattr(poly, "pirreducible", fail)
+    for text, message in (("2^400", "exceeds cap"), ("2^31", "exceeds cap"),
+                          ("2^0", "extension degree"),
+                          ("2^400:" + ",".join(["1"] * 401), "exceeds cap")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            textio.parse_field(text)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_scalar_round_trip():
@@ -98,11 +115,23 @@ def test_group_descriptor_round_trip():
     assert isinstance(alt, AlternatingDescriptor) and alt.n == 9
     psl = textio.parse_group_descriptor("PSL:2:7")
     assert isinstance(psl, PSLDescriptor)
-    assert psl.n == 2 and psl.spec.q == 7
+    assert psl.n == 2 and psl.field.q == 7
     ext = textio.parse_group_descriptor("PSL:2:3^2:1,0,1")
-    assert ext.spec.q == 9 and ext.spec.modulus == (1, 0, 1)
+    assert ext.field.q == 9 and ext.field.modulus == (1, 0, 1)
     with pytest.raises(Exception):
         textio.parse_group_descriptor("B:4")
+
+
+def test_classical_and_descriptor_parse_errors():
+    field = GF(3)
+    for bad in ("1,0;0,1", "XL:1,0;0,1"):
+        with pytest.raises(ValueError, match="expected TAG:matrix"):
+            textio.parse_classical(field, bad)
+    for bad, message in (("A:5:7", "alternating descriptor is A:n"),
+                         ("PSL:2", "projective descriptor is PSL:n:field"),
+                         ("B:4", "unknown group descriptor")):
+        with pytest.raises(ValueError, match=message):
+            textio.parse_group_descriptor(bad)
 
 
 def test_format_value():
