@@ -14,13 +14,12 @@ elements whose centralizer is a plain product of linear blocks.
 import math
 from dataclasses import dataclass
 
-from . import poly
 from .constructions import (NiceblockCertificate, SplitDecomposition,
                             check_split_condition)
 from .errors import UnsupportedCaseError
 from .gf import is_prime
 from .groups import SL, ClassicalElement, Permutation, gl_order
-from .linalg import Matrix, charpoly
+from .linalg import Matrix, primary_blocks
 
 GL_BLOCK = "GL-block"
 WREATH_BLOCK = "wreath-block"
@@ -94,31 +93,25 @@ def centralizer_factorization(x, dec):
     total order always equals the brute-force count of invertible
     commuting matrices.  The factor count is at most k + 1.
 
-    In the basis [L | S], x = diag(x|L, I).  x|L is semisimple, since
-    (x|L)^k = alpha and p does not divide k, so dim ker f(x|L) is deg f
-    times the multiplicity of f in chi = charpoly(x|L); each factor of chi
-    divides T^k - alpha.  S adds dim S to the block of T - 1.
+    In the basis [L | S], x = diag(x|L, I): ker f(x) is ker f(x|L), plus S
+    for f = T - 1, so the blocks come from the dim L x dim L matrix x|L.
     """
     x_l = check_split_condition(x, dec)
     field = x.field
-    chi = charpoly(x_l)
-    target = ((field.neg(dec.alpha),) + (field.zero,) * (dec.k - 1)
-              + (field.one,))
-    dims = {}
-    for f in poly.pfactor_distinct(field, poly.pgcd(field, target, chi)):
-        dims[f] = 0
-        quot, rem = poly.pdivmod(field, chi, f)
-        while not rem:
-            dims[f] += 1
-            quot, rem = poly.pdivmod(field, quot, f)
+    q = field.q
+    dims = {f: b.ncols for f, b in primary_blocks(x_l, dec.k, dec.alpha)}
     if dec.dim_S:
         one = (field.neg(field.one), field.one)
         dims[one] = dims.get(one, 0) + dec.dim_S
     factors = []
     for f in sorted(dims, key=lambda t: (len(t), t)):
         deg = len(f) - 1
-        factors.append(FactorRecord(GL_BLOCK, dims[f], deg,
-                                    gl_order(dims[f], field.q ** deg)))
+        dim = dims[f]
+        if dim % deg != 0:
+            raise AssertionError("primary block dimension not divisible by "
+                                 "the factor degree")
+        d = dim // deg
+        factors.append(FactorRecord(GL_BLOCK, d, deg, gl_order(d, q ** deg)))
     if len(factors) > dec.k + 1:
         raise AssertionError("more than k + 1 centralizer factors")
     total = 1

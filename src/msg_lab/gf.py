@@ -66,6 +66,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_field(p: int, e: int) -> None:
+    """Raise ValueError unless p is prime and check_order(p, e) passes; the
+    Field constructor and find_irreducible run it before any other work."""
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    check_order(p, e)
+
+
 def check_order(p: int, e: int = 1) -> None:
     """Raise ValueError unless e >= 1 and p^e < MAX_ORDER, without forming
     p^e past the cap's bit length: cheap enough to run before any search."""
@@ -79,9 +87,7 @@ def check_order(p: int, e: int = 1) -> None:
 def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree e over
     GF(p), scanning packed non-leading coefficients in ascending order."""
-    if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
-    check_order(p, e)
+    check_field(p, e)
     if e == 1:
         return (0, 1)
     base = Field(p, 1, (0, 1))
@@ -120,9 +126,7 @@ class Field:
     packed-integer elements.  The constructor validates all three."""
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        check_order(p, e)
+        check_field(p, e)
         m = tuple(modulus)
         if len(m) != e + 1:
             raise ValueError(f"modulus length {len(m)} != e + 1 = {e + 1}")

@@ -113,11 +113,22 @@ def test_worked_arithmetic_examples():
 
 
 def test_field_validation():
-    with pytest.raises(Exception):
-        Field(4, 1, (0, 1))
-    with pytest.raises(Exception):
-        Field(2, 2, (0, 0, 1))  # t^2 is reducible
-    with pytest.raises(Exception):
+    """Each check of the Field constructor, with its message; the cap
+    check does not form p^e for a huge e.  GF runs the same checks."""
+    cases = [((4, 1, (0, 1)), "characteristic 4 is not prime"),
+             ((2, 0, (1,)), "extension degree 0 < 1"),
+             ((2, -1, ()), "extension degree -1 < 1"),
+             ((2, 31, (1,) * 32), r"field order 2\^31 exceeds cap"),
+             ((2, 10**12, (1,)), r"field order 2\^1000000000000 exceeds"),
+             ((3, 2, (1, 1)), r"modulus length 2 != e \+ 1 = 3"),
+             ((3, 2, (1, 3, 1)), r"coefficients must lie in \[0, p\)"),
+             ((3, 2, (1, 0, 2)), "modulus must be monic"),
+             ((3, 2, (2, 0, 1)), "reducible over GF"),
+             ((2, 2, (0, 0, 1)), "reducible over GF")]  # t^2
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Field(*args)
+    with pytest.raises(ValueError, match="reducible over GF"):
         GF(5, 2, modulus=(4, 0, 1))  # t^2 - 1 = (t-1)(t+1)
     field = Field(3, 2, (1, 0, 1))
     assert (field.p, field.e, field.q, field.modulus) == (3, 2, 9, (1, 0, 1))
@@ -127,23 +138,6 @@ def test_field_validation():
     assert field == GF(3, 2, modulus=(1, 0, 1))
     assert hash(field) == hash((3, 2, (1, 0, 1)))
     assert field != Field(3, 2, (2, 2, 1))
-
-
-def test_field_constructor_checks_in_order():
-    """Each check of the Field constructor, with its message; the cap
-    check does not form p^e for a huge e."""
-    cases = [((4, 1, (0, 1)), "characteristic 4 is not prime"),
-             ((2, 0, (1,)), "extension degree 0 < 1"),
-             ((2, -1, ()), "extension degree -1 < 1"),
-             ((2, 31, (1,) * 32), r"field order 2\^31 exceeds cap"),
-             ((2, 10**12, (1,)), r"field order 2\^1000000000000 exceeds"),
-             ((3, 2, (1, 1)), r"modulus length 2 != e \+ 1 = 3"),
-             ((3, 2, (1, 3, 1)), r"coefficients must lie in \[0, p\)"),
-             ((3, 2, (1, 0, 2)), "modulus must be monic"),
-             ((3, 2, (2, 0, 1)), "reducible over GF")]
-    for args, message in cases:
-        with pytest.raises(ValueError, match=message):
-            Field(*args)
 
 
 def test_gf_checks_the_order_before_the_search(monkeypatch):
