@@ -11,8 +11,8 @@ characteristic p, permutations with many p-cycles) from semisimple
 elements whose centralizer is a plain product of linear blocks.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from .constructions import (NiceblockCertificate, SplitDecomposition,
                             check_split_condition)
@@ -25,7 +25,7 @@ GL_BLOCK = "GL-block"
 WREATH_BLOCK = "wreath-block"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FactorRecord:
     """One factor of a centralizer.
 
@@ -43,40 +43,24 @@ class FactorRecord:
                                 self.order)
 
 
-@dataclass(frozen=True)
-class PrimeOrderCentralizerShape:
-    """The (base x| top) x fixed shape for a prime-order permutation:
-    centralizer = (C_p^cycle_count semidirect S_cycle_count) x S_fixed."""
-
-    p: int
-    cycle_count: int
-    fixed_points: int
-    base_order: int
-    top_order: int
-    fixed_order: int
-    fixed_trivial: bool
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CentralizerDescriptor:
+    """A centralizer as a direct product of its factors; total_order is
+    the product of the factor orders."""
+
     factors: tuple
-    total_order: int
-    p_core_order: int = 1
-    prime_shape: PrimeOrderCentralizerShape | None = None
+    total_order: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        prod = self.p_core_order
-        for f in self.factors:
-            prod *= f.order
-        if prod != self.total_order:
-            raise ValueError("factor orders do not multiply to total_order")
+        object.__setattr__(self, "total_order",
+                           math.prod(f.order for f in self.factors))
 
     def format_lines(self):
         return [f.format_line() for f in self.factors]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FingerprintRecord:
     has_large_p_core: bool
     p: int
@@ -114,48 +98,28 @@ def centralizer_factorization(x, dec):
         factors.append(FactorRecord(GL_BLOCK, d, deg, gl_order(d, q ** deg)))
     if len(factors) > dec.k + 1:
         raise AssertionError("more than k + 1 centralizer factors")
-    total = 1
-    for f in factors:
-        total *= f.order
-    return CentralizerDescriptor(tuple(factors), total)
+    return CentralizerDescriptor(factors)
+
+
+def _cycle_counts(sigma):
+    """{k: number of k-cycles of sigma}, the fixed points as k = 1."""
+    mult = {}
+    for c in sigma.cycles(include_fixed=True):
+        mult[len(c)] = mult.get(len(c), 0) + 1
+    return mult
 
 
 def perm_centralizer_structure(sigma):
     """Wreath-product factorization of a permutation centralizer in S_n.
 
     One factor C_k wr S_{m_k} per cycle length k with multiplicity m_k
-    (fixed points give the k = 1 factor S_f).  For prime-order sigma the
-    descriptor also carries the base/top/fixed shape record.
+    (fixed points give the k = 1 factor S_f).
     """
     if not isinstance(sigma, Permutation):
         raise TypeError("expected a Permutation")
-    mult = {}
-    for c in sigma.cycles(include_fixed=True):
-        mult[len(c)] = mult.get(len(c), 0) + 1
-    factors = []
-    total = 1
-    for k in sorted(mult):
-        m = mult[k]
-        order = (k ** m) * math.factorial(m)
-        factors.append(FactorRecord(WREATH_BLOCK, m, k, order))
-        total *= order
-
-    shape = None
-    o = sigma.order()
-    if o > 1 and is_prime(o):
-        p = o
-        m_p = mult.get(p, 0)
-        f = mult.get(1, 0)
-        shape = PrimeOrderCentralizerShape(
-            p=p,
-            cycle_count=m_p,
-            fixed_points=f,
-            base_order=p ** m_p,
-            top_order=math.factorial(m_p),
-            fixed_order=math.factorial(f),
-            fixed_trivial=f <= 1,
-        )
-    return CentralizerDescriptor(tuple(factors), total, prime_shape=shape)
+    return CentralizerDescriptor(
+        FactorRecord(WREATH_BLOCK, m, k, k ** m * math.factorial(m))
+        for k, m in sorted(_cycle_counts(sigma).items()))
 
 
 def characteristic_fingerprint(x, context=None):
@@ -226,8 +190,7 @@ def _fingerprint_niceblock(x, cert):
     expected = n * n if cert.x.group_tag == SL else n * (n + 1) // 2
     assert core_rank == expected
     reductive = CentralizerDescriptor(
-        (FactorRecord(GL_BLOCK, n, 1, gl_order(n, field.q)),),
-        gl_order(n, field.q))
+        (FactorRecord(GL_BLOCK, n, 1, gl_order(n, field.q)),))
     return FingerprintRecord(
         has_large_p_core=True,
         p=p,
@@ -237,21 +200,19 @@ def _fingerprint_niceblock(x, cert):
 
 
 def _fingerprint_permutation(sigma):
-    o = sigma.order()
-    if not is_prime(o):
+    p = sigma.order()
+    if not is_prime(p):
         raise UnsupportedCaseError(
-            "permutation fingerprint needs prime order, got %d" % o)
-    desc = perm_centralizer_structure(sigma)
-    shape = desc.prime_shape
-    factors = [
-        FactorRecord(WREATH_BLOCK, shape.cycle_count, 1, shape.top_order),
-        FactorRecord(WREATH_BLOCK, shape.fixed_points, 1, shape.fixed_order),
-    ]
-    reductive = CentralizerDescriptor(
-        tuple(factors), shape.top_order * shape.fixed_order)
+            "permutation fingerprint needs prime order, got %d" % p)
+    mult = _cycle_counts(sigma)
+    m, f = mult.get(p, 0), mult.get(1, 0)
+    reductive = CentralizerDescriptor((
+        FactorRecord(WREATH_BLOCK, m, 1, math.factorial(m)),
+        FactorRecord(WREATH_BLOCK, f, 1, math.factorial(f)),
+    ))
     return FingerprintRecord(
         has_large_p_core=True,
-        p=shape.p,
-        p_core_order=shape.base_order,
+        p=p,
+        p_core_order=p ** m,
         reductive_part=reductive,
     )

@@ -27,18 +27,9 @@ from .metrics import (CONJ, HAMMING, PRANK, conjugacy_distance,
                       hamming_distance, length, projective_rank_distance)
 from .suites import DEFAULT_SEED, run_suite
 from .textio import (format_classical, format_matrix, format_permutation,
-                     format_value, parse_classical, parse_field,
+                     format_value, parse_element, parse_field,
                      parse_fraction, parse_group_descriptor, parse_matrix,
                      parse_permutation)
-
-_CLASSICAL_TAGS = ("GL", "SL", "SP", "PSL")
-
-
-def _parse_matrix_like(field, text):
-    head = text.split(":", 1)[0]
-    if head in _CLASSICAL_TAGS:
-        return parse_classical(field, text)
-    return parse_matrix(field, text)
 
 
 def _field_from_args(args):
@@ -56,12 +47,12 @@ def _cmd_metric(args):
             value = hamming_distance(a, parse_permutation(args.elem2, n=a.n))
     elif args.kind == "prank":
         field = _field_from_args(args)
-        a = _parse_matrix_like(field, args.elem1)
+        a = parse_element(field, args.elem1)
         if args.elem2 is None:
             value = length(a, PRANK)
         else:
             value = projective_rank_distance(
-                a, _parse_matrix_like(field, args.elem2))
+                a, parse_element(field, args.elem2))
     else:
         if args.group is None:
             raise ValueError("conjugacy metric needs --group")
@@ -70,7 +61,7 @@ def _cmd_metric(args):
             parse = lambda text: parse_permutation(text, n=group.n)
         else:
             field = group.field
-            parse = lambda text: _parse_matrix_like(field, text)
+            parse = lambda text: parse_element(field, text)
         a = parse(args.elem1)
         if args.elem2 is None:
             value = length(a, CONJ, group=group)
@@ -157,7 +148,7 @@ def _cmd_commutator(args):
         fmt = format_permutation
     else:
         field = group.field
-        g = _parse_matrix_like(field, args.element)
+        g = parse_element(field, args.element)
         if not isinstance(g, Matrix):
             g = g.matrix
         elements = enumerate_psl2(field)
@@ -177,8 +168,6 @@ def _print_descriptor(desc):
     for line in desc.format_lines():
         print(line)
     _print_kv("total_order", desc.total_order)
-    if desc.p_core_order != 1:
-        _print_kv("p_core_order", desc.p_core_order)
 
 
 def _cmd_factorize_centralizer(args):
@@ -230,7 +219,7 @@ def _cmd_chain(args):
         fmt = format_permutation
     else:
         field = _field_from_args(args)
-        g = _parse_matrix_like(field, args.element)
+        g = parse_element(field, args.element)
         chain = rank_metric_chain(g, max_step)
         fmt = format_matrix
     print("step 0: %s" % fmt(chain.elements[0]))

@@ -69,8 +69,9 @@ class FamilyDescriptor:
     """A schedule of groups of one kind.
 
     size_schedule must be strictly increasing.  For PSL families the
-    field schedule pairs with the sizes, and the declared characteristic
-    is forced: the common characteristic if all fields share one, or
+    field schedule pairs with the sizes.  declared_characteristic is
+    computed from the schedule: infinite for alternating families, and for
+    PSL families the common characteristic if all fields share one, or
     infinite if the characteristics strictly increase.  row_fields holds
     the Field of each PSL row, built once here for the experiments.
     """
@@ -78,7 +79,7 @@ class FamilyDescriptor:
     kind: str
     size_schedule: tuple
     field_schedule: tuple = ()
-    declared_characteristic: object = None
+    declared_characteristic: object = dataclasses.field(init=False)
     row_fields: tuple = dataclasses.field(default=(), init=False, repr=False,
                                           compare=False)
 
@@ -116,12 +117,7 @@ class FamilyDescriptor:
                     "increasing, got %r" % (chars,))
         else:
             raise ValueError("unknown family kind %r" % self.kind)
-        if self.declared_characteristic is None:
-            object.__setattr__(self, "declared_characteristic", computed)
-        elif self.declared_characteristic != computed:
-            raise ValueError(
-                "declared characteristic %r does not match schedule (%r)"
-                % (self.declared_characteristic, computed))
+        object.__setattr__(self, "declared_characteristic", computed)
 
     def rows(self):
         """(index, n, q) triples; q = 0 for alternating rows."""

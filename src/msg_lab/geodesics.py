@@ -60,7 +60,6 @@ class ChainPath:
 @dataclass(frozen=True)
 class VerifyReport:
     valid: bool
-    recomputed_total: Fraction
     max_step: Fraction
     mismatches: tuple
 
@@ -292,8 +291,7 @@ def verify_chain(chain):
     mismatches = []
     elements = chain.elements
     if not elements:
-        return VerifyReport(False, Fraction(0), Fraction(0),
-                            ("empty chain",))
+        return VerifyReport(False, Fraction(0), ("empty chain",))
     if kind == HAMMING:
         first = elements[0]
         if first != Permutation.identity(first.n):
@@ -310,7 +308,7 @@ def verify_chain(chain):
                               "(projectively)")
         dist = projective_rank_distance
     else:
-        return VerifyReport(False, Fraction(0), Fraction(0),
+        return VerifyReport(False, Fraction(0),
                             ("unknown metric kind %r" % kind,))
 
     total = Fraction(0)
@@ -337,4 +335,4 @@ def verify_chain(chain):
         mismatches.append("overshoot annotation inconsistent")
     if chain.overshoot < 0:
         mismatches.append("negative overshoot")
-    return VerifyReport(not mismatches, total, max_step, tuple(mismatches))
+    return VerifyReport(not mismatches, max_step, tuple(mismatches))

@@ -74,9 +74,6 @@ class Permutation:
         images[a], images[b] = images[b], images[a]
         return Permutation(images)
 
-    def __call__(self, i):
-        return self.images[i]
-
     def __mul__(self, other):
         return perm_compose(self, other)
 
@@ -195,10 +192,11 @@ class ClassicalElement:
         m = self.matrix
         if m.nrows != m.ncols:
             raise ValueError("group elements must be square")
-        if not m.is_invertible():
+        det = m.det()
+        if det == m.field.zero:
             raise ValueError("matrix is singular")
         if self.group_tag in (SL, PSL_REP):
-            if m.det() != m.field.one:
+            if det != m.field.one:
                 raise ValueError("det must be 1 for tag %s" % self.group_tag)
             if self.form is not None:
                 raise ValueError("form only applies to SP")

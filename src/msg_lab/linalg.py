@@ -23,8 +23,8 @@ span of the first basis matrices, at most _SPAN_CHUNK rows, plus one
 representative of the span of the rest, one add per entry.  It takes
 their determinants by one batched elimination on int64 arrays (the only
 numpy code here besides Matrix.packed()) and weights each invertible one
-by the q - 1 members of its orbit; its budget still counts all q^dim
-members.
+by the q - 1 members of its orbit; its budget, SPAN_BUDGET, still
+counts all q^dim members.
 """
 
 from __future__ import annotations
@@ -496,6 +496,7 @@ def primary_blocks(x: Matrix, k: int, alpha: int) -> list[tuple[poly.Poly, Matri
 
 # -- batched enumeration kernel --------------------------------------------
 
+SPAN_BUDGET = 10**6  # members of a span that span_invertible_counts enumerates
 _SPAN_CHUNK = 2**14  # rows per batched elimination and in the low table
 
 
@@ -567,10 +568,7 @@ def _outer_batches(fma, low: np.ndarray, head: list, high: np.ndarray):
         yield np.concatenate(head)
 
 
-def span_invertible_counts(
-    basis: Sequence[Matrix],
-    budget: int = 10**6,
-) -> tuple[int, int]:
+def span_invertible_counts(basis: Sequence[Matrix]) -> tuple[int, int]:
     """(number of invertible members, number with determinant one) of the
     linear span of `basis`, counted over coefficient vectors, so a
     dependent basis counts a matrix once per vector that reaches it.
@@ -581,7 +579,7 @@ def span_invertible_counts(
     representative of determinant delta stands for q - 1 invertible
     members, g = gcd(n, q - 1) of them of determinant one if delta is an
     n-th power (delta^((q-1)/g) = 1) and none otherwise.  The budget still
-    counts all members: BudgetError when q^dim exceeds it.
+    counts all members: BudgetError when q^dim exceeds SPAN_BUDGET.
 
     The members are outer sums: a low table of span(basis[:kl]), the
     largest kl < dim with q^kl <= _SPAN_CHUNK, holds the levels below kl
@@ -592,9 +590,8 @@ def span_invertible_counts(
     field = basis[0].field
     q = field.q
     d = len(basis)
-    total = q**d
-    if total > budget:
-        raise BudgetError(f"span has {q}^{d} members, budget {budget}")
+    if q**d > SPAN_BUDGET:
+        raise BudgetError(f"span has {q}^{d} members, budget {SPAN_BUDGET}")
     n = basis[0].nrows
     mul, fma, _ = field.kernel().arrays()
     g = math.gcd(n, q - 1)

@@ -19,6 +19,7 @@ An empty config runs nothing and succeeds.
 
 import itertools
 import math
+import operator
 import os
 import statistics
 import time
@@ -44,7 +45,8 @@ from .groups import (SL, SP, AlternatingDescriptor, ClassicalElement,
                      enumerate_psl2, enumerate_sl2, psl_canonical,
                      random_even_perm, random_invertible, random_perm,
                      random_sl)
-from .linalg import Matrix, commutant_basis, span_invertible_counts
+from .linalg import (SPAN_BUDGET, Matrix, commutant_basis,
+                     span_invertible_counts)
 from .metrics import (PRANK, class_size_perm, conjugacy_distance,
                       hamming_distance, length, perm_centralizer_order,
                       projective_rank_distance)
@@ -172,7 +174,8 @@ def suite_approx_centralize(seed=DEFAULT_SEED, scale=None):
 def suite_centralizer_factors(seed=DEFAULT_SEED, scale=None):
     """Centralizer factorization: at most k + 1 factors on every
     instance; predicted order equals the brute-force count of invertible
-    commuting matrices whenever the commutant has at most 10^6 members."""
+    commuting matrices whenever the commutant has at most SPAN_BUDGET
+    members."""
     per_field = 500 if scale is None else scale
     t0 = time.perf_counter()
     count = 0
@@ -186,8 +189,8 @@ def suite_centralizer_factors(seed=DEFAULT_SEED, scale=None):
             if len(fac.factors) > k + 1:
                 raise AssertionError("%d factors > k + 1" % len(fac.factors))
             basis = commutant_basis(x)
-            if field.q ** len(basis) <= 10**6:
-                brute = span_invertible_counts(basis, budget=10**6)[0]
+            if field.q ** len(basis) <= SPAN_BUDGET:
+                brute = span_invertible_counts(basis)[0]
                 brute_checked += 1
                 if brute != fac.total_order:
                     raise AssertionError(
@@ -323,30 +326,29 @@ def suite_sl_projection(seed=DEFAULT_SEED, scale=None):
     return _result("sl-projection", not failures, rows, failures[:10], t0)
 
 
-def _check_metric_axioms(d, triple, exact):
-    """Symmetry, identity, triangle, normalization for one distance
-    function on one triple; returns the list of violated axioms."""
+def _check_metric_axioms(d, triple, g, op, tol, right=True):
+    """Normalization, symmetry, identity, triangle and invariance under
+    left (and, when right is set, right) multiplication by g, op being
+    the group product, for one distance function on one triple; values
+    are compared up to tol, 0 for the exact metrics.  Returns the list of
+    violated axioms."""
     a, b, c = triple
-    dab, dba = d(a, b), d(b, a)
-    dac, dbc = d(a, c), d(b, c)
-    daa = d(a, a)
+    dab, dba = d(a, b).value, d(b, a).value
+    dac, dbc = d(a, c).value, d(b, c).value
+    daa = d(a, a).value
     problems = []
     if any(float(v) < 0 or float(v) > 1 for v in (dab, dba, dac, dbc)):
         problems.append("normalization")
-    if exact:
-        if dab.value != dba.value:
-            problems.append("symmetry")
-        if daa.value != 0:
-            problems.append("identity")
-        if dac.value > dab.value + dbc.value:
-            problems.append("triangle")
-    else:
-        if abs(float(dab) - float(dba)) > _FLOAT_TOL:
-            problems.append("symmetry")
-        if abs(float(daa)) > _FLOAT_TOL:
-            problems.append("identity")
-        if float(dac) > float(dab) + float(dbc) + _FLOAT_TOL:
-            problems.append("triangle")
+    if abs(dab - dba) > tol:
+        problems.append("symmetry")
+    if abs(daa) > tol:
+        problems.append("identity")
+    if dac > dab + dbc + tol:
+        problems.append("triangle")
+    if abs(d(op(g, a), op(g, b)).value - dab) > tol:
+        problems.append("left invariance")
+    if right and abs(d(op(a, g), op(b, g)).value - dab) > tol:
+        problems.append("right invariance")
     return problems
 
 
@@ -361,11 +363,8 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
     for i in range(triples):
         rng = rng_for(seed, 100, i)
         a, b, c, g = (random_perm(n, rng) for _ in range(4))
-        problems = _check_metric_axioms(hamming_distance, (a, b, c), True)
-        if hamming_distance(g * a, g * b).value != hamming_distance(a, b).value:
-            problems.append("left invariance")
-        if hamming_distance(a * g, b * g).value != hamming_distance(a, b).value:
-            problems.append("right invariance")
+        problems = _check_metric_axioms(hamming_distance, (a, b, c), g,
+                                        operator.mul, 0)
         if problems:
             failures.append("hamming triple %d: %s" % (i, problems))
 
@@ -376,13 +375,7 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         m = rng.randint(1, 5)
         a, b, c, g = (random_invertible(m, field, rng) for _ in range(4))
         problems = _check_metric_axioms(projective_rank_distance, (a, b, c),
-                                        True)
-        if projective_rank_distance(g @ a, g @ b).value != \
-                projective_rank_distance(a, b).value:
-            problems.append("left invariance")
-        if projective_rank_distance(a @ g, b @ g).value != \
-                projective_rank_distance(a, b).value:
-            problems.append("right invariance")
+                                        g, operator.matmul, 0)
         lam = rng.randrange(1, field.q)
         if projective_rank_distance(a.scale(lam), b).value != \
                 projective_rank_distance(a, b).value:
@@ -395,11 +388,8 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
     for i in range(triples):
         rng = rng_for(seed, 300, i)
         a, b, c, g = (random_even_perm(9, rng) for _ in range(4))
-        problems = _check_metric_axioms(d_c, (a, b, c), False)
-        if abs(float(d_c(g * a, g * b)) - float(d_c(a, b))) > _FLOAT_TOL:
-            problems.append("left invariance")
-        if abs(float(d_c(a * g, b * g)) - float(d_c(a, b))) > _FLOAT_TOL:
-            problems.append("right invariance")
+        problems = _check_metric_axioms(d_c, (a, b, c), g, operator.mul,
+                                        _FLOAT_TOL)
         if problems:
             failures.append("conj triple %d: %s" % (i, problems))
 
@@ -408,9 +398,8 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
     for i in range(60):
         rng = rng_for(seed, 400, i)
         a, b, c, g = (random_sl(2, GF(7), rng) for _ in range(4))
-        problems = _check_metric_axioms(d_p, (a, b, c), False)
-        if abs(float(d_p(g * a, g * b)) - float(d_p(a, b))) > _FLOAT_TOL:
-            problems.append("left invariance")
+        problems = _check_metric_axioms(d_p, (a, b, c), g, operator.mul,
+                                        _FLOAT_TOL, right=False)
         if problems:
             failures.append("psl conj triple %d: %s" % (i, problems))
 

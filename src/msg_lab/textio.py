@@ -102,6 +102,14 @@ def parse_classical(field, text):
     return ClassicalElement(m, tag, form)
 
 
+def parse_element(field, text):
+    """A tagged classical element when the text starts with a group tag,
+    else a plain matrix."""
+    if text.split(":", 1)[0] in _TAG_IN:
+        return parse_classical(field, text)
+    return parse_matrix(field, text)
+
+
 def format_classical(elem):
     return "%s:%s" % (_TAG_OUT[elem.group_tag], format_matrix(elem.matrix))
 

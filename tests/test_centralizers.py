@@ -134,6 +134,13 @@ def test_centralizer_factorization_matches_full_space_oracle(rng):
     assert cases == {True: 6 * 15, False: 5 * 15}
 
 
+def _fingerprint_shape(sigma):
+    """p, the p-core order and the S_m and S_f factor lines of the
+    fingerprint of a prime-order permutation."""
+    rec = characteristic_fingerprint(sigma)
+    return rec.p, rec.p_core_order, rec.reductive_part.format_lines()
+
+
 def test_perm_centralizer_examples_brute():
     # (0 1)(2 3) in S_7: (C_2 wr S_2) x S_3 of order 8 * 6 = 48
     sigma = Permutation.from_cycles(7, [(0, 1), (2, 3)])
@@ -141,15 +148,17 @@ def test_perm_centralizer_examples_brute():
     assert [f.format_line() for f in desc.factors] == [
         "wreath-block 3 1 6", "wreath-block 2 2 8"]
     assert desc.total_order == 48 == _brute_perm_centralizer_order(sigma)
-    shape = desc.prime_shape
-    assert shape.p == 2 and shape.cycle_count == 2
-    assert shape.fixed_points == 3 and not shape.fixed_trivial
+    # p = 2, m = 2 two-cycles, f = 3 fixed points
+    assert _fingerprint_shape(sigma) == (
+        2, 2 ** 2, ["wreath-block 2 1 2", "wreath-block 3 1 6"])
     # four 2-cycles in S_8: C_2 wr S_4 of order 2^4 * 24 = 384
     sigma = Permutation.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     desc = perm_centralizer_structure(sigma)
     assert len(desc.factors) == 1
     assert desc.total_order == 384 == _brute_perm_centralizer_order(sigma)
-    assert desc.prime_shape.fixed_trivial
+    # no fixed points: the S_f factor is trivial
+    assert _fingerprint_shape(sigma) == (
+        2, 2 ** 4, ["wreath-block 4 1 24", "wreath-block 0 1 1"])
     # two 3-cycles in S_6, no fixed points
     sigma = Permutation.from_cycles(6, [(0, 1, 2), (3, 4, 5)])
     desc = perm_centralizer_structure(sigma)
@@ -157,6 +166,8 @@ def test_perm_centralizer_examples_brute():
     # same cycles viewed in S_9: three extra fixed points multiply by 3!
     sigma = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5)])
     assert perm_centralizer_structure(sigma).total_order == 108
+    assert _fingerprint_shape(sigma) == (
+        3, 3 ** 2, ["wreath-block 2 1 2", "wreath-block 3 1 6"])
 
 
 def test_perm_centralizer_random_brute():
@@ -258,7 +269,6 @@ def test_fingerprint_unsupported_cases():
 
 def test_descriptor_total_order_validation():
     f = FactorRecord(GL_BLOCK, 1, 1, 6)
-    with pytest.raises(ValueError):
-        CentralizerDescriptor((f,), 7)
-    desc = CentralizerDescriptor((f, f), 36)
+    desc = CentralizerDescriptor((f, f))
+    assert desc.total_order == 36
     assert desc.format_lines() == ["GL-block 1 1 6", "GL-block 1 1 6"]

@@ -122,9 +122,6 @@ def test_family_validation_errors():
     with pytest.raises(ValueError):
         FamilyDescriptor(ALTERNATING, (5, 6), field_schedule=(7, 7))
     with pytest.raises(ValueError):
-        FamilyDescriptor(PSL_FAMILY, (2, 3), (7, 7),
-                         declared_characteristic=INFINITE)
-    with pytest.raises(ValueError):
         FamilyDescriptor(ALTERNATING, ())
 
 

@@ -152,6 +152,45 @@ def test_classical_equality_modulo_centre():
         ClassicalElement(Matrix.diagonal(field, [2, 1]), PSL_REP)
 
 
+def test_classical_element_checks():
+    """Each check of ClassicalElement construction, of its product and of
+    the alternating form, with its message; a singular matrix is refused
+    as singular under every tag, before the determinant-one check."""
+    f5, f2 = GF(5), GF(2)
+    ident = Matrix.identity(f5, 2)
+    j = standard_symplectic_form(f5, 2)
+    j4 = standard_symplectic_form(f5, 4)
+    zeros = Matrix.zeros(f5, 2, 2)
+    cases = [((ident, "XX"), "unknown group tag 'XX'"),
+             ((Matrix.zeros(f5, 2, 3), GL), "group elements must be square"),
+             ((zeros, GL), "matrix is singular"),
+             ((zeros, SL), "matrix is singular"),
+             ((zeros, SP, j), "matrix is singular"),
+             ((ident.scale(2), SL), "det must be 1 for tag SL"),
+             ((ident.scale(2), PSL_REP), "det must be 1 for tag PSL_REP"),
+             ((ident, SL, j), "form only applies to SP"),
+             ((ident, GL, j), "form only applies to SP"),
+             ((ident, SP), "SP requires an alternating form"),
+             ((ident, SP, Matrix.zeros(f5, 2, 3)), "form must be square"),
+             ((ident, SP, ident), r"form is not alternating \(j\^T != -j\)"),
+             ((Matrix.identity(f2, 2), SP, Matrix.identity(f2, 2)),
+              "form has a nonzero diagonal entry"),
+             ((ident, SP, zeros), "form is degenerate"),
+             ((Matrix.diagonal(f5, [2, 1, 1, 1]), SP, j4),
+              "matrix does not preserve the form")]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ClassicalElement(*args)
+    sp = ClassicalElement(ident, SP, j)
+    products = [(ClassicalElement(ident, SL), ClassicalElement(ident, GL),
+                 "group tag mismatch"),
+                (sp, ClassicalElement(ident, SP, j.scale(2)), "form mismatch")]
+    for a, b, message in products:
+        with pytest.raises(ValueError, match=message):
+            a * b
+    assert (sp * sp).matrix == ident
+
+
 def test_descriptors():
     alt = AlternatingDescriptor(5)
     assert alt.order() == 60

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from msg_lab import linalg
 from msg_lab.errors import BudgetError
 from msg_lab.gf import GF
 from msg_lab.groups import (GL, PSL_REP, SL, AlternatingDescriptor,
@@ -10,7 +11,7 @@ from msg_lab.groups import (GL, PSL_REP, SL, AlternatingDescriptor,
                             enumerate_psl2, enumerate_sl2, gl_order,
                             psl_canonical, random_invertible, random_perm,
                             random_sl, sl_order)
-from msg_lab.linalg import (Matrix, charpoly, commutant_basis,
+from msg_lab.linalg import (SPAN_BUDGET, Matrix, charpoly, commutant_basis,
                             span_invertible_counts, twisted_commutant_basis)
 from msg_lab.metrics import (CONJ, HAMMING, PRANK, MetricValue,
                              _primary_partitions, class_size_matrix,
@@ -284,17 +285,23 @@ def test_metric_value_range():
         MetricValue(-0.25, CONJ)
 
 
-def test_budget_error_surfaces():
-    """The enumeration oracle keeps its budget: a commutant of 4^9 members
-    is refused at budget 10.  The conjugacy metric has none."""
+def test_budget_error_surfaces(monkeypatch):
+    """The enumeration oracle keeps its budget: the commutant of the 5 x 5
+    identity over GF(4) has 4^25 > SPAN_BUDGET members and is refused
+    before any work (the span table builder is made to fail).  The
+    conjugacy metric has none."""
     field = GF(2, 2)
+    basis = commutant_basis(Matrix.identity(field, 5))
+    assert field.q ** len(basis) > SPAN_BUDGET
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_span_table", None)
+        with pytest.raises(BudgetError, match="4\\^25 members"):
+            span_invertible_counts(basis)
     h = Matrix.from_packed(field, [[1, 1, 0, 0, 0],
                                    [0, 1, 0, 0, 0],
                                    [0, 0, 1, 0, 0],
                                    [0, 0, 0, 1, 0],
                                    [0, 0, 0, 0, 1]])
-    with pytest.raises(BudgetError):
-        span_invertible_counts(commutant_basis(h), budget=10)
     group = PSLDescriptor(5, field)
     assert 0 < conjugacy_distance(Matrix.identity(field, 5), h, group).value < 1
 

@@ -199,3 +199,112 @@ def test_approx_centralize_failure_carries_a_reproducer(monkeypatch):
     assert (int(fields["k"]), int(fields["alpha"])) == (k, alpha)
     assert parse_matrix(field, fields["y"]) == y
     assert parse_matrix(field, fields["phi"]) == phis[11]
+
+
+def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
+    """metric-axioms at scale 1 with d(b, a) planted off d(a, b) on the
+    first triple of three metrics: the exact Hamming distance by 10^-12,
+    which tolerance 0 catches; the A_9 conjugacy distance by 2 * _FLOAT_TOL,
+    caught; the PSL_2(7) one by _FLOAT_TOL / 2, within the tolerance."""
+    from fractions import Fraction
+
+    from msg_lab.experiments import rng_for
+    from msg_lab.gf import GF
+    from msg_lab.groups import random_even_perm, random_perm, random_sl
+    from msg_lab.metrics import CONJ, HAMMING, MetricValue
+
+    def first_triple(stream, draw):
+        rng = rng_for(DEFAULT_SEED, stream, 0)
+        return [draw(rng) for _ in range(4)]
+
+    a_h, b_h, _, _ = first_triple(100, lambda rng: random_perm(9, rng))
+    a_c, b_c, _, _ = first_triple(300, lambda rng: random_even_perm(9, rng))
+    a_p, b_p, _, _ = first_triple(400, lambda rng: random_sl(2, GF(7), rng))
+    assert a_h != b_h
+    real_hamming, real_conj = suites.hamming_distance, suites.conjugacy_distance
+
+    def planted_hamming(x, y):
+        d = real_hamming(x, y)
+        if (x, y) == (b_h, a_h):
+            return MetricValue(d.value - Fraction(1, 10**12), HAMMING)
+        return d
+
+    def planted_conj(x, y, group):
+        d = real_conj(x, y, group)
+        if (x, y) == (b_c, a_c):
+            return MetricValue(d.value + 2 * suites._FLOAT_TOL, CONJ)
+        if (x, y) == (b_p, a_p):
+            return MetricValue(d.value + suites._FLOAT_TOL / 2, CONJ)
+        return d
+
+    monkeypatch.setattr(suites, "hamming_distance", planted_hamming)
+    monkeypatch.setattr(suites, "conjugacy_distance", planted_conj)
+    result = suites.suite_metric_axioms(scale=1)
+    assert not result.ok
+    assert "failures,2\n" in result.csv_text
+    assert result.details == ("hamming triple 0: ['symmetry']",
+                              "conj triple 0: ['symmetry']")
+
+
+def test_centralizers_failure_names_the_permutation(monkeypatch):
+    """centralizers with the order of (0 1)(2 3) in S_5 planted at twice
+    its value: one failure, named by n and the image list.  The brute
+    counts for n <= 7 come from the cycle-type formula here, which the
+    unpatched suite checks against them, to keep this test short."""
+    from msg_lab.centralizers import (WREATH_BLOCK, CentralizerDescriptor,
+                                      FactorRecord)
+    from msg_lab.groups import Permutation
+    from msg_lab.metrics import perm_centralizer_order
+
+    target = Permutation([1, 0, 3, 2, 4])
+    real = suites.perm_centralizer_structure
+
+    def planted(sigma):
+        desc = real(sigma)
+        if sigma == target:
+            return CentralizerDescriptor(
+                desc.factors + (FactorRecord(WREATH_BLOCK, 1, 2, 2),))
+        return desc
+
+    def formula_counts(arr):
+        return [perm_centralizer_order(Permutation(row).cycle_type())
+                for row in arr.tolist()]
+
+    monkeypatch.setattr(suites, "perm_centralizer_structure", planted)
+    monkeypatch.setattr(suites, "_brute_centralizer_counts_all",
+                        formula_counts)
+    result = suites.suite_centralizer_structure()
+    assert not result.ok
+    assert "failures,1\n" in result.csv_text
+    assert result.details == ("S_5 [1, 0, 3, 2, 4] order",)
+
+
+def test_fingerprint_family_failure_names_the_prime(monkeypatch):
+    """fingerprint-family with the fingerprint raising for p = 3, the
+    characteristic of GF(9): the CSV carries the error row of each n, and
+    the details name the error and the missing large core there, while
+    p = 2 and 5 still pass."""
+    from msg_lab import experiments
+    from msg_lab.constructions import NiceblockCertificate
+    from msg_lab.errors import UnsupportedCaseError
+
+    real = experiments.characteristic_fingerprint
+
+    def planted(x, context=None):
+        if isinstance(context, NiceblockCertificate):
+            raise UnsupportedCaseError("planted failure")
+        return real(x, context)
+
+    monkeypatch.setattr(experiments, "characteristic_fingerprint", planted)
+    result = suites.suite_fingerprint_family()
+    assert not result.ok
+    for i, n in enumerate((2, 3, 4)):
+        assert "%d,%d,9,0,p3_error,planted failure\n" % (i, n) \
+            in result.csv_text
+    assert result.details == (
+        ("p3_error at n=2: planted failure",
+         "p3_error at n=3: planted failure",
+         "p3_error at n=4: planted failure")
+        + tuple(line % n for n in (2, 3, 4)
+                for line in ("p = 3 core not large at n = %d",
+                             "p = 3 core order wrong at n = %d")))
