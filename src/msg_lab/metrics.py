@@ -149,10 +149,10 @@ def class_size_matrix(x):
     sl_cent = gl_cent * g // (q - 1)
     if x.group_tag == SL:
         return sl_order(n, q) // sl_cent
-    t = sum({tuple(field.mul(c, field.pow(lam, len(P) - 1 - k))
-                   for k, c in enumerate(P)): v
-             for P, v in data.items()} == data
-            for lam in field.roots_of_unity(n))
+    t = 1 + sum({tuple(field.mul(c, field.pow(lam, len(P) - 1 - k))
+                       for k, c in enumerate(P)): v
+                 for P, v in data.items()} == data
+                for lam in field.roots_of_unity(n) if lam != field.one)
     return sl_order(n, q) // (sl_cent * t)
 
 

@@ -6,11 +6,11 @@ gf.Field.  Sums, products and remainders all run on one row kernel,
 axpy(ys, c, xs) = ys + c xs (K.kernel().axpy).  K also supplies the
 scalar operations (add/mul/inv/neg/pow, zero, one, p, q, elements) for
 the one inverse per division and the scalar helpers peval, pderiv and
-psquarefree_part's p-th roots.  Sizes here are tiny (degree
-<= a few dozen), so everything is plain Python, except proots at q <=
-gf._PAIR_TABLE_MAX: it finds the roots in F by evaluating f at all q
-elements at once, on the kernel's int64 array operations.  Above that
-cap it splits gcd(T^(q-1) - 1, f) by equal-degree splitting.
+psquarefree_part's p-th roots.  Sizes here are tiny (degree <= a few
+dozen), so everything is plain Python except the root scan at q <=
+gf._PAIR_TABLE_MAX: it evaluates f at all q elements at once on the
+kernel's int64 arrays, and gives proots and every linear factor.  Above
+that cap they are split out of gcd(T^(q-1) - 1, f) and gcd(T^q - T, f).
 """
 
 from __future__ import annotations
@@ -205,13 +205,21 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _ddf(K, f: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree factorization of a squarefree monic f: list of
-    (product of all irreducible factors of degree d, d)."""
-    out = []
-    h = pnorm((0, 1))
-    rem = f
-    d = 0
+def _ddf(K, f: Poly, roots) -> list[tuple[Poly, int]]:
+    """Distinct-degree factorization of a squarefree monic f: [(product of
+    its degree-d irreducible factors, d)], each gcd(T^(q^d) - T, rest) (von
+    zur Gathen and Gerhard, Alg. 14.3).  After roots = _scan_roots(K, f),
+    degree 1 is prod (T - a), and T^q is taken only for a degree-2 step."""
+    out, h, rem, d = [], _X, f, 0
+    if roots is not None:
+        if len(roots) == pdeg(f):  # f is 1 or splits into linear factors
+            return [(f, 1)] if roots else []
+        linear = (K.one,)
+        for a in roots:
+            linear = pmul(K, linear, (K.neg(a), K.one))
+        if roots:
+            out, rem = [(linear, 1)], pdivmod(K, f, linear)[0]
+        d, h = 1, ppowmod(K, _X, K.q, rem) if pdeg(rem) >= 4 else _X
     while pdeg(rem) >= 2 * (d + 1):
         d += 1
         h = ppowmod(K, h, K.q, rem)
@@ -281,21 +289,29 @@ def psquarefree_part(K, f: Poly) -> Poly:
     return pmul(K, w, psquarefree_part(K, pnorm(root)))
 
 
-def proots(K, f: Poly) -> list[int]:
-    """The distinct roots of the nonzero f in F, ascending.
+def _scan_roots(K, f: Poly):
+    """The distinct roots of the nonzero f in F, ascending, from f at every
+    element by Horner's rule on one int64 array, deg f steps of the
+    kernel's array fma (a Chien search); None when q > gf._PAIR_TABLE_MAX."""
+    if K.q > gf._PAIR_TABLE_MAX:
+        return None
+    if len(f) == 2:  # a linear f needs no scan
+        return [K.neg(K.mul(f[0], K.inv(f[1])))]
+    _, fma, _ = K.kernel().arrays()
+    xs = np.arange(K.q, dtype=np.int64)
+    acc = np.full(K.q, f[-1], dtype=np.int64)
+    for c in reversed(f[:-1]):
+        acc = fma(c, acc, xs)
+    return np.flatnonzero(acc == 0).tolist()
 
-    At q <= gf._PAIR_TABLE_MAX, f is evaluated at every element at once
-    by Horner's rule on one int64 array, deg f steps of the kernel's
-    array fma (a Chien search).  Above it a scan would take q values, so
-    the roots in F^x are the linear factors of gcd(T^(q-1) - 1, f),
-    separated by equal-degree splitting, and 0 is a root when f(0) = 0."""
-    if K.q <= gf._PAIR_TABLE_MAX:
-        _, fma, _ = K.kernel().arrays()
-        xs = np.arange(K.q, dtype=np.int64)
-        acc = np.full(K.q, f[-1], dtype=np.int64)
-        for c in reversed(f[:-1]):
-            acc = fma(c, acc, xs)
-        return np.flatnonzero(acc == 0).tolist()
+
+def proots(K, f: Poly) -> list[int]:
+    """The distinct roots of the nonzero f in F, ascending: _scan_roots,
+    or above its cap the roots in F^x split out of gcd(T^(q-1) - 1, f) by
+    equal-degree splitting, and 0 when f(0) = 0."""
+    roots = _scan_roots(K, f)
+    if roots is not None:
+        return roots
     roots = [0] if f[0] == 0 else []
     split = pgcd(K, psub(K, ppowmod(K, _X, K.q - 1, f), (K.one,)), f)
     if pdeg(split) > 0:
@@ -304,8 +320,13 @@ def proots(K, f: Poly) -> list[int]:
 
 
 def _factor_squarefree(K, sf: Poly) -> list[Poly]:
-    return sorted((g for prod, d in _ddf(K, sf) for g in _edf(K, prod, d)),
-                  key=lambda g: (len(g), g))
+    """Sorted monic irreducible factors of the squarefree monic sf; with
+    scanned roots, equal-degree splitting runs for d >= 2 only."""
+    roots = _scan_roots(K, sf)
+    factors = [(K.neg(a), K.one) for a in roots or ()]
+    factors += (g for prod, d in _ddf(K, sf, roots)
+                if d > 1 or roots is None for g in _edf(K, prod, d))
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
 def pfactor_distinct(K, f: Poly) -> list[Poly]:
@@ -315,11 +336,12 @@ def pfactor_distinct(K, f: Poly) -> list[Poly]:
 
 
 def pfactor_once_repeated(K, f: Poly):
-    """(once, repeated): the distinct-degree factorization [(product, d)]
-    of the irreducible factors dividing f once, left unsplit, and the
+    """(once, repeated): _ddf's unsplit [(product, d)] of the factors
+    dividing f once (with a root scan, no ppowmod up to degree 3) and the
     pfactor_distinct list of those dividing it twice or more; deg f >= 1."""
     sf = psquarefree_part(K, f)
-    if sf == f:
-        return _ddf(K, f), []
-    rep = pgcd(K, sf, pdivmod(K, f, sf)[0])
-    return _ddf(K, pdivmod(K, sf, rep)[0]), _factor_squarefree(K, rep)
+    once, repeated = sf, []
+    if sf != f:
+        rep = pgcd(K, sf, pdivmod(K, f, sf)[0])
+        once, repeated = pdivmod(K, sf, rep)[0], _factor_squarefree(K, rep)
+    return _ddf(K, once, _scan_roots(K, once)), repeated

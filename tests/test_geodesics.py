@@ -7,7 +7,7 @@ from msg_lab.geodesics import hamming_chain, rank_metric_chain, verify_chain
 from msg_lab.gf import GF
 from msg_lab.groups import (Permutation, proj_equal, random_perm, random_sl)
 from msg_lab.linalg import Matrix, min_rank_shift
-from msg_lab.metrics import hamming_distance
+from msg_lab.metrics import MetricValue, hamming_distance
 
 from conftest import FIELDS
 
@@ -174,3 +174,67 @@ def test_verify_chain_detects_tampering():
     report = verify_chain(dataclasses.replace(chain, kind="no-such-metric"))
     assert not report.valid
     assert report.mismatches == ("unknown metric kind 'no-such-metric'",)
+
+
+def _left_translate(chain, h, op):
+    """The chain moved by h on the left, target included: every step keeps
+    its length (both metrics are bi-invariant), so only the start moves
+    off the identity."""
+    return dataclasses.replace(chain, elements=tuple(op(h, g) for g in
+                                                     chain.elements),
+                               target=op(h, chain.target))
+
+
+def _mismatch_cases(chain, h, op, other, wrong_end):
+    """(tampering, expected mismatches) for one valid chain with two steps:
+    h moves the start, other replaces the target."""
+    first, last = chain.step_lengths
+    kind, total = chain.kind, chain.total
+    off = MetricValue(first.value / 2, kind)
+    return [
+        (dataclasses.replace(chain, elements=()), ("empty chain",)),
+        (_left_translate(chain, h, op),
+         ("chain does not start at the identity",)),
+        (dataclasses.replace(chain, target=other), (wrong_end,)),
+        (dataclasses.replace(chain, step_lengths=(off, last)),
+         ("step 0 annotated %s but recomputed %s" % (off.value, first.value),)),
+        (dataclasses.replace(chain, step_lengths=(first,)),
+         ("missing step annotation 1",)),
+        (dataclasses.replace(chain, step_lengths=(first, last, first)),
+         ("extra step annotations",)),
+        (dataclasses.replace(chain, total=total + 1),
+         ("total annotated %s but recomputed %s" % (total + 1, total),)),
+        (dataclasses.replace(chain, overshoot=chain.overshoot + 1),
+         ("overshoot annotation inconsistent",)),
+        (dataclasses.replace(chain, overshoot=Fraction(-1),
+                             target_length=total + 1),
+         ("negative overshoot",)),
+    ]
+
+
+def test_verify_chain_mismatch_messages():
+    """Each mismatch branch of verify_chain but the unknown kind (tested
+    above), one tampering each, on a Hamming chain and on a rank chain,
+    matched to its message; each tampering keeps the other annotations
+    consistent, so it is the only mismatch.  A rank chain that ends at a
+    scalar multiple of its target still verifies (the end is compared
+    projectively)."""
+    sigma = Permutation.from_cycles(10, [tuple(range(10))])
+    hamming = hamming_chain(sigma, Fraction(1, 2))
+    field = GF(7)
+    rank = rank_metric_chain(Matrix.diagonal(field, [2, 4, 1]), Fraction(1, 3))
+    h = Matrix.from_packed(field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    cases = (
+        _mismatch_cases(hamming, Permutation.from_cycles(10, [(0, 1)]),
+                        lambda a, b: a * b, Permutation.identity(10),
+                        "chain does not end at the target")
+        + _mismatch_cases(rank, h, lambda a, b: a @ b,
+                          Matrix.diagonal(field, [4, 2, 1]),
+                          "chain does not end at the target (projectively)")
+        + [(dataclasses.replace(rank, target=rank.target.scale(3)), ())])
+    for chain in (hamming, rank):
+        assert verify_chain(chain).valid
+    for tampered, expected in cases:
+        report = verify_chain(tampered)
+        assert report.mismatches == expected
+        assert report.valid == (not expected)

@@ -332,3 +332,94 @@ def test_row_kernel_built_once_per_field(monkeypatch):
         assert (reduced.rows, pivots) == (expected_m[0].rows, expected_m[1])
     assert field.kernel() is field.kernel()
     assert sum(c is field for c in calls) == 1
+
+
+# both sides of gf._PAIR_TABLE_MAX for the factorizations: the root scan
+# gives the linear factors at GF(2), GF(9), GF(64) and GF(1021); gcd with
+# T^q - T and equal-degree splitting give them at GF(1031) and GF(2^11)
+_FACTOR_FIELDS = [GF(2), GF(3, 2), GF(2, 6), GF(1021), GF(1031), GF(2, 11)]
+
+
+def _irreducible(field, d, rng, avoid=()):
+    """A random monic irreducible of degree d not in avoid, checked by
+    pirreducible (a random monic polynomial of degree d is irreducible
+    with chance about 1/d)."""
+    while True:
+        g = _rand_poly(field, d, rng, lead=field.one)
+        if g not in avoid and poly.pirreducible(field, g):
+            return g
+
+
+def _known_irreducibles(field, rng):
+    """Distinct monic irreducibles: T, one more linear factor, and random
+    ones of degree 2, 3, 3 and 4."""
+    found = [(0, 1), (field.neg(rng.randrange(1, field.q)), field.one)]
+    for d in (2, 3, 3, 4):
+        found.append(_irreducible(field, d, rng, found))
+    return found
+
+
+def test_factorizations_match_known_irreducibles(rng):
+    """f = prod g^m over known monic irreducibles g, T always among them,
+    with multiplicities 1, 2 and 3, so p-th powers where p is 2 or 3
+    (every f of an odd trial is squarefree).  pfactor_distinct returns the
+    distinct g; the blocks of pfactor_once_repeated are monic, one degree
+    each, and multiply to the product of the g of multiplicity 1; repeated
+    lists those of multiplicity >= 2."""
+    for field in _FACTOR_FIELDS:
+        for trial in range(8):
+            known = _known_irreducibles(field, rng)
+            chosen = [g for g in known if g == (0, 1) or rng.random() < 0.6]
+            mult = {g: rng.choice((1, 2, 3)) for g in chosen}
+            if trial % 2:
+                mult = dict.fromkeys(chosen, 1)
+            f = (field.one,)
+            for g, m in mult.items():
+                for _ in range(m):
+                    f = poly.pmul(field, f, g)
+            key = lambda g: (len(g), g)
+            assert poly.pfactor_distinct(field, f) == sorted(mult, key=key)
+            once, repeated = poly.pfactor_once_repeated(field, f)
+            assert repeated == sorted((g for g in mult if mult[g] > 1), key=key)
+            prod = (field.one,)
+            for block, d in once:
+                assert block[-1] == field.one
+                assert {poly.pdeg(g) for g in
+                        poly.pfactor_distinct(field, block)} == {d}
+                prod = poly.pmul(field, prod, block)
+            assert len({d for _, d in once}) == len(once)
+            single = (field.one,)
+            for g in mult:
+                if mult[g] == 1:
+                    single = poly.pmul(field, single, g)
+            assert prod == single
+
+
+def test_squarefree_cubic_over_gf64_takes_no_power(monkeypatch, rng):
+    """Over GF(64) the root scan gives the linear factors, so a squarefree
+    cubic (three roots, one root and an irreducible quadratic, or
+    irreducible) is factored by pfactor_distinct and pfactor_once_repeated
+    with no ppowmod call."""
+    field = GF(2, 6)
+    linear = sorted((a, 1) for a in rng.sample(range(field.q), 3))
+    quadratic, cubic = _irreducible(field, 2, rng), _irreducible(field, 3, rng)
+    split = poly.pmul(field, poly.pmul(field, linear[0], linear[1]), linear[2])
+    # (f, pfactor_distinct, blocks of pfactor_once_repeated)
+    cases = [
+        (split, linear, [(split, 1)]),
+        (poly.pmul(field, linear[0], quadratic), [linear[0], quadratic],
+         [(linear[0], 1), (quadratic, 2)]),
+        (cubic, [cubic], [(cubic, 3)]),
+    ]
+    calls = []
+    power = poly.ppowmod
+
+    def counted(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(poly, "ppowmod", counted)
+    for f, factors, blocks in cases:
+        assert poly.pfactor_distinct(field, f) == factors
+        assert poly.pfactor_once_repeated(field, f) == (blocks, [])
+    assert calls == []

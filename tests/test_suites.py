@@ -201,6 +201,41 @@ def test_approx_centralize_failure_carries_a_reproducer(monkeypatch):
     assert parse_matrix(field, fields["phi"]) == phis[11]
 
 
+def test_centralizer_factors_failure_carries_a_reproducer(monkeypatch):
+    """centralizer-factors at scale 1 with a doubled order on its last
+    instance, 2 x 2 over GF(9): the brute count catches it, the CSV counts
+    it, and the detail line parses back to that instance."""
+    from types import SimpleNamespace
+
+    from msg_lab.textio import parse_field, parse_matrix
+
+    instances = list(suites._split_instances(DEFAULT_SEED, 1))
+    real = suites.centralizer_factorization
+    orders = []
+
+    def planted(x, dec):
+        fac = real(x, dec)
+        orders.append(fac.total_order)
+        if len(orders) < 6:
+            return fac
+        return SimpleNamespace(factors=fac.factors,
+                               total_order=2 * fac.total_order)
+
+    monkeypatch.setattr(suites, "centralizer_factorization", planted)
+    result = suites.suite_centralizer_factors(scale=1)
+    assert not result.ok
+    assert "instances,6\n" in result.csv_text
+    assert "failures,1\n" in result.csv_text
+    assert len(result.details) == 1
+    fields, message = _reproducer_fields(result.details[0])
+    assert message == "order %d != brute %d" % (2 * orders[5], orders[5])
+    field, n, k, alpha, y, _ = instances[5]
+    assert (field.q, n) == (9, 2)
+    assert parse_field(fields["field"]) == field
+    assert (int(fields["k"]), int(fields["alpha"])) == (k, alpha)
+    assert parse_matrix(field, fields["y"]) == y
+
+
 def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
     """metric-axioms at scale 1 with d(b, a) planted off d(a, b) on the
     first triple of three metrics: the exact Hamming distance by 10^-12,
