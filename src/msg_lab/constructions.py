@@ -7,13 +7,14 @@ Four builders live here.
     and the identity on a complement S, so that (x|_L)^k = alpha, x|_S = 1,
     and max(dim S, rank(x - y)) <= rank(y^k - alpha I).
 
-    x differs from the identity only on L, so x - 1 = U T has rank at most
-    dim L, with U = x L - L and T the L rows of P^-1 for P = [L | S]
-    (SplitDecomposition.L_coordinates).  check_split_condition validates x
-    in this form with no elimination: since T L = 1 and T S = 0, once
-    x L = L C for C = T x L, x - 1 = U T holds exactly when x S = S.  After
-    that check, approx_centralize takes its products with x through U and
-    T, at O(n^2 dim L) cost each.
+    In the split that the rref of y^k - alpha I gives, S is the standard
+    vectors at its pivots and L is the identity at the other rows, the free
+    rows.  So T, the identity's rows at the free columns, gives the L
+    coordinates in the basis [L | S], and x - 1 = U T for U = x L - L.
+    check_split_condition validates x with no elimination: once x L = L C
+    for C = T x L, x - 1 = U T holds exactly when x S = S.  After that
+    check, approx_centralize takes its products with x through U and T, at
+    O(n^2 dim L) cost each, and every product with T is a selection.
 
   * approx_centralize: move an invertible phi to an invertible psi that
     commutes with x exactly, with rank(phi - psi) <= 2 k^2 r + 3 dim S
@@ -60,9 +61,10 @@ COMMUTATOR_BUDGET = 10**4  # elements in a commutator witness enumeration
 class SplitDecomposition:
     """A splitting V = L + S with the exponent data (k, alpha).
 
-    Each subspace is one matrix: L is n x dim L and S is n x dim S, and
-    their columns together form a basis of the space; k is coprime to the
-    characteristic and alpha is a nonzero packed field element.
+    Each subspace is one matrix, in split form: S (n x dim S) is the
+    standard vectors at ascending pivot rows, and L (n x dim L) is the
+    identity at the other rows, the free rows, kept in `free`.  k is
+    coprime to the characteristic and alpha is a nonzero packed element.
     """
 
     L: Matrix
@@ -83,12 +85,17 @@ class SplitDecomposition:
         object.__setattr__(self, "alpha", _check_alpha(self.field, self.alpha))
         if self.dim_L + self.dim_S != self.n:
             raise ValueError("L and S do not fill the space")
-        try:
-            inverse = Matrix.hstack([self.L, self.S]).inverse()
-        except ZeroDivisionError:
-            raise ValueError("L and S columns are not a basis") from None
-        object.__setattr__(self, "_l_coordinates",
-                           inverse.block(0, self.dim_L, 0, self.n))
+        units = Matrix.identity(self.field, self.n).rows
+        pivots = [units.index(c) for c in self.S.transpose().rows
+                  if c in units]
+        object.__setattr__(self, "free", tuple(
+            [r for r in range(self.n) if r not in pivots]))
+        if (pivots != sorted(set(pivots)) or len(pivots) != self.dim_S or
+                self.take_free_rows(self.L)
+                != Matrix.identity(self.field, self.dim_L)):
+            raise ValueError("L and S are not in split form: S standard "
+                             "vectors at ascending pivots and L the "
+                             "identity at the other rows")
 
     @property
     def field(self):
@@ -106,10 +113,15 @@ class SplitDecomposition:
     def dim_S(self):
         return self.S.ncols
 
-    def L_coordinates(self):
-        """T, the dim L x n matrix of the L rows of [L | S]^-1: T v is the
-        L part of the coordinates of v in [L | S], so T L = 1 and T S = 0."""
-        return self._l_coordinates
+    def take_free_rows(self, m):
+        """T m, T the identity's rows at the free columns: m's free rows."""
+        return m._new([m.rows[r] for r in self.free])
+
+    def put_free_columns(self, u):
+        """u T: column j of u at column free[j], zero columns elsewhere."""
+        cols = dict(zip(self.free, u.transpose().rows))
+        zero = (0,) * u.nrows
+        return u._new(zip(*[cols.get(c, zero) for c in range(self.n)]), self.n)
 
 
 def _integer(name, value):
@@ -183,9 +195,8 @@ def prepare_near_root(y, k, alpha):
     One elimination gives all: the kernel vector of free column c is 1 at
     c, 0 at the other free columns (so c is its last nonzero entry), and
     S is the standard vectors at the pivot columns, the ones a greedy
-    completion picks.  The L coordinates of a vector in the basis [L | S]
-    are its free entries, so x = I + (y L - L) I[:, free]^T: column j of
-    y L - L added to column free[j] of I.
+    completion picks.  That is the split form, so x = I + (y L - L) T:
+    column j of y L - L added to column free[j] of I.
     """
     field = y.field
     n = y.nrows
@@ -201,18 +212,11 @@ def prepare_near_root(y, k, alpha):
     defect = y.matpow(k) - Matrix.scalar(field, n, alpha)
     reduced, pivots = defect.rref()
     L = reduced.rref_kernel_basis(pivots)
-    free = [c for c in range(n) if c not in pivots]
     ident = Matrix.identity(field, n)
-    S = ident.take_columns(pivots)
-    # the rows of (x - 1)^T: the columns of y L - L at free, zero elsewhere
-    u_cols = dict(zip(free, (y @ L - L).transpose().rows))
-    zero = (0,) * n
-    x = ident + Matrix(field, tuple([u_cols.get(c, zero) for c in range(n)]),
-                       n).transpose()
+    dec = SplitDecomposition(L, ident.take_columns(pivots), k, alpha)
+    x = ident + dec.put_free_columns(y @ L - L)
 
-    dec = SplitDecomposition(L, S, k, alpha)
     # exact postconditions; cheap at these sizes
-    assert dec.dim_S == len(pivots)
     assert (x - y).rank() <= len(pivots)
     check_split_condition(x, dec)
     return x, dec
@@ -222,35 +226,26 @@ def check_split_condition(x, dec):
     """Raise ValueError unless x preserves L, is the identity on S, and
     satisfies (x restricted to L)^k = alpha * identity.
 
-    Returns x|L, the dim L x dim L matrix C of x in the basis L.
-    With P = [L | S] and T = dec.L_coordinates() (T L = 1, T S = 0),
-    C = T x L, and x preserves L exactly when x L = L C.  Then, with
-    U = x L - L, (x - 1) P = [U | x S - S] and U T P = [U | 0], so x is the
-    identity on S exactly when x - 1 = U T.  No elimination: the products
-    cost O(n^2 dim L), and for dim L = 0 the test is x = 1."""
-    return _split_condition(x, dec)[0]
-
-
-def _split_condition(x, dec):
-    """check_split_condition's tests, in its order and with its messages;
-    returns (C, U) with U = x L - L."""
+    Returns x|L, the dim L x dim L matrix C = T x L of x in the basis L,
+    and x preserves L exactly when x L = L C.  Then, with U = x L - L, x - 1
+    and U T agree on L (T L = 1) and U T is 0 on S (T S = 0), so x is the
+    identity on S exactly when x - 1 = U T.  No elimination, and the only
+    products are x L, L C and those of C^k."""
     field = x.field
     n = x.nrows
     if dec.n != n or dec.field != field:
         raise ValueError("decomposition does not match the matrix")
     L = dec.L
-    T = dec.L_coordinates()
     xL = x @ L
-    C = T @ xL
+    C = dec.take_free_rows(xL)
     if xL != L @ C:
         raise ValueError("x does not preserve L")
-    U = xL - L
-    if x - Matrix.identity(field, n) != U @ T:
+    if x - Matrix.identity(field, n) != dec.put_free_columns(xL - L):
         raise ValueError("x is not the identity on S")
     dl = dec.dim_L
     if dl and C.matpow(dec.k) != Matrix.scalar(field, dl, dec.alpha):
         raise ValueError("x restricted to L is not a k-th root of alpha")
-    return C, U
+    return C
 
 
 def _repair_block(x_f, a_f, deg):
@@ -291,22 +286,23 @@ def approx_centralize(x, dec, phi):
     """
     field = x.field
     n = x.nrows
-    U = _split_condition(x, dec)[1]
+    check_split_condition(x, dec)
     if phi.shape != (n, n) or phi.field != field:
         raise ValueError("phi does not match x")
     if not phi.is_invertible():
         raise ValueError("phi must be invertible")
     k = dec.k
-    # x - 1 = U T (check_split_condition), so x phi - phi x is
-    # U (T phi) - (phi U) T, and the products with x cost O(n^2 dim L)
-    T = dec.L_coordinates()
-    commutator_rank = (U @ (T @ phi) - (phi @ U) @ T).rank()
+    # b = x - 1 = U T (check_split_condition), so x phi - phi x is
+    # U (T phi) - (phi U) T, at O(n^2 dim L); U is b's free columns
+    b = x - Matrix.identity(field, n)
+    U = b.take_columns(dec.free)
+    commutator_rank = (U @ dec.take_free_rows(phi)
+                       - dec.put_free_columns(phi @ U)).rank()
     if commutator_rank == 0:
         return phi
 
-    # W = im(x - 1) on the pivot columns of b = x - 1 and S' = ker(x - 1);
-    # b = w_cols reduced[:m], so x w_cols = w_cols (I + reduced[:m] w_cols)
-    b = x - Matrix.identity(field, n)
+    # W = im(x - 1) on the pivot columns of b and S' = ker(x - 1); b =
+    # w_cols reduced[:m], so x w_cols = w_cols (I + reduced[:m] w_cols)
     reduced, pivots = b.rref()
     m = len(pivots)
     w_cols = b.take_columns(pivots)
@@ -317,7 +313,7 @@ def approx_centralize(x, dec, phi):
     blocks.append((t_minus_1, reduced.rref_kernel_basis(pivots)))
     Q = Matrix.hstack([basis for _, basis in blocks])
     Qinv = Q.inverse()
-    cx = Matrix.identity(field, n) + (Qinv @ U) @ (T @ Q)
+    cx = Matrix.identity(field, n) + (Qinv @ U) @ dec.take_free_rows(Q)
     cphi = Qinv @ phi @ Q
 
     # (a) keep only the diagonal blocks of cphi: x - 1 is invertible on W,
@@ -351,7 +347,7 @@ def approx_centralize(x, dec, phi):
 
     if not psi.is_invertible():
         raise AssertionError("repair failed to restore invertibility")
-    if U @ (T @ psi) != (psi @ U) @ T:
+    if U @ dec.take_free_rows(psi) != dec.put_free_columns(psi @ U):
         raise AssertionError("psi does not commute after averaging")
     achieved = (phi - psi).rank()
     bound = 2 * k * k * commutator_rank + 3 * dec.dim_S

@@ -42,9 +42,6 @@ class MetricValue:
         if not 0 <= self.value <= 1:
             raise ValueError("metric value %r outside [0,1]" % (self.value,))
 
-    def __float__(self):
-        return float(self.value)
-
 
 def hamming_distance(sigma, tau):
     """Fraction of points where the two permutations disagree."""

@@ -326,12 +326,12 @@ def suite_sl_projection(seed=DEFAULT_SEED, scale=None):
     return _result("sl-projection", not failures, rows, failures[:10], t0)
 
 
-def _check_metric_axioms(d, triple, g, op, tol, right=True):
-    """Symmetry, identity, triangle and invariance under left (and, when
-    right is set, right) multiplication by g, op being the group product,
-    for one distance function on one triple, up to tol (0 for the exact
-    metrics); returns the violated axioms.  Normalization needs no check:
-    MetricValue raises ValueError outside [0, 1]."""
+def _check_metric_axioms(d, triple, g, op, tol):
+    """Symmetry, identity, triangle and invariance under left and right
+    multiplication by g, op being the group product, for one distance
+    function on one triple, up to tol (0 for the exact metrics); returns
+    the violated axioms.  Normalization needs no check: MetricValue
+    raises ValueError outside [0, 1]."""
     a, b, c = triple
     dab, dba = d(a, b).value, d(b, a).value
     dac, dbc = d(a, c).value, d(b, c).value
@@ -345,7 +345,7 @@ def _check_metric_axioms(d, triple, g, op, tol, right=True):
         problems.append("triangle")
     if abs(d(op(g, a), op(g, b)).value - dab) > tol:
         problems.append("left invariance")
-    if right and abs(d(op(a, g), op(b, g)).value - dab) > tol:
+    if abs(d(op(a, g), op(b, g)).value - dab) > tol:
         problems.append("right invariance")
     return problems
 
@@ -397,7 +397,7 @@ def suite_metric_axioms(seed=DEFAULT_SEED, scale=None):
         rng = rng_for(seed, 400, i)
         a, b, c, g = (random_sl(2, GF(7), rng) for _ in range(4))
         problems = _check_metric_axioms(d_p, (a, b, c), g, operator.mul,
-                                        _FLOAT_TOL, right=False)
+                                        _FLOAT_TOL)
         if problems:
             failures.append("psl conj triple %d: %s" % (i, problems))
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the msg-lab command line against frozen outputs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from msg_lab.cli import main
 from msg_lab.experiments import equivalence_experiment, parse_family
 from msg_lab.gf import GF
 from msg_lab.groups import psl_canonical
+from msg_lab.metrics import class_size_perm
 from msg_lab.textio import parse_matrix, parse_permutation
 
 
@@ -53,6 +55,21 @@ def test_metric_conj(capsys):
     assert code == 0
     value = float(out)
     assert 0.0 < value < 1.0
+
+
+def test_metric_conj_distance_of_two_permutations(capsys):
+    """d_c(a, b) = log |(a b^-1)^G| / log |A_9|: a b^-1 is a double
+    transposition, whose class in A_9 has C(9, 2) C(7, 2) / 2 = 378
+    members."""
+    a, b = "1,2,0,3,4,5,6,7,8", "0,2,1,4,3,5,6,7,8"
+    code, out, _ = _run(capsys, "metric", "--kind", "conj", "--group", "A:9",
+                        a, b)
+    assert code == 0 and out == "0.490135510131\n"
+    x = parse_permutation(a) * parse_permutation(b).inverse()
+    size = class_size_perm(x.cycle_type(), 9, in_alternating=True)
+    assert size == 378
+    order = math.factorial(9) // 2
+    assert out == "%.12g\n" % (math.log(size) / math.log(order))
 
 
 def test_metric_conj_word_size_fields(capsys):
@@ -161,6 +178,13 @@ def test_commutator_psl2(capsys):
     comm = a.inverse() @ b.inverse() @ a @ b
     target = parse_matrix(field, "2,0;0,3")
     assert psl_canonical(comm).key() == psl_canonical(target).key()
+
+
+def test_commutator_of_an_odd_permutation_has_no_witness(capsys):
+    """Every commutator is even, so the exhaustive scan of A_5 finds no
+    witness for a transposition: the command says so and exits 1."""
+    code, out, err = _run(capsys, "commutator", "--group", "A:5", "1,0,2,3,4")
+    assert (code, out, err) == (1, "no witness\n", "")
 
 
 def test_commutator_checks_budget_before_enumerating(capsys, monkeypatch):

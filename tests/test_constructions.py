@@ -216,25 +216,75 @@ def test_greedy_orbits_reject_an_orbit_meeting_the_span():
 
 
 def test_split_decomposition_takes_one_matrix_per_subspace():
-    """L and S are matrices; the decomposition refuses halves over two
-    fields or of two heights, halves that do not fill the space or whose
-    columns are dependent, and the empty space."""
+    """L and S are matrices in split form: S the standard vectors at
+    ascending pivots and L the identity at the other rows, which the
+    decomposition keeps as `free`, and T, the identity's rows there, acts
+    by selection.  It refuses halves over two fields or of two heights,
+    halves that do not fill the space, the empty space, and columns that
+    are not a basis or are a basis in another form."""
     field = GF(5)
     x, dec = prepare_near_root(Matrix.diagonal(field, [2, 1, 1]), 2, 1)
     assert (dec.L.shape, dec.S.shape) == ((3, 2), (3, 1))
     assert dec == SplitDecomposition(dec.L, dec.S, 2, 1)
     assert Matrix.hstack([dec.L, dec.S]).take_columns([0, 1]) == dec.L
+    assert dec.free == (1, 2)
     ident = Matrix.identity(field, 3)
+    T = ident.take_columns(dec.free).transpose()
+    m = Matrix.from_packed(field, [[1, 2, 3], [4, 0, 1], [2, 2, 4]])
+    assert dec.take_free_rows(m) == T @ m
+    assert dec.put_free_columns(m.take_columns([0, 2])) == \
+        m.take_columns([0, 2]) @ T
+    e0, e1, e2 = (ident.take_columns([i]) for i in range(3))
     cases = [
         (ident, Matrix.zeros(GF(7), 3, 0), "share the field"),
         (ident, Matrix.zeros(field, 2, 0), "row count"),
         (ident.take_columns([0, 1]), Matrix.zeros(field, 3, 0), "fill"),
-        (ident.take_columns([0, 1]), ident.take_columns([1]), "not a basis"),
         (Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 0), "empty"),
+        # not a basis
+        (ident.take_columns([0, 1]), e1, "split form"),
+        # bases: an S column that is not a standard vector, descending
+        # pivots, and an L that is not the identity at the free rows
+        (ident.take_columns([1, 2]), e0 + e1, "split form"),
+        (e1, Matrix.hstack([e2, e0]), "split form"),
+        (ident.take_columns([2, 1]), e0, "split form"),
     ]
     for L, S, message in cases:
         with pytest.raises(ValueError, match=message):
             SplitDecomposition(L, S, 2, 1)
+
+
+def test_split_form_needs_no_inverse_and_no_products_with_t(rng, monkeypatch):
+    """prepare_near_root on 8 x 8 inputs over GF(7) runs three
+    eliminations, is_invertible, the rref of y^k - alpha and the rank
+    postcondition, and none for the split; check_split_condition's only
+    products are x L, L C and those of the power C^k."""
+    eliminations = []
+    products = []
+    gauss_jordan = Matrix._gauss_jordan
+    matmul = Matrix.__matmul__
+
+    def counted(self, *args, **kwargs):
+        eliminations.append(self.shape)
+        return gauss_jordan(self, *args, **kwargs)
+
+    def recorded(a, b):
+        products.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "_gauss_jordan", counted)
+    monkeypatch.setattr(Matrix, "__matmul__", recorded)
+    field = GF(7)
+    for dim_l in range(9):
+        y, k, alpha = near_root_input(field, 8, dim_l, rng)
+        del eliminations[:]
+        x, dec = prepare_near_root(y, k, alpha)
+        assert len(eliminations) == 3
+        del products[:]
+        check_split_condition(x, dec)
+        x_l, l_c = ((8, 8), (8, dim_l)), ((8, dim_l), (dim_l, dim_l))
+        assert products[:2] == [x_l, l_c]
+        powers = k.bit_length() + bin(k).count("1") - 2 if dim_l else 0
+        assert len(products) == 2 + powers
 
 
 def _prepare_oracle(y, k, alpha):

@@ -343,3 +343,51 @@ def test_fingerprint_family_failure_names_the_prime(monkeypatch):
         + tuple(line % n for n in (2, 3, 4)
                 for line in ("p = 3 core not large at n = %d",
                              "p = 3 core order wrong at n = %d")))
+
+
+def test_niceblock_failure_names_the_certificate(monkeypatch):
+    """niceblock with the length of the first block element, SL_4 over
+    GF(2), planted at 1/3: one failure, named by group, half size and
+    field, with the check that caught it."""
+    from fractions import Fraction
+
+    from msg_lab.metrics import PRANK, MetricValue
+
+    real = suites.length
+    calls = []
+
+    def planted(g, kind, group=None):
+        calls.append(g)
+        if len(calls) == 1:
+            return MetricValue(Fraction(1, 3), PRANK)
+        return real(g, kind, group)
+
+    monkeypatch.setattr(suites, "length", planted)
+    result = suites.suite_niceblock()
+    assert not result.ok
+    assert "failures,1\n" in result.csv_text
+    assert result.details == ("SL n=2 q=2 :: ell_pr(x) != 1/2",)
+
+
+def test_geodesics_failure_names_the_chain(monkeypatch):
+    """geodesics at scale 1 with the verification of the first support
+    chain planted invalid: one failure, named by the chain's kind and
+    index, with the mismatch the report carried."""
+    from fractions import Fraction
+
+    from msg_lab.geodesics import VerifyReport
+
+    real = suites.verify_chain
+    calls = []
+
+    def planted(chain):
+        calls.append(chain)
+        if len(calls) == 1:
+            return VerifyReport(False, Fraction(0), ("planted mismatch",))
+        return real(chain)
+
+    monkeypatch.setattr(suites, "verify_chain", planted)
+    result = suites.suite_geodesics(scale=1)
+    assert not result.ok
+    assert "failures,1\n" in result.csv_text
+    assert result.details == ("hamming 0: ('planted mismatch',)",)
