@@ -20,8 +20,9 @@ from .errors import MsgLabError
 from .experiments import (equivalence_experiment, fingerprint_experiment,
                           parse_family)
 from .geodesics import hamming_chain, rank_metric_chain
-from .groups import (SL, SP, AlternatingDescriptor, enumerate_alternating,
-                     enumerate_psl2, psl_canonical)
+from .groups import (PSL_REP, SL, SP, AlternatingDescriptor,
+                     ClassicalElement, enumerate_alternating, enumerate_psl2,
+                     psl_canonical)
 from .linalg import Matrix
 from .metrics import (CONJ, HAMMING, PRANK, conjugacy_distance,
                       hamming_distance, length, projective_rank_distance)
@@ -141,8 +142,12 @@ def _cmd_commutator(args):
         raise ValueError("commutator search enumerates PSL_2 only")
     # refuse from the descriptor before enumerating anything
     check_commutator_budget(group.order())
+    # refuse a non-member as metric --kind conj does; every member is a
+    # commutator (Liebeck, O'Brien, Shalev and Tiep, "The Ore conjecture")
     if isinstance(group, AlternatingDescriptor):
         g = parse_permutation(args.element, n=group.n)
+        if not g.is_even():
+            raise ValueError("elements must lie in A_n")
         elements = enumerate_alternating(group.n)
         key_fn = None
         fmt = format_permutation
@@ -151,14 +156,13 @@ def _cmd_commutator(args):
         g = parse_element(field, args.element)
         if not isinstance(g, Matrix):
             g = g.matrix
+        if g.nrows != group.n:
+            raise ValueError("element does not match the group descriptor")
+        ClassicalElement(g, PSL_REP)  # ValueError unless det g = 1
         elements = enumerate_psl2(field)
         key_fn = lambda m: psl_canonical(m).key()
         fmt = format_matrix
-    witness = commutator_witness(g, elements, key_fn=key_fn)
-    if witness is None:
-        print("no witness")
-        return 1
-    a, b = witness
+    a, b = commutator_witness(g, elements, key_fn=key_fn)
     _print_kv("a", fmt(a))
     _print_kv("b", fmt(b))
     return 0

@@ -10,12 +10,13 @@ pivot choice is deterministic; rank and det clear only below the pivots.
 A subspace is one n x d Matrix whose columns are a basis of it: kernels,
 primary components and the halves of a split all come in that form.
 charpoly reduces to Hessenberg form with the kernel's axpy, and
-min_rank_shift computes ranks only at the roots of the characteristic
-polynomial in F^x, found by poly.proots: a scan of every element at q <=
-gf._PAIR_TABLE_MAX, and above it gcd with T^(q-1) - 1 and equal-degree
-splitting, whose cost grows with log q, not q.  It takes the ranks on the
-Hessenberg form H, which is similar to h^-1 g and leaves one row to clear
-per column.
+min_rank_shift computes ranks only at the repeated roots of the
+characteristic polynomial in F^x; a simple root alpha has a one-dimensional
+eigenspace, so rank n - 1 without elimination.  The roots come from
+poly.proots: a scan of every element at q <= gf._PAIR_TABLE_MAX, and above
+it gcd with T^(q-1) - 1 and equal-degree splitting, whose cost grows with
+log q, not q.  It takes the ranks on the Hessenberg form H, which is
+similar to h^-1 g and leaves one row to clear per column.
 primary_blocks tries only the factors that divide the characteristic
 polynomial.  span_invertible_counts enumerates one member per F^x orbit of
 a span, (q^dim - 1)/(q - 1) in all, as outer sums: a low table of the
@@ -445,8 +446,11 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     evaluates charpoly(m) at every element at once, n array steps; above
     it the roots are the linear factors of gcd(charpoly(m), T^(q-1) - 1),
     which equal-degree splitting separates, at a cost that grows with
-    log q, not q.  A rank is computed at those at most n roots alone.
-    With no such root every alpha gives rank n and argmins is range(1, q).
+    log q, not q.  A rank is computed at the repeated roots alone, those
+    with chi'(alpha) = 0: at a simple root the eigenspace is a line, since
+    its dimension is at least 1 and at most the multiplicity, so the rank
+    is n - 1 with no elimination.  With no root every alpha gives rank n
+    and argmins is range(1, q).
     """
     if g.field != h.field or g.shape != h.shape or g.nrows != g.ncols:
         raise ValueError("need square matrices of equal shape over one field")
@@ -457,7 +461,9 @@ def min_rank_shift(g: Matrix, h: Matrix) -> MinRankShift:
     if pivots != tuple(range(n)):
         raise ValueError("second element must be invertible")
     chi, H = _charpoly_hessenberg(reduced.block(0, n, n, 2 * n))
+    dchi = poly.pderiv(field, chi)
     ranks = {alpha: (H - Matrix.scalar(field, n, alpha)).rank()
+             if poly.peval(field, dchi, alpha) == field.zero else n - 1
              for alpha in poly.proots(field, chi) if alpha}
     if not ranks:
         return MinRankShift(n, range(1, field.q))

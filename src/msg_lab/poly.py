@@ -11,6 +11,10 @@ dozen), so everything is plain Python except the root scan at q <=
 gf._PAIR_TABLE_MAX: it evaluates f at all q elements at once on the
 kernel's int64 arrays, and gives proots and every linear factor.  Above
 that cap they are split out of gcd(T^(q-1) - 1, f) and gcd(T^q - T, f).
+The scan also settles squarefreeness when every root a is simple (f'(a)
+!= 0) and the part of f with no root in F has degree <= 3; then
+pfactor_distinct and pfactor_once_repeated take no gcd(f, f'), and
+psquarefree_part runs only on the other inputs.
 """
 
 from __future__ import annotations
@@ -272,7 +276,9 @@ def psquarefree_part(K, f: Poly) -> Poly:
     multiplicity p does not divide.  Once their copies are stripped from
     the gcd, what is left is a p-th power, whose p-th root goes through
     the same steps (von zur Gathen and Gerhard, Modern Computer Algebra,
-    Alg. 14.21)."""
+    Alg. 14.21).  The factorizations call it only where _scan_squarefree
+    does not settle squarefreeness: above gf._PAIR_TABLE_MAX, at a
+    multiple root, or with a rootless part of degree >= 4."""
     f = pmonic(K, f)
     g = pgcd(K, f, pderiv(K, f))
     if pdeg(g) < 1:
@@ -319,10 +325,23 @@ def proots(K, f: Poly) -> list[int]:
     return sorted(roots)
 
 
-def _factor_squarefree(K, sf: Poly) -> list[Poly]:
-    """Sorted monic irreducible factors of the squarefree monic sf; with
-    scanned roots, equal-degree splitting runs for d >= 2 only."""
-    roots = _scan_roots(K, sf)
+def _scan_squarefree(K, f: Poly):
+    """(roots, settled): roots = _scan_roots(K, f), and settled True when
+    they show the nonzero f squarefree.  a is a multiple root exactly when
+    f'(a) = 0, in any characteristic; so when every root is simple, f is
+    prod (T - a) times a rootless rest of degree deg f - #roots, and a
+    rootless rest of degree <= 3 is 1 or irreducible."""
+    roots = _scan_roots(K, f)
+    if roots is None or pdeg(f) - len(roots) > 3:
+        return roots, False
+    df = pderiv(K, f)
+    return roots, all(peval(K, df, a) for a in roots)
+
+
+def _factor_squarefree(K, sf: Poly, roots) -> list[Poly]:
+    """Sorted monic irreducible factors of the squarefree monic sf, whose
+    roots in F are roots = _scan_roots(K, sf); with scanned roots,
+    equal-degree splitting runs for d >= 2 only."""
     factors = [(K.neg(a), K.one) for a in roots or ()]
     factors += (g for prod, d in _ddf(K, sf, roots)
                 if d > 1 or roots is None for g in _edf(K, prod, d))
@@ -331,17 +350,27 @@ def _factor_squarefree(K, sf: Poly) -> list[Poly]:
 
 def pfactor_distinct(K, f: Poly) -> list[Poly]:
     """Distinct monic irreducible factors of f, sorted by (degree,
-    coefficient tuple)."""
-    return _factor_squarefree(K, psquarefree_part(K, f)) if pdeg(f) > 0 else []
+    coefficient tuple); the radical has the roots of f, from one scan."""
+    if pdeg(f) < 1:
+        return []
+    roots, settled = _scan_squarefree(K, f)
+    sf = pmonic(K, f) if settled else psquarefree_part(K, f)
+    return _factor_squarefree(K, sf, roots)
 
 
 def pfactor_once_repeated(K, f: Poly):
     """(once, repeated): _ddf's unsplit [(product, d)] of the factors
     dividing f once (with a root scan, no ppowmod up to degree 3) and the
-    pfactor_distinct list of those dividing it twice or more; deg f >= 1."""
+    pfactor_distinct list of those dividing it twice or more; deg f >= 1.
+    No gcd is taken when the root scan settles that f is squarefree."""
+    f = pmonic(K, f)
+    roots, settled = _scan_squarefree(K, f)
+    if settled:
+        return _ddf(K, f, roots), []
     sf = psquarefree_part(K, f)
     once, repeated = sf, []
     if sf != f:
         rep = pgcd(K, sf, pdivmod(K, f, sf)[0])
-        once, repeated = pdivmod(K, sf, rep)[0], _factor_squarefree(K, rep)
+        once = pdivmod(K, sf, rep)[0]
+        repeated = _factor_squarefree(K, rep, _scan_roots(K, rep))
     return _ddf(K, once, _scan_roots(K, once)), repeated

@@ -302,9 +302,13 @@ def suite_sl_projection(seed=DEFAULT_SEED, scale=None):
         g = random_invertible(n, field, rng)
         h = project_to_sl(g)
         if h.matrix.det() != field.one:
-            failures.append("projection %d lost det 1" % i)
+            problem = "lost det 1"
         elif (g - h.matrix).rank() > 1:
-            failures.append("projection %d moved rank > 1" % i)
+            problem = "moved rank > 1"
+        else:
+            continue
+        failures.append("field=%s g=%s :: projection %d %s" % (
+            format_field(field), format_matrix(g), i, problem))
     gf3 = GF(3)
     gl_table = commutator_witness_table(enumerate_gl2(gf3))
     missing_sl = [m for m in enumerate_sl2(gf3)

@@ -70,14 +70,11 @@ def parse_matrix(field, text):
 
 def format_matrix(m):
     field = m.field
-    rows = []
-    for i in range(m.nrows):
-        entries = []
-        for j in range(m.ncols):
-            entries.append(".".join(
-                str(c) for c in field.coeffs(m.entry(i, j))))
-        rows.append(",".join(entries))
-    return ";".join(rows)
+    if field.e == 1:  # a prime-field element is its one coefficient
+        entry = str
+    else:
+        entry = lambda a: ".".join(str(c) for c in field.coeffs(a))
+    return ";".join(",".join(entry(a) for a in row) for row in m.rows)
 
 
 def parse_permutation(text, n=None):

@@ -180,11 +180,27 @@ def test_commutator_psl2(capsys):
     assert psl_canonical(comm).key() == psl_canonical(target).key()
 
 
-def test_commutator_of_an_odd_permutation_has_no_witness(capsys):
-    """Every commutator is even, so the exhaustive scan of A_5 finds no
-    witness for a transposition: the command says so and exits 1."""
-    code, out, err = _run(capsys, "commutator", "--group", "A:5", "1,0,2,3,4")
-    assert (code, out, err) == (1, "no witness\n", "")
+def test_commutator_refuses_non_members_before_enumerating(capsys,
+                                                          monkeypatch):
+    """A transposition is not in A_5, a determinant-2 matrix and a 3 x 3
+    one are not in PSL_2(5): each is refused with exit 2 and the message
+    metric --kind conj gives, before a single element is built."""
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before the membership check")
+
+    monkeypatch.setattr(cli, "enumerate_alternating", enumerate_nothing)
+    monkeypatch.setattr(cli, "enumerate_psl2", enumerate_nothing)
+    for group, element, message in (
+            ("A:5", "1,0,2,3,4", "elements must lie in A_n"),
+            ("PSL:2:5", "1,1;0,2", "det must be 1 for tag PSL_REP"),
+            ("PSL:2:5", "GL:1,1;0,2", "det must be 1 for tag PSL_REP"),
+            ("PSL:2:5", "1,0,0;0,1,0;0,0,1",
+             "element does not match the group descriptor")):
+        code, out, err = _run(capsys, "commutator", "--group", group, element)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        if not element.startswith("GL"):
+            assert _run(capsys, "metric", "--kind", "conj", "--group", group,
+                        element) == (2, "", "error: %s\n" % message)
 
 
 def test_commutator_checks_budget_before_enumerating(capsys, monkeypatch):

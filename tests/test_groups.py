@@ -26,6 +26,18 @@ def test_permutation_group_laws(rng):
         assert perm_compose(a, b) == a * b
 
 
+def test_permutation_hash_agrees_with_equality(rng):
+    """Equal permutations hash equal, so they serve as set members and
+    dict keys, and distinct ones stay distinct in a set."""
+    sigma = random_perm(7, rng)
+    same = Permutation(list(sigma.images))
+    assert sigma == same and sigma is not same and hash(sigma) == hash(same)
+    assert {sigma: "value"}[same] == "value"
+    assert len({sigma, same, sigma.inverse().inverse()}) == 1
+    assert len({Permutation((1, 0, 2)), Permutation((0, 2, 1)),
+                Permutation((1, 0, 2))}) == 2
+
+
 def test_composition_convention():
     """(sigma * tau)(i) = sigma(tau(i))."""
     sigma = Permutation((1, 0, 2))

@@ -131,6 +131,22 @@ def test_matpow_matches_repeated_products(rng, monkeypatch):
                     k.bit_length() - 1 + bin(k).count("1") - 1
 
 
+def test_matrix_hash_agrees_with_equality(rng):
+    """Equal matrices hash equal, so they serve as set members and dict
+    keys; the same packed entries over GF(7) and GF(9) are different
+    matrices."""
+    for field in [GF(7), GF(3, 2)]:
+        a = _rand_matrix(field, 3, 3, rng)
+        b = Matrix.from_packed(field, [list(row) for row in a.rows])
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, a.transpose().transpose()}) == 1
+        assert {a: "value"}[b] == "value"
+    rows = [[1, 2], [3, 6]]
+    seven = Matrix.from_packed(GF(7), rows)
+    nine = Matrix.from_packed(GF(3, 2), rows)
+    assert seven != nine and len({seven, nine}) == 2
+
+
 def test_det_multiplicative(rng):
     for field in FIELDS:
         for _ in range(80):
@@ -322,10 +338,14 @@ def test_hessenberg_ranks_match_ranks_of_m(rng):
                 assert (H - shift).rank() == (m - shift).rank()
 
 
-def test_min_rank_shift_eliminates_once_and_ranks_each_root(rng, monkeypatch):
+def test_min_rank_shift_eliminates_once_and_ranks_each_repeated_root(
+        rng, monkeypatch):
     """min_rank_shift makes one elimination, of [h | g], then one rank per
-    eigenvalue of h^-1 g in F^x, each of an n x n upper Hessenberg matrix
-    (H - alpha I), and never factors a polynomial in full."""
+    repeated eigenvalue of m = h^-1 g in F^x, those alpha with
+    (T - alpha)^2 | charpoly(m), here rank (m - alpha I)^n <= n - 2; each
+    is of an n x n upper Hessenberg matrix (H - alpha I).  A simple
+    eigenvalue takes no elimination, and no polynomial is factored in
+    full."""
     eliminations = []
     gauss_jordan = Matrix._gauss_jordan
 
@@ -339,18 +359,25 @@ def test_min_rank_shift_eliminates_once_and_ranks_each_root(rng, monkeypatch):
         raise AssertionError("pfactor_distinct called")
 
     monkeypatch.setattr(poly, "pfactor_distinct", refused)
+    simple = repeated = 0
     for field in [GF(2), GF(7), GF(3, 2), GF(2, 6), GF(251)]:
         for n in (1, 2, 4, 6):
             for kind in ("random", "scalar", "diagonalizable", "unipotent"):
                 g, h = _shift_case(field, n, kind, rng)
+                m = h.inverse() @ g
                 roots = [a for a in field.nonzero_elements()
                          if (g - h.scale(a)).rank() < n]
+                twice = [a for a in roots if (m - Matrix.scalar(field, n, a))
+                         .matpow(n).rank() <= n - 2]
+                simple += len(roots) - len(twice)
+                repeated += len(twice)
                 monkeypatch.setattr(Matrix, "_gauss_jordan", counted)
                 del eliminations[:]
                 min_rank_shift(g, h)
                 monkeypatch.setattr(Matrix, "_gauss_jordan", gauss_jordan)
-                assert eliminations[1:] == [(n, n, True)] * len(roots)
+                assert eliminations[1:] == [(n, n, True)] * len(twice)
                 assert eliminations[0][:2] == (n, 2 * n)
+    assert simple and repeated
 
 
 def test_min_rank_shift_reach_word_size_field(rng):

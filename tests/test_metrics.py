@@ -446,6 +446,35 @@ def test_class_size_matrix_makes_no_enumeration(monkeypatch, rng):
         assert len(_closed_form_sizes(m)) == 3
 
 
+def test_class_size_matrix_takes_no_gcd_at_a_scan_settled_charpoly(
+        monkeypatch, rng):
+    """Over GF(81) at n = 2 and GF(16) at n = 3 the root scan settles a
+    squarefree charpoly, whose rootless part has degree <= 3: every class
+    size of a PSL element with one is computed with psquarefree_part
+    refused, and equals the size when no scan is made (the gcd path above
+    the scan cap)."""
+    from msg_lab import poly
+
+    elements = []
+    for n, field in ((2, GF(3, 4)), (3, GF(2, 4))):
+        while sum(m.field == field for m in elements) < 12:
+            m = random_sl(n, field, rng).matrix
+            chi = charpoly(m)
+            if poly.psquarefree_part(field, chi) == chi:
+                elements.append(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_scan_roots", lambda K, f: None)
+        expected = [class_size_matrix(ClassicalElement(m, PSL_REP))
+                    for m in elements]
+
+    def refused(*args):
+        raise AssertionError("psquarefree_part called")
+
+    monkeypatch.setattr(poly, "psquarefree_part", refused)
+    assert [class_size_matrix(ClassicalElement(m, PSL_REP))
+            for m in elements] == expected
+
+
 def test_class_size_matrix_serves_word_size_fields():
     """PSL_3(257), PSL_3(125), PSL_2(1031) and PSL_2(65537), each refused
     by the enumeration budget, are served.  [[0, 1], [-1, 1]] has order 6

@@ -140,6 +140,35 @@ def test_factor_once_repeated_matches_multiplicities():
                     g for g in mult if mult[g] == 1]
 
 
+def test_scan_settled_factorizations_match_the_gcd_path(monkeypatch):
+    """Every monic f of degree 1 to 5 over GF(2), GF(3) and GF(4):
+    pfactor_distinct and pfactor_once_repeated give what they give with
+    _scan_roots forced to None, where psquarefree_part's gcd(f, f') always
+    runs.  With the scan, it runs for some f and not for others: the
+    squarefree f whose roots are simple and whose rootless rest has degree
+    <= 3 are settled by the scan alone."""
+    cases = [(field, f) for field in (GF(2), GF(3), GF(2, 2))
+             for d in range(1, 6) for f in _monic_polys(field, d)]
+
+    def both(field, f):
+        return (poly.pfactor_distinct(field, f),
+                poly.pfactor_once_repeated(field, f))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poly, "_scan_roots", lambda K, f: None)
+        expected = [both(field, f) for field, f in cases]
+    calls = []
+    radical = poly.psquarefree_part
+
+    def counted(K, f):
+        calls.append(f)
+        return radical(K, f)
+
+    monkeypatch.setattr(poly, "psquarefree_part", counted)
+    assert [both(field, f) for field, f in cases] == expected
+    assert 0 < len(calls) < 2 * len(cases)
+
+
 # -- scalar-Field reference arithmetic ---------------------------------------
 # pmul, pdivmod and ppowmod as they were before the row kernel: one scalar
 # Field call per coefficient operation, ppowmod right to left with a full

@@ -391,3 +391,86 @@ def test_geodesics_failure_names_the_chain(monkeypatch):
     assert not result.ok
     assert "failures,1\n" in result.csv_text
     assert result.details == ("hamming 0: ('planted mismatch',)",)
+
+
+def test_sl_projection_failure_carries_a_reproducer(monkeypatch):
+    """sl-projection at scale 6 with the projection of its fourth
+    instance, over GF(7), planted singular: the CSV counts one failure,
+    and the detail line's field= and g= parse back to the projected
+    matrix."""
+    from types import SimpleNamespace
+
+    from msg_lab.textio import parse_field, parse_matrix
+
+    real = suites.project_to_sl
+    inputs = []
+
+    def planted(g):
+        inputs.append(g)
+        h = real(g)
+        if len(inputs) == 4:
+            return SimpleNamespace(matrix=h.matrix.scale(0))
+        return h
+
+    monkeypatch.setattr(suites, "project_to_sl", planted)
+    result = suites.suite_sl_projection(scale=6)
+    assert not result.ok
+    assert "projection_trials,6\n" in result.csv_text
+    assert "failures,1\n" in result.csv_text
+    assert len(result.details) == 1
+    fields, message = _reproducer_fields(result.details[0])
+    assert message == "projection 3 lost det 1"
+    field = parse_field(fields["field"])
+    assert field.q == 7
+    assert parse_matrix(field, fields["g"]) == inputs[3]
+
+
+def test_class_sizes_failure_names_the_cycle_type(monkeypatch):
+    """class-sizes with the A_5 class of 3-cycles planted one too large:
+    the exhaustive count catches it, and the detail names the group and
+    the cycle type, while the S_5 class and the orbit-stabilizer identity
+    still pass."""
+    real = suites.class_size_perm
+
+    def planted(ct, n, in_alternating=False):
+        size = real(ct, n, in_alternating)
+        if (ct, n, in_alternating) == ((3, 1, 1), 5, True):
+            return size + 1
+        return size
+
+    monkeypatch.setattr(suites, "class_size_perm", planted)
+    result = suites.suite_class_sizes()
+    assert not result.ok
+    assert "failures,1\n" in result.csv_text
+    assert result.details == ("A_5 type (3, 1, 1) size",)
+
+
+def test_equivalence_trend_failure_names_the_degree(monkeypatch):
+    """equivalence-trend at scale 3 with every gap at A_1000 planted 1
+    larger: the details name n = 1000 in both checks it breaks, with the
+    medians of the planted rows, and the CSV carries those rows."""
+    import dataclasses
+    import statistics
+
+    real = suites.equivalence_experiment
+    reports = []
+
+    def planted(family, trials, seed):
+        report = real(family, trials, seed)
+        rows = tuple(row[:5] + (row[5] + 1,)
+                     if row[1] == 1000 and row[4] == "abs_diff" else row
+                     for row in report.rows)
+        reports.append(dataclasses.replace(report, rows=rows))
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "equivalence_experiment", planted)
+    result = suites.suite_equivalence_trend(scale=3)
+    assert not result.ok
+    assert result.csv_text == reports[0].to_csv()
+    m500, m1000 = (statistics.median(row[5] for row in reports[0].rows
+                                     if row[1] == n and row[4] == "abs_diff")
+                   for n in (500, 1000))
+    assert result.details == (
+        "median gap did not decrease from n=500 (%.4f) to n=1000 (%.4f)"
+        % (m500, m1000),
+        "median gap %.4f at n=1000 is not below 0.1" % m1000)

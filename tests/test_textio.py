@@ -77,6 +77,20 @@ def test_matrix_round_trip(rng):
         textio.parse_matrix(field, "1,2;3")
 
 
+def test_matrix_text_matches_the_coefficient_form(rng):
+    """Every entry is written as its e coefficients joined by '.'; over a
+    prime field that is the packed entry itself.  Checked byte for byte
+    over GF(7), GF(9) and GF(2^6), empty shapes included."""
+    for field in [GF(7), GF(3, 2), GF(2, 6)]:
+        for rows, cols in [(0, 0), (2, 0), (1, 1), (3, 4), (5, 5)]:
+            m = Matrix.from_packed(
+                field, [[rng.randrange(field.q) for _ in range(cols)]
+                        for _ in range(rows)])
+            assert textio.format_matrix(m) == ";".join(
+                ",".join(".".join(str(c) for c in field.coeffs(a))
+                         for a in row) for row in m.packed().tolist())
+
+
 def test_extension_matrix_text_uses_dots():
     """Extension entries serialize all e coefficients, constant first."""
     field = GF(2, 2)
