@@ -33,9 +33,9 @@ from .groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                      random_invertible, random_perm, random_sl, random_sp,
                      standard_symplectic_form)
 from .linalg import Matrix, commutant_basis, span_invertible_counts
-from .metrics import (CONJ, HAMMING, PRANK, MetricValue, class_size_matrix,
-                      class_size_perm, conjugacy_distance, hamming_distance,
-                      length, perm_centralizer_order,
+from .metrics import (CONJ, HAMMING, PRANK, ClassLog, MetricValue,
+                      class_size_matrix, class_size_perm, conjugacy_distance,
+                      hamming_distance, length, perm_centralizer_order,
                       projective_rank_distance)
 from .suites import SUITES, run_suite
 

@@ -157,19 +157,11 @@ def _fingerprint_semisimple(x, dec):
     p = dec.k
     if not is_prime(p):
         raise UnsupportedCaseError("order %d is not prime" % p)
-    if p == field.p:
-        raise UnsupportedCaseError(
-            "semisimple family requires the order to differ from the "
-            "characteristic")
     if dec.alpha != field.one:
         raise UnsupportedCaseError("semisimple family requires alpha = 1")
-    n = x.nrows
-    ident = Matrix.identity(field, n)
-    if x == ident:
+    if x == Matrix.identity(field, x.nrows):
         raise UnsupportedCaseError("x must have order exactly p")
-    if x.matpow(p) != ident:
-        raise UnsupportedCaseError("x^p is not the identity")
-    reductive = centralizer_factorization(x, dec)
+    reductive = centralizer_factorization(x, dec)  # checks x^p = 1
     return FingerprintRecord(
         has_large_p_core=False,
         p=p,

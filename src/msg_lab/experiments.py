@@ -220,7 +220,7 @@ def equivalence_experiment(family, trials, seed):
                 ell = length(g, PRANK)
                 label = "ell_pr"
             rows.append((fi, n, q, trial, label, ell.value))
-            d_c = length(g, CONJ, group).value
+            d_c = float(length(g, CONJ, group).value)
             gap = abs(d_c - float(ell.value))
             rows.append((fi, n, q, trial, "d_c", d_c))
             rows.append((fi, n, q, trial, "abs_diff", gap))

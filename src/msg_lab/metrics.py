@@ -5,8 +5,7 @@ Three metrics on finite groups, each valued in [0, 1]:
   * hamming_distance: fraction of moved points, exact Fraction;
   * projective_rank_distance: (1/n) min over nonzero scalars alpha of
     rank(g - alpha*h), exact Fraction, identifies scalar multiples;
-  * conjugacy_distance: log |ccl(g h^-1)| / log |G|, a float (the double
-    log of an integer is accurate to the full 53-bit mantissa).
+  * conjugacy_distance: log |ccl(g h^-1)| / log |G|, an exact ClassLog.
 
 Class sizes are exact integers: the standard cycle-type formula for S_n
 with the odd-distinct splitting rule for A_n, and for matrix groups the
@@ -15,6 +14,7 @@ partitions at the irreducible factors of the characteristic polynomial:
 no enumeration and no budget (commutant enumeration is the tests' oracle).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +23,7 @@ from . import poly
 from .errors import UnsupportedCaseError
 from .groups import (GL, PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
                      Permutation, PSLDescriptor, gl_centralizer_order,
-                     gl_order, proj_equal, sl_order)
+                     gl_order, sl_order)
 from .linalg import Matrix, charpoly, evaluate_poly_at, min_rank_shift
 
 HAMMING = "hamming"
@@ -31,9 +31,41 @@ PRANK = "prank"
 CONJ = "conj"
 
 
+@functools.total_ordering
+@dataclass(frozen=True)
+class ClassLog:
+    """log size / log order as the two integers: values of one group add
+    by multiplying sizes and compare by size, an int k being order**k."""
+
+    size: int
+    order: int
+
+    def _size(self, other):
+        if isinstance(other, int):
+            return self.order ** other
+        if not (isinstance(other, ClassLog) and other.order == self.order):
+            raise ValueError("not a value of this group: %r" % (other,))
+        return other.size
+
+    def __add__(self, other):
+        return ClassLog(self.size * self._size(other), self.order)
+
+    def __eq__(self, other):
+        return self.size == self._size(other)
+
+    def __lt__(self, other):
+        return self.size < self._size(other)
+
+    def __hash__(self):  # 0 and 1 hash as the ints equal to them
+        return hash(float(self))
+
+    def __float__(self):
+        return math.log(self.size) / math.log(self.order)
+
+
 @dataclass(frozen=True)
 class MetricValue:
-    """A metric evaluation; exact Fraction for hamming/prank, float for conj."""
+    """A metric evaluation: Fraction for hamming/prank, ClassLog for conj."""
 
     value: object
     kind: str
@@ -154,7 +186,7 @@ def class_size_matrix(x):
 
 
 def conjugacy_distance(g, h, group):
-    """log |ccl(g h^-1)| / log |G| in the given centreless group."""
+    """ClassLog(|ccl(g h^-1)|, |G|) in the given centreless group."""
     if isinstance(group, AlternatingDescriptor):
         if not (isinstance(g, Permutation) and isinstance(h, Permutation)):
             raise TypeError("A_n metric needs permutations")
@@ -163,21 +195,15 @@ def conjugacy_distance(g, h, group):
         if not (g.is_even() and h.is_even()):
             raise ValueError("elements must lie in A_n")
         x = g * h.inverse()
-        if x == Permutation.identity(group.n):
-            return MetricValue(0.0, CONJ)
         size = class_size_perm(x.cycle_type(), group.n, in_alternating=True)
-        return MetricValue(math.log(size) / math.log(group.order()), CONJ)
-    if isinstance(group, PSLDescriptor):
-        gm = _as_matrix(g)
-        hm = _as_matrix(h)
+    elif isinstance(group, PSLDescriptor):
+        gm, hm = _as_matrix(g), _as_matrix(h)
         if gm.nrows != group.n or gm.field != group.field:
             raise ValueError("element does not match the group descriptor")
-        x = gm @ hm.inverse()
-        if proj_equal(x, Matrix.identity(gm.field, gm.nrows)):
-            return MetricValue(0.0, CONJ)
-        size = class_size_matrix(ClassicalElement(x, PSL_REP))
-        return MetricValue(math.log(size) / math.log(group.order()), CONJ)
-    raise UnsupportedCaseError("conjugacy metric needs A_n (n >= 5) or PSL")
+        size = class_size_matrix(ClassicalElement(gm @ hm.inverse(), PSL_REP))
+    else:
+        raise UnsupportedCaseError("conjugacy metric needs A_n (n >= 5) or PSL")
+    return MetricValue(ClassLog(size, group.order()), CONJ)
 
 
 def length(g, kind, group=None):

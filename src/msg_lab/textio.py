@@ -21,7 +21,7 @@ from .groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                      ClassicalElement, Permutation, PSLDescriptor,
                      standard_symplectic_form)
 from .linalg import Matrix
-from .metrics import MetricValue
+from .metrics import ClassLog, MetricValue
 
 _TAG_IN = {"GL": GL, "SL": SL, "SP": SP, "PSL": PSL_REP}
 _TAG_OUT = {GL: "GL", SL: "SL", SP: "SP", PSL_REP: "PSL"}
@@ -36,8 +36,6 @@ def parse_field(text):
         p, e = int(p_str), int(e_str)
     else:
         p, e = int(head), 1
-    if e < 1:
-        raise ValueError("extension degree must be >= 1, got %d" % e)
     if not sep:
         return GF(p, e)
     coeffs = tuple(int(c) for c in tail.split(","))
@@ -127,8 +125,8 @@ def parse_group_descriptor(text):
 
 
 def format_value(v):
-    """CSV cell: exact rationals as a/b (integers plain), floats to 12
-    significant digits."""
+    """CSV cell: exact rationals as a/b (integers plain), floats and
+    ClassLogs to 12 significant digits."""
     if isinstance(v, MetricValue):
         v = v.value
     if isinstance(v, Fraction):
@@ -139,8 +137,8 @@ def format_value(v):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return format(v, ".12g")
+    if isinstance(v, (float, ClassLog)):
+        return format(float(v), ".12g")
     return str(v)
 
 

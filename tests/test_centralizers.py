@@ -267,6 +267,25 @@ def test_fingerprint_unsupported_cases():
         characteristic_fingerprint(Matrix.identity(GF(3), 4), cert)
 
 
+def test_fingerprint_semisimple_refuses_a_mismatched_split():
+    """The semisimple fingerprint takes x with the split of its dec: a
+    pair that does not match is refused by check_split_condition with its
+    ValueError, x^p != 1 included (x = diag(3, 1, 1), 3^2 = 2 over GF(7)),
+    so x^p = 1 holds whenever a record is returned."""
+    field = GF(7)
+    x, dec = prepare_near_root(Matrix.diagonal(field, [6, 2, 1]), 2, 1)
+    assert (dec.dim_L, dec.dim_S) == (2, 1)
+    assert characteristic_fingerprint(x, dec).reductive_part.total_order \
+        == 6 * gl_order(2, 7)
+    swap = Matrix.from_packed(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    for other, message in (
+            (Matrix.diagonal(field, [3, 1, 1]), "not a k-th root of alpha"),
+            (swap, "does not preserve L"),
+            (Matrix.diagonal(field, [1, 6, 1]), "not the identity on S")):
+        with pytest.raises(ValueError, match=message):
+            characteristic_fingerprint(other, dec)
+
+
 def test_descriptor_total_order_validation():
     f = FactorRecord(GL_BLOCK, 1, 1, 6)
     desc = CentralizerDescriptor((f, f))

@@ -4,21 +4,22 @@ from fractions import Fraction
 import pytest
 
 from msg_lab import linalg
-from msg_lab.errors import BudgetError
+from msg_lab.errors import BudgetError, UnsupportedCaseError
 from msg_lab.gf import GF
-from msg_lab.groups import (GL, PSL_REP, SL, AlternatingDescriptor,
+from msg_lab.groups import (GL, PSL_REP, SL, SP, AlternatingDescriptor,
                             ClassicalElement, Permutation, PSLDescriptor,
                             enumerate_psl2, enumerate_sl2, gl_order,
                             psl_canonical, random_invertible, random_perm,
-                            random_sl, sl_order)
+                            random_sl, sl_order, standard_symplectic_form)
 from msg_lab.linalg import (SPAN_BUDGET, Matrix, charpoly, commutant_basis,
                             span_invertible_counts, twisted_commutant_basis)
-from msg_lab.metrics import (CONJ, HAMMING, PRANK, MetricValue,
+from msg_lab.metrics import (CONJ, HAMMING, PRANK, ClassLog, MetricValue,
                              _primary_partitions, class_size_matrix,
                              class_size_perm,
                              conjugacy_distance, hamming_distance, length,
                              perm_centralizer_order,
                              projective_rank_distance)
+from msg_lab.textio import format_value
 
 
 def test_hamming_known_values():
@@ -230,25 +231,102 @@ def test_class_size_matrix_gl_identity():
 
 
 def test_conjugacy_distance_values():
+    """3-cycles in A_9: choose 3 of 9, two cyclic orders, 168 of them.  The
+    distance carries that size and |A_9| exactly, and prints as
+    log 168 / log |A_9|."""
     group = AlternatingDescriptor(9)
     ident = Permutation.identity(9)
     three_cycle = Permutation.from_cycles(9, [(0, 1, 2)])
     d = conjugacy_distance(three_cycle, ident, group)
-    # 3-cycles in A_9: choose 3 of 9, two cyclic orders: 168 of them
-    expect = math.log(168) / math.log(math.factorial(9) // 2)
-    assert abs(d.value - expect) < 1e-12
-    assert conjugacy_distance(three_cycle, three_cycle, group).value == 0
+    order = math.factorial(9) // 2
+    assert (d.value.size, d.value.order) == (168, order)
+    assert float(d.value) == math.log(168) / math.log(order)
+    assert format_value(d) == "0.423164527649"
+    same = conjugacy_distance(three_cycle, three_cycle, group).value
+    assert (same.size, same.order) == (1, order) and same == 0
     assert d.kind == CONJ
 
 
 def test_conjugacy_distance_psl():
+    """The transvection class of PSL_2(7) has 24 of its 168 members; the
+    central -1 is the identity of PSL_2(7), a class of size 1."""
     group = PSLDescriptor(2, GF(7))
     field = GF(7)
     x = Matrix.from_packed(field, [[1, 1], [0, 1]])
     ident = Matrix.identity(field, 2)
     d = conjugacy_distance(x, ident, group)
-    # transvection class in PSL_2(7) has 24 members
-    assert abs(d.value - math.log(24) / math.log(168)) < 1e-12
+    assert (d.value.size, d.value.order) == (24, 168)
+    assert float(d.value) == math.log(24) / math.log(168)
+    assert format_value(d) == "%.12g" % (math.log(24) / math.log(168))
+    central = conjugacy_distance(ident.scale(6), ident, group).value
+    assert (central.size, central.order) == (1, 168) and central == 0
+
+
+def test_class_log_adds_and_compares_class_sizes_exactly():
+    """Values of one group add by multiplying sizes and compare by size,
+    with no rounding: log 2 + log 28 = log 56, though the floats of the
+    three ratios over log 168 put the sum below, and sizes |A_50| - 1 and
+    |A_50| differ, though their floats do not.  An int k stands for
+    order**k, and 0 and 1 hash as the values equal to them; a value of
+    another group is refused."""
+    two, twenty_eight, fifty_six = (ClassLog(s, 168) for s in (2, 28, 56))
+    assert float(two) + float(twenty_eight) < float(fifty_six)
+    assert two + twenty_eight == fifty_six
+    order = math.factorial(50) // 2
+    near = ClassLog(order - 1, order)
+    assert float(near) == 1.0 and near < 1 and near != ClassLog(order, order)
+    assert not two + twenty_eight < fifty_six
+    assert two + twenty_eight <= fifty_six <= two + twenty_eight
+    assert two < twenty_eight and fifty_six > twenty_eight >= two
+    assert two + twenty_eight != ClassLog(57, 168) > fifty_six
+    assert ClassLog(1, 168) == 0 and ClassLog(168, 168) == 1
+    assert 0 < two <= 1 and two != 0 and two + 1 == ClassLog(336, 168)
+    assert {fifty_six: "x"}[two + twenty_eight] == "x"
+    assert {0: "zero", 1: "one"}[ClassLog(1, 168)] == "zero"
+    assert {0: "zero", 1: "one"}[ClassLog(168, 168)] == "one"
+    assert MetricValue(fifty_six, CONJ) == MetricValue(two + twenty_eight,
+                                                       CONJ)
+    for bad in (lambda: two < ClassLog(2, 60), lambda: two + ClassLog(2, 60),
+                lambda: two == ClassLog(2, 60), lambda: two < 0.5):
+        with pytest.raises(ValueError, match="not a value of this group"):
+            bad()
+
+
+def test_metric_contract_raises():
+    """Each check of the metric functions on input outside their
+    contract, with its message."""
+    f5 = GF(5)
+    ident = Matrix.identity(f5, 2)
+    sp = ClassicalElement(ident, SP, standard_symplectic_form(f5, 2))
+    a5 = AlternatingDescriptor(5)
+    cycle = Permutation.from_cycles(5, [(0, 1, 2)])
+    cases = [
+        (ValueError, "degree mismatch: 5 vs 4",
+         lambda: hamming_distance(cycle, Permutation.identity(4))),
+        (ValueError, r"cycle type \(3, 1\) does not sum to 5",
+         lambda: class_size_perm((1, 3), 5)),
+        (ValueError, "cycle lengths must be positive",
+         lambda: class_size_perm((5, 0), 5)),
+        (ValueError, r"cycle type \(2, 1, 1, 1\) is odd, not in A_5",
+         lambda: class_size_perm((2, 1, 1, 1), 5, in_alternating=True)),
+        (TypeError, "class_size_matrix expects a ClassicalElement",
+         lambda: class_size_matrix(ident)),
+        (UnsupportedCaseError, "needs GL/SL/PSL",
+         lambda: class_size_matrix(sp)),
+        (TypeError, "A_n metric needs permutations",
+         lambda: conjugacy_distance(ident, cycle, a5)),
+        (ValueError, "degree mismatch with group",
+         lambda: conjugacy_distance(Permutation.identity(6), cycle, a5)),
+        (UnsupportedCaseError, r"conjugacy metric needs A_n \(n >= 5\) or PSL",
+         lambda: conjugacy_distance(cycle, cycle, "A:5")),
+        (ValueError, "conjugacy length needs a group descriptor",
+         lambda: length(cycle, CONJ)),
+        (ValueError, "unknown metric kind 'taxicab'",
+         lambda: length(cycle, "taxicab")),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error, match=message):
+            call()
 
 
 def test_conjugacy_rejects_elements_off_the_descriptor():

@@ -238,15 +238,15 @@ def test_centralizer_factors_failure_carries_a_reproducer(monkeypatch):
 
 def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
     """metric-axioms at scale 1 with d(b, a) planted off d(a, b) on the
-    first triple of three metrics: the exact Hamming distance by 10^-12,
-    which tolerance 0 catches; the A_9 conjugacy distance by 2 * _FLOAT_TOL,
-    caught; the PSL_2(7) one by _FLOAT_TOL / 2, within the tolerance."""
+    first triple of three metrics: the Hamming distance by 10^-12, and the
+    A_9 and PSL_2(7) conjugacy distances by one in the class size.  Each
+    comparison is exact, so all three are reported."""
     from fractions import Fraction
 
     from msg_lab.experiments import rng_for
     from msg_lab.gf import GF
     from msg_lab.groups import random_even_perm, random_perm, random_sl
-    from msg_lab.metrics import CONJ, HAMMING, MetricValue
+    from msg_lab.metrics import CONJ, HAMMING, ClassLog, MetricValue
 
     def first_triple(stream, draw):
         rng = rng_for(DEFAULT_SEED, stream, 0)
@@ -266,19 +266,19 @@ def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
 
     def planted_conj(x, y, group):
         d = real_conj(x, y, group)
-        if (x, y) == (b_c, a_c):
-            return MetricValue(d.value + 2 * suites._FLOAT_TOL, CONJ)
-        if (x, y) == (b_p, a_p):
-            return MetricValue(d.value + suites._FLOAT_TOL / 2, CONJ)
+        if (x, y) in ((b_c, a_c), (b_p, a_p)):
+            return MetricValue(ClassLog(d.value.size + 1, d.value.order),
+                               CONJ)
         return d
 
     monkeypatch.setattr(suites, "hamming_distance", planted_hamming)
     monkeypatch.setattr(suites, "conjugacy_distance", planted_conj)
     result = suites.suite_metric_axioms(scale=1)
     assert not result.ok
-    assert "failures,2\n" in result.csv_text
+    assert "failures,3\n" in result.csv_text
     assert result.details == ("hamming triple 0: ['symmetry']",
-                              "conj triple 0: ['symmetry']")
+                              "conj triple 0: ['symmetry']",
+                              "psl conj triple 0: ['symmetry']")
 
 
 def test_centralizers_failure_names_the_permutation(monkeypatch):

@@ -30,13 +30,16 @@ def test_field_parse_errors():
 
 def test_field_bounds_checked_before_any_search(monkeypatch):
     """An order at or past the 2^31 cap, or a degree below 1, is refused
-    with ValueError before the search for a modulus, within 1 s."""
+    with ValueError before the search for a modulus, within 1 s; a degree
+    below 1 gets GF's one message, a modulus given or not."""
     def fail(*args):
         raise AssertionError("modulus search ran")
 
     monkeypatch.setattr(poly, "pirreducible", fail)
     for text, message in (("2^400", "exceeds cap"), ("2^31", "exceeds cap"),
-                          ("2^0", "extension degree"),
+                          ("2^0", "extension degree 0 < 1"),
+                          ("2^-1", "extension degree -1 < 1"),
+                          ("2^0:1", "extension degree 0 < 1"),
                           ("2^400:" + ",".join(["1"] * 401), "exceeds cap")):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=message):
