@@ -4,11 +4,12 @@ For a matrix x with the split structure of prepare_near_root, the
 centralizer of x is the product of general linear groups over extension
 fields, one per irreducible factor of T^k - alpha acting on L, with the
 eigenvalue-1 block absorbing S.  For permutations the centralizer is a
-product of wreath products C_k wr S_{m_k} over the cycle lengths.  The
-fingerprint record distinguishes elements whose centralizer carries a
-large normal elementary abelian p-subgroup (the block element in
-characteristic p, permutations with many p-cycles) from semisimple
-elements whose centralizer is a plain product of linear blocks.
+product of wreath products C_k wr S_{m_k} over the cycle lengths.  A
+matrix fingerprint's p-core is the unipotent radical 1 + J of C_GL(x), of
+order q^(dim J), read off the Jordan data with its GL factors.  For x of
+prime order p, J != 0 exactly when p is the characteristic: a unipotent x
+has x - 1 as a nonzero nilpotent central element of its commutant, and
+any other x is semisimple, so J = 0.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from .errors import UnsupportedCaseError
 from .gf import is_prime
 from .groups import SL, ClassicalElement, Permutation, gl_order
 from .linalg import Matrix, primary_blocks
+from .metrics import _primary_partitions, gl_centralizer_structure
 
 GL_BLOCK = "GL-block"
 WREATH_BLOCK = "wreath-block"
@@ -62,10 +64,15 @@ class CentralizerDescriptor:
 
 @dataclasses.dataclass(frozen=True)
 class FingerprintRecord:
-    has_large_p_core: bool
+    """A centralizer's p-core order and reductive part; derived flag."""
+
     p: int
     p_core_order: int
     reductive_part: CentralizerDescriptor
+    has_large_p_core: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "has_large_p_core", self.p_core_order > 1)
 
 
 def centralizer_factorization(x, dec):
@@ -123,22 +130,25 @@ def perm_centralizer_structure(sigma):
 
 
 def characteristic_fingerprint(x, context=None):
-    """Large-p-core dichotomy data for a prime-order element.
+    """p-core and reductive part of the centralizer of a prime-order element.
 
     Three supported shapes, selected by the context argument:
 
-      * SplitDecomposition: semisimple x of prime order k != char built by
-        prepare_near_root with alpha = 1; no p-core, reductive part is the
-        full block factorization.
+      * SplitDecomposition: x of prime order k != char built by
+        prepare_near_root with alpha = 1;
       * NiceblockCertificate: the order-p block element in its own
-        characteristic; p-core is the abelian group A (order q^dim A),
-        reductive part records the ambient GL_n the block-diagonal
-        complement lives in.
+        characteristic.  In Sp, whose centralizer needs the form, the
+        p-core is the certified abelian group A (order q^dim A) and the
+        reductive part the GL_n of the block-diagonal complement;
       * None with x a Permutation of prime order p: p-core is the base
-        C_p^m of the wreath factor, reductive part is the top S_m times
+        C_p^m of the wreath factor (O_p of the centralizer is larger for
+        small m: D_8 at p = 2, m = 2), reductive part is the top S_m times
         the fixed-point S_f.
 
-    Anything else raises UnsupportedCaseError.
+    The other matrices read metrics.gl_centralizer_structure: the p-core
+    1 + J, of order q^(dim J), and the GL_m(q^d) factors in (d, m) order.
+    has_large_p_core is p_core_order > 1.  Anything else raises
+    UnsupportedCaseError.
     """
     if isinstance(context, SplitDecomposition):
         return _fingerprint_semisimple(x, context)
@@ -152,22 +162,25 @@ def characteristic_fingerprint(x, context=None):
         % type(context).__name__)
 
 
+def _fingerprint_matrix(x, p):
+    """The record of x in GL_n(q) from the structure of C_GL(x)."""
+    q = x.field.q
+    dim_j, factors = gl_centralizer_structure(_primary_partitions(x))
+    return FingerprintRecord(p, q ** dim_j, CentralizerDescriptor(
+        FactorRecord(GL_BLOCK, m, d, gl_order(m, q ** d))
+        for d, m, count in sorted(factors) for _ in range(count)))
+
+
 def _fingerprint_semisimple(x, dec):
-    field = x.field
     p = dec.k
     if not is_prime(p):
         raise UnsupportedCaseError("order %d is not prime" % p)
-    if dec.alpha != field.one:
+    if dec.alpha != x.field.one:
         raise UnsupportedCaseError("semisimple family requires alpha = 1")
-    if x == Matrix.identity(field, x.nrows):
+    if x == Matrix.identity(x.field, x.nrows):
         raise UnsupportedCaseError("x must have order exactly p")
-    reductive = centralizer_factorization(x, dec)  # checks x^p = 1
-    return FingerprintRecord(
-        has_large_p_core=False,
-        p=p,
-        p_core_order=1,
-        reductive_part=reductive,
-    )
+    check_split_condition(x, dec)  # ValueError unless x^p = 1
+    return _fingerprint_matrix(x, p)
 
 
 def _fingerprint_niceblock(x, cert):
@@ -176,19 +189,12 @@ def _fingerprint_niceblock(x, cert):
         raise UnsupportedCaseError(
             "x does not match the certified block element")
     field = mat.field
-    p = field.p
+    if cert.x.group_tag == SL:
+        return _fingerprint_matrix(mat, field.p)
     n = cert.half_size
-    core_rank = len(cert.A_generators)
-    expected = n * n if cert.x.group_tag == SL else n * (n + 1) // 2
-    assert core_rank == expected
-    reductive = CentralizerDescriptor(
-        (FactorRecord(GL_BLOCK, n, 1, gl_order(n, field.q)),))
-    return FingerprintRecord(
-        has_large_p_core=True,
-        p=p,
-        p_core_order=field.q ** core_rank,
-        reductive_part=reductive,
-    )
+    return FingerprintRecord(field.p, field.q ** len(cert.A_generators),
+                             CentralizerDescriptor((FactorRecord(
+                                 GL_BLOCK, n, 1, gl_order(n, field.q)),)))
 
 
 def _fingerprint_permutation(sigma):
@@ -202,9 +208,4 @@ def _fingerprint_permutation(sigma):
         FactorRecord(WREATH_BLOCK, m, 1, math.factorial(m)),
         FactorRecord(WREATH_BLOCK, f, 1, math.factorial(f)),
     ))
-    return FingerprintRecord(
-        has_large_p_core=True,
-        p=p,
-        p_core_order=p ** m,
-        reductive_part=reductive,
-    )
+    return FingerprintRecord(p, p ** m, reductive)

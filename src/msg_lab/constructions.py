@@ -446,7 +446,7 @@ def build_niceblock(n, field, group):
     length is at least (n - 1)/(2n), above the (1/3)(1 - 2/n) target.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError("half size must be >= 2, got %d" % n)
     if group not in (SL, SP):
         raise ValueError("group must be SL or SP")
     form = standard_symplectic_form(field, 2 * n) if group == SP else None

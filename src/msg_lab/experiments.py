@@ -129,13 +129,13 @@ class FamilyDescriptor:
 def parse_family(text):
     """Family from "ALT:50,100" or "PSL:2,3:7,9"."""
     parts = text.strip().split(":")
+    if (parts[0], len(parts)) not in (("ALT", 2), ("PSL", 3)):
+        raise ValueError("family text is ALT:n1,n2,... or PSL:n1,...:q1,...")
     sizes = tuple(int(tok) for tok in parts[1].split(","))
-    if parts[0] == "ALT" and len(parts) == 2:
+    if parts[0] == "ALT":
         return FamilyDescriptor(ALTERNATING, sizes)
-    if parts[0] == "PSL" and len(parts) == 3:
-        fields = tuple(int(tok) for tok in parts[2].split(","))
-        return FamilyDescriptor(PSL_FAMILY, sizes, fields)
-    raise ValueError("family text is ALT:n1,n2,... or PSL:n1,...:q1,...")
+    fields = tuple(int(tok) for tok in parts[2].split(","))
+    return FamilyDescriptor(PSL_FAMILY, sizes, fields)
 
 
 def format_family(family):
@@ -231,18 +231,24 @@ def equivalence_experiment(family, trials, seed):
                             tuple(rows))
 
 
-def _order_p_semisimple(field, p, n):
-    """x in GL_n with x^p = I, x != I, annihilated by squarefree T^p - 1."""
+def fingerprint_element(field, p, n):
+    """(x, context, d) for characteristic_fingerprint at the prime p.  At
+    p = char: the SL block element of half size n, its certificate and
+    d = None.  Otherwise prepare_near_root's split of C(f) + I_(n - d) in
+    GL_n, C(f) the companion matrix of the first irreducible f != T - 1
+    dividing T^p - 1, of degree d (UnsupportedCaseError when d > n)."""
+    if p == field.p:
+        cert = build_niceblock(n, field, SL)
+        return cert.x, cert, None
     target = (field.neg(field.one),) + (field.zero,) * (p - 1) + (field.one,)
-    factors = poly.pfactor_distinct(field, target)
     t_minus_1 = (field.neg(field.one), field.one)
-    nontrivial = [f for f in factors if f != t_minus_1]
-    d = len(nontrivial[0]) - 1
+    f = next(g for g in poly.pfactor_distinct(field, target)
+             if g != t_minus_1)
+    d = len(f) - 1
     if d > n:
         raise UnsupportedCaseError(
             "an order-%d semisimple element needs dimension >= %d, have %d"
             % (p, d, n))
-    f = nontrivial[0]
     rows = [[0] * n for _ in range(n)]
     for i in range(1, d):
         rows[i][i - 1] = field.one
@@ -250,19 +256,15 @@ def _order_p_semisimple(field, p, n):
         rows[i][d - 1] = field.neg(f[i])
     for i in range(d, n):
         rows[i][i] = field.one
-    return Matrix.from_packed(field, rows), d
+    y = Matrix.from_packed(field, rows)
+    return prepare_near_root(y, p, field.one) + (d,)
 
 
 def fingerprint_experiment(family, primes, seed):
-    """Centralizer fingerprints across a PSL family, one row set per
-    (group, prime) pair.
-
-    Primes equal to the field characteristic go through the block
-    construction (large abelian p-core, growing as q^(n^2)); the other
-    primes go through a semisimple order-p element (trivial p-core).
-    Rows that cannot be built at the scheduled size become per-row error
-    entries.
-    """
+    """Fingerprints of fingerprint_element across a PSL family, one row
+    set per (group, prime) pair: the p-core is large, growing as q^(n^2),
+    exactly at the characteristic.  Rows that cannot be built at the
+    scheduled size become per-row error entries."""
     if family.kind != PSL_FAMILY:
         raise UnsupportedCaseError(
             "fingerprints need a matrix family, got %s" % family.kind)
@@ -276,19 +278,12 @@ def fingerprint_experiment(family, primes, seed):
         for p in primes:
             tag = "p%d" % p
             try:
-                if p == field.p:
-                    cert = build_niceblock(n, field, SL)
-                    rec = characteristic_fingerprint(cert.x, cert)
-                    ell = length(cert.x, PRANK).value
-                else:
-                    y, d = _order_p_semisimple(field, p, n)
-                    x, dec = prepare_near_root(y, p, field.one)
-                    rec = characteristic_fingerprint(x, dec)
-                    ell = None
+                x, context, d = fingerprint_element(field, p, n)
+                rec = characteristic_fingerprint(x, context)
             except (MsgLabError, ValueError) as exc:
                 rows.append((fi, n, q, 0, "%s_error" % tag, str(exc)))
                 continue
-            if p != field.p:
+            if d is not None:
                 rows.append((fi, n, q, 0, "%s_ext_degree" % tag, d))
             rows.append((fi, n, q, 0, "%s_large_core" % tag,
                          rec.has_large_p_core))
@@ -298,8 +293,9 @@ def fingerprint_experiment(family, primes, seed):
                          rec.reductive_part.total_order))
             rows.append((fi, n, q, 0, "%s_reductive_factors" % tag,
                          len(rec.reductive_part.factors)))
-            if ell is not None:
-                rows.append((fi, n, q, 0, "%s_ell_pr" % tag, ell))
+            if d is None:
+                rows.append((fi, n, q, 0, "%s_ell_pr" % tag,
+                             length(x, PRANK).value))
     return ExperimentReport("fingerprint", family, seed, 1, tuple(rows),
                             extra_metadata=(
                                 ("primes", ",".join(str(p) for p in primes)),))

@@ -372,19 +372,9 @@ def enumerate_psl2(field):
     return out
 
 
-def gl_centralizer_order(part, q):
-    """|C_GL(x)| for x primary with Jordan partition `part` (descending) over
-    GF(q): q^(sum (2i - 1) part_i - sum m (m + 1) / 2) prod_(j <= m) (q^j - 1)
-    over the part multiplicities m (Macdonald, Symmetric Functions, IV.2)."""
-    mults = [part.count(k) for k in set(part)]
-    return q ** (sum((2 * i + 1) * k for i, k in enumerate(part))
-                 - sum(m * (m + 1) // 2 for m in mults)) * \
-        math.prod(q**j - 1 for m in mults for j in range(1, m + 1))
-
-
 def gl_order(n, q):
-    """|GL_n(q)|, the centralizer order of a scalar: n blocks of size 1."""
-    return gl_centralizer_order((1,) * n, q)
+    """|GL_n(q)| = q^(n(n - 1)/2) prod_(j <= n) (q^j - 1)."""
+    return q ** (n * (n - 1) // 2) * math.prod(q**j - 1 for j in range(1, n + 1))
 
 
 def sl_order(n, q):

@@ -22,8 +22,7 @@ from fractions import Fraction
 from . import poly
 from .errors import UnsupportedCaseError
 from .groups import (GL, PSL_REP, SL, AlternatingDescriptor, ClassicalElement,
-                     Permutation, PSLDescriptor, gl_centralizer_order,
-                     gl_order, sl_order)
+                     Permutation, PSLDescriptor, gl_order, sl_order)
 from .linalg import Matrix, charpoly, evaluate_poly_at, min_rank_shift
 
 HAMMING = "hamming"
@@ -133,12 +132,12 @@ def class_size_perm(ct, n, in_alternating=False):
     return size // 2 if splits else size
 
 
-def _primary_partitions(x, chi):
-    """{P: (d, Jordan partition)}: the irreducible factors dividing chi once
-    have partition (1), take no rank and come as one product P per degree
-    d; a repeated one f is its own P, d = deg f, and its partition has the
-    conjugate (dim ker f(x)^j - dim ker f(x)^(j-1)) / d, j = 1, 2, ..."""
-    once, repeated = poly.pfactor_once_repeated(x.field, chi)
+def _primary_partitions(x):
+    """{P: (d, Jordan partition)} over chi = charpoly(x): the irreducible
+    factors dividing chi once have partition (1), take no rank and come as
+    one product P per degree d.  A repeated one f is its own P, d = deg f,
+    with conjugate partition (k_j - k_(j-1)) / d, k_j = dim ker f(x)^j."""
+    once, repeated = poly.pfactor_once_repeated(x.field, charpoly(x))
     out = {prod: (d, (1,)) for prod, d in once}
     for f in repeated:
         d, fx = poly.pdeg(f), evaluate_poly_at(f, x)
@@ -150,12 +149,30 @@ def _primary_partitions(x, chi):
     return out
 
 
+def gl_centralizer_structure(data):
+    """(dim J, [(d, m, count), ...]) for C_GL(x) = (1 + J) semidirect
+    prod GL_m(q^d)^count, from the data of _primary_partitions.  At f of
+    degree d with partition lambda, J gains d (sum lambda'_i^2 - sum m_k^2),
+    the commutant's dimension at f less that of its semisimple quotient
+    prod M_(m_k)(q^d), m_k the number of parts of size k (Macdonald,
+    Symmetric Functions, IV.2).  A product P of simple factors is one entry
+    (d, 1, deg P / d).  1 + J is a p-group of order q^(dim J)."""
+    dim_j, factors = 0, []
+    for P, (d, part) in data.items():
+        mults = [part.count(k) for k in set(part)]
+        dim_j += d * (sum(sum(k > i for k in part) ** 2
+                          for i in range(part[0]))
+                      - sum(m * m for m in mults))
+        factors += [(d, m, poly.pdeg(P) // d) for m in mults]
+    return dim_j, factors
+
+
 def class_size_matrix(x):
     """Exact conjugacy-class size |G| / |C_G(x)| of x in GL, SL or PSL,
     the centralizer order read off chi = charpoly(x) with no enumeration.
 
-    |C_GL(x)| is the product of gl_centralizer_order over the partitions at
-    the irreducible factors of chi.  det C_GL(x) = (F^x)^g, g the gcd of
+    |C_GL(x)| = q^(dim J) prod |GL_m(q^d)|^count over the structure of
+    gl_centralizer_structure.  det C_GL(x) = (F^x)^g, g the gcd of
     all parts, gives |C_SL(x)|.  PSL multiplies it by the number of
     lambda^n = 1 whose twist P -> lambda^deg P P(T / lambda), which is to
     lambda x what P is to x, keeps the partitions (lambda x ~ x).  An SL
@@ -169,9 +186,10 @@ def class_size_matrix(x):
     if x.group_tag not in (GL, SL, PSL_REP):
         raise UnsupportedCaseError("class size by centralizer order needs GL/SL/PSL")
     m, field, n, q = x.matrix, x.field, x.n, x.field.q
-    data = _primary_partitions(m, charpoly(m))
-    gl_cent = math.prod(gl_centralizer_order(part, q**d) ** (poly.pdeg(P) // d)
-                        for P, (d, part) in data.items())
+    data = _primary_partitions(m)
+    dim_j, factors = gl_centralizer_structure(data)
+    gl_cent = q ** dim_j * math.prod(gl_order(mult, q**d) ** count
+                                     for d, mult, count in factors)
     if x.group_tag == GL:
         return gl_order(n, q) // gl_cent
     g = math.gcd(q - 1, *(k for _, part in data.values() for k in part))

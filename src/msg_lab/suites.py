@@ -34,9 +34,9 @@ from .centralizers import (centralizer_factorization,
 from .constructions import (approx_centralize, build_niceblock,
                             check_split_condition, commutator_witness_table,
                             prepare_near_root, project_to_sl)
-from .errors import BudgetError, MsgLabError
+from .errors import BudgetError, MsgLabError, UnsupportedCaseError
 from .experiments import (ALTERNATING, PSL_FAMILY, FamilyDescriptor,
-                          _order_p_semisimple, equivalence_experiment,
+                          equivalence_experiment, fingerprint_element,
                           fingerprint_experiment, rng_for)
 from .geodesics import hamming_chain, rank_metric_chain, verify_chain
 from .gf import GF
@@ -527,29 +527,20 @@ def suite_centralizer_structure(seed=DEFAULT_SEED, scale=None):
     dichotomy_checked = 0
     for p in (2, 3, 5):
         for char in (2, 3, 5):
-            field = GF(char)
-            if p == char:
-                for n in (2, 3, 4):
-                    cert = build_niceblock(n, field, SL)
-                    rec = characteristic_fingerprint(cert.x, cert)
-                    dichotomy_checked += 1
-                    if not rec.has_large_p_core or \
-                            rec.p_core_order != char ** (n * n):
-                        failures.append("niceblock core p=%d n=%d" % (p, n))
-            else:
-                d = 1
-                while pow(char, d, p) != 1:
-                    d += 1
-                for n in range(1, 5):
-                    if d > n:
-                        continue
-                    y, _ = _order_p_semisimple(field, p, n)
-                    x, dec = prepare_near_root(y, p, field.one)
-                    rec = characteristic_fingerprint(x, dec)
-                    dichotomy_checked += 1
-                    if rec.has_large_p_core or rec.p_core_order != 1:
-                        failures.append("semisimple core p=%d char=%d n=%d"
-                                        % (p, char, n))
+            for n in (2, 3, 4) if p == char else (1, 2, 3, 4):
+                try:
+                    x, context, _ = fingerprint_element(GF(char), p, n)
+                except UnsupportedCaseError:  # n below the ext degree
+                    continue
+                rec = characteristic_fingerprint(x, context)
+                dichotomy_checked += 1
+                if p == char and (not rec.has_large_p_core or
+                                  rec.p_core_order != char ** (n * n)):
+                    failures.append("niceblock core p=%d n=%d" % (p, n))
+                if p != char and (rec.has_large_p_core or
+                                  rec.p_core_order != 1):
+                    failures.append("semisimple core p=%d char=%d n=%d"
+                                    % (p, char, n))
     rows = [("permutations_checked", checked_perms),
             ("dichotomy_cases", dichotomy_checked),
             ("failures", len(failures))]

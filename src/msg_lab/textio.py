@@ -143,4 +143,7 @@ def format_value(v):
 
 
 def parse_fraction(text):
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text.strip()) from None

@@ -6,12 +6,14 @@ import pytest
 
 from msg_lab.centralizers import (GL_BLOCK, WREATH_BLOCK,
                                   CentralizerDescriptor, FactorRecord,
+                                  FingerprintRecord,
                                   centralizer_factorization,
                                   characteristic_fingerprint,
                                   perm_centralizer_structure)
 from msg_lab.constructions import (build_niceblock, check_split_condition,
                                    prepare_near_root)
 from msg_lab.errors import UnsupportedCaseError
+from msg_lab.experiments import fingerprint_element
 from msg_lab.gf import GF
 from msg_lab.groups import SL, SP, Permutation, gl_order, random_perm
 from msg_lab.linalg import Matrix, commutant_basis, span_invertible_counts
@@ -206,6 +208,16 @@ def test_fingerprint_semisimple_involutions():
     assert [f.format_line() for f in rec.reductive_part.factors] == [
         "GL-block 1 1 6", "GL-block 1 1 6"]
     assert rec.reductive_part.total_order == 36
+    # factors in (ext degree, dim) order: GL_1(7) for 1, GL_2(7) for -1
+    x, dec = prepare_near_root(Matrix.diagonal(field, [6, 6, 1]), 2, 1)
+    rec = characteristic_fingerprint(x, dec)
+    assert [f.format_line() for f in rec.reductive_part.factors] == [
+        "GL-block 1 1 6", "GL-block 2 1 2016"]
+    # C(T^2 + T + 1) + I_2 over GF(5): GL_2(5) for 1 before GL_1(25)
+    x, dec, _ = fingerprint_element(GF(5), 3, 4)
+    assert [f.format_line() for f in
+            characteristic_fingerprint(x, dec).reductive_part.factors] == [
+        "GL-block 2 1 480", "GL-block 1 2 24"]
 
 
 def test_fingerprint_niceblock():
@@ -216,6 +228,11 @@ def test_fingerprint_niceblock():
     assert rec.p == 3
     assert rec.p_core_order == 3 ** 4 == 81
     assert rec.reductive_part.total_order == gl_order(2, 3) == 48
+    # dim J = h^2 at half size h, GL_h(q) the reductive part
+    cert = build_niceblock(3, GF(2), SL)
+    rec = characteristic_fingerprint(cert.x, cert)
+    assert rec.p == 2 and rec.p_core_order == 2 ** 9
+    assert rec.reductive_part.format_lines() == ["GL-block 3 1 168"]
     cert = build_niceblock(2, field, SP)
     rec = characteristic_fingerprint(cert.x, cert)
     assert rec.p_core_order == 3 ** 3 == 27
@@ -284,6 +301,12 @@ def test_fingerprint_semisimple_refuses_a_mismatched_split():
             (Matrix.diagonal(field, [1, 6, 1]), "not the identity on S")):
         with pytest.raises(ValueError, match=message):
             characteristic_fingerprint(other, dec)
+
+
+def test_fingerprint_record_derives_the_flag():
+    assert FingerprintRecord(3, 81, CentralizerDescriptor(())).has_large_p_core
+    assert not FingerprintRecord(2, 1,
+                                 CentralizerDescriptor(())).has_large_p_core
 
 
 def test_descriptor_total_order_validation():

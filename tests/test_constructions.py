@@ -875,8 +875,10 @@ def test_niceblock_centralizer_complete_small():
 
 
 def test_niceblock_rejects_small_n():
-    with pytest.raises(Exception):
-        build_niceblock(1, GF(3), SL)
+    for half_size in (1, 0):
+        with pytest.raises(ValueError,
+                           match="half size must be >= 2, got %d" % half_size):
+            build_niceblock(half_size, GF(3), SL)
 
 
 def test_project_to_sl_examples(rng):

@@ -9,8 +9,8 @@ from msg_lab.experiments import (ALTERNATING, INFINITE, PSL_FAMILY,
                                  FamilyDescriptor, derive_seed,
                                  equivalence_experiment, format_family,
                                  fingerprint_experiment, parse_family,
-                                 field_for_q, prime_power_split, rng_for,
-                                 _order_p_semisimple)
+                                 field_for_q, fingerprint_element,
+                                 prime_power_split, rng_for)
 from msg_lab.gf import GF
 from msg_lab.groups import random_even_perm
 from msg_lab.linalg import Matrix
@@ -119,6 +119,9 @@ def test_family_validation_errors():
         parse_family("PSL:2:6")           # 6 is not a prime power
     with pytest.raises(ValueError):
         parse_family("SP:2,3")            # unknown kind
+    for text in ("ALT", "PSL", "PSL:2", "ALT:5:7", ""):
+        with pytest.raises(ValueError, match="family text is"):
+            parse_family(text)            # shape checked before any part
     with pytest.raises(ValueError):
         FamilyDescriptor(ALTERNATING, (5, 6), field_schedule=(7, 7))
     with pytest.raises(ValueError):
@@ -201,17 +204,23 @@ def test_equivalence_concentration_at_a1000():
 
 
 def test_order_p_semisimple_properties():
+    """fingerprint_element away from the characteristic: an order-p
+    element whose nontrivial eigenvalues have degree d, split with alpha
+    = 1 and L the whole space."""
     field = GF(7)
-    x, d = _order_p_semisimple(field, 3, 4)
+    x, dec, d = fingerprint_element(field, 3, 4)
     assert d == 1  # 7 = 1 mod 3, so T^3 - 1 splits
     assert x.matpow(3) == Matrix.identity(field, 4)
     assert x != Matrix.identity(field, 4)
+    assert (dec.k, dec.alpha, dec.dim_L) == (3, 1, 4)
     field = GF(2)
-    x, d = _order_p_semisimple(field, 7, 3)
+    x, dec, d = fingerprint_element(field, 7, 3)
     assert d == 3  # 2 has order 3 mod 7
     assert x.matpow(7) == Matrix.identity(field, 3)
     with pytest.raises(UnsupportedCaseError):
-        _order_p_semisimple(GF(2), 7, 2)
+        fingerprint_element(GF(2), 7, 2)
+    x, cert, d = fingerprint_element(GF(3, 2), 3, 2)
+    assert d is None and x == cert.x and cert.half_size == 2
 
 
 def test_fingerprint_psl2_9_frozen():

@@ -15,7 +15,7 @@ from msg_lab.linalg import (SPAN_BUDGET, Matrix, charpoly, commutant_basis,
                             span_invertible_counts, twisted_commutant_basis)
 from msg_lab.metrics import (CONJ, HAMMING, PRANK, ClassLog, MetricValue,
                              _primary_partitions, class_size_matrix,
-                             class_size_perm,
+                             class_size_perm, gl_centralizer_structure,
                              conjugacy_distance, hamming_distance, length,
                              perm_centralizer_order,
                              projective_rank_distance)
@@ -473,7 +473,7 @@ def test_conjugator_determinant_formula(rng):
     for m in elements:
         field = m.field
         q = field.q
-        data = _primary_partitions(m, charpoly(m))
+        data = _primary_partitions(m)
         g = math.gcd(q - 1, *(k for _, part in data.values() for k in part))
         degrees = [0] * max(len(part) for _, part in data.values())
         for f, (_, part) in data.items():
@@ -573,3 +573,111 @@ def test_class_size_matrix_serves_word_size_fields():
             m = Matrix.from_packed(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert class_size_matrix(ClassicalElement(m, PSL_REP)) == \
             expected(field.q)
+
+
+def _macdonald_centralizer_order(part, q):
+    """|C_GL(x)| for x primary with Jordan partition `part` (descending)
+    over GF(q): q^(sum (2i - 1) part_i - sum m (m + 1) / 2) prod_(j <= m)
+    (q^j - 1) over the part multiplicities m (Macdonald, Symmetric
+    Functions, IV.2)."""
+    mults = [part.count(k) for k in set(part)]
+    return q ** (sum((2 * i + 1) * k for i, k in enumerate(part))
+                 - sum(m * (m + 1) // 2 for m in mults)) * \
+        math.prod(q**j - 1 for m in mults for j in range(1, m + 1))
+
+
+def _partitions(n, cap=None):
+    """The partitions of n with parts at most cap, descending."""
+    cap = n if cap is None else cap
+    if n == 0:
+        yield ()
+    for k in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _structure_order(q, structure):
+    dim_j, factors = structure
+    return q ** dim_j * math.prod(gl_order(m, q**d) ** count
+                                  for d, m, count in factors)
+
+
+def test_centralizer_structure_matches_macdonald_closed_form():
+    """q^(dim J) prod |GL_m(q^d)|^count equals Macdonald's a_lambda(q^d)
+    for every partition of n <= 8 at a factor of degree d = 1, 2, and a
+    product of c simple factors of degree d gives (q^d - 1)^c."""
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 9, 16):
+        for d, P in ((1, (0, 1)), (2, (1, 0, 1))):
+            for n in range(1, 9):
+                for part in _partitions(n):
+                    structure = gl_centralizer_structure({P: (d, part)})
+                    assert _structure_order(q, structure) == \
+                        _macdonald_centralizer_order(part, q**d)
+                    checked += 1
+            lumped = gl_centralizer_structure({(0,) * (3 * d) + (1,): (d, (1,))})
+            assert lumped == (0, [(d, 1, 3)])
+            assert _structure_order(q, lumped) == (q**d - 1) ** 3
+        assert gl_order(8, q) == _macdonald_centralizer_order((1,) * 8, q)
+    assert checked == 7 * 2 * 66
+
+
+def _jordan_sum(field, blocks):
+    """diag(J_k(a) ...) for the (k, a) in blocks."""
+    n = sum(k for k, _ in blocks)
+    rows = [[0] * n for _ in range(n)]
+    i = 0
+    for k, a in blocks:
+        for j in range(k):
+            rows[i + j][i + j] = a
+            if j + 1 < k:
+                rows[i + j][i + j + 1] = field.one
+        i += k
+    return Matrix.from_packed(field, rows)
+
+
+def _outside_the_constructors(rng):
+    """(x, dim J or None) for elements no constructor of the package
+    builds, each conjugated by a random P: transvections I + E_(0, n-1)
+    (dim J = 2n - 3), the block element [[I_h, I_h], [0, I_h]]
+    (dim J = h^2), direct sums of Jordan blocks, and random elements."""
+    def twisted(m):
+        P = random_invertible(m.nrows, m.field, rng)
+        return P @ m @ P.inverse()
+
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        field = GF(p, e)
+        one = field.one
+        for n in range(2, 7):
+            blocks = [(2, one)] + [(1, one)] * (n - 2)
+            yield twisted(_jordan_sum(field, blocks)), 2 * n - 3
+        for h in (1, 2, 3):
+            yield twisted(_jordan_sum(field, [(2, one)] * h)), h * h
+        a = field.neg(one) if p > 2 else one
+        for blocks in ([(3, one), (1, one)], [(2, one), (2, a), (1, a)],
+                       [(3, a), (2, a), (1, one)], [(4, one), (2, one)]):
+            yield twisted(_jordan_sum(field, blocks)), None
+        for n in (2, 3, 4, 5):
+            yield random_invertible(n, field, rng), None
+
+
+def test_centralizer_structure_matches_the_commutant(rng):
+    """dim J + sum d m^2 count is dim of the commutant from the n^2 x n^2
+    solve, which reads no Jordan data; where q^dim fits SPAN_BUDGET the
+    order q^(dim J) prod |GL_m(q^d)|^count is the number of invertible
+    members of the commutant."""
+    counted = 0
+    for x, expect_j in _outside_the_constructors(rng):
+        q = x.field.q
+        structure = gl_centralizer_structure(_primary_partitions(x))
+        dim_j, factors = structure
+        if expect_j is not None:
+            assert dim_j == expect_j
+        basis = commutant_basis(x)
+        assert dim_j + sum(d * m * m * count for d, m, count in factors) \
+            == len(basis)
+        if q ** len(basis) <= SPAN_BUDGET:
+            assert _structure_order(q, structure) == \
+                span_invertible_counts(basis)[0]
+            counted += 1
+    assert counted >= 40

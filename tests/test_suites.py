@@ -281,11 +281,28 @@ def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
                               "psl conj triple 0: ['symmetry']")
 
 
+def _plant_dim_j_plus_one(monkeypatch):
+    """Every matrix fingerprint reads dim J one too large."""
+    from msg_lab import centralizers
+
+    real = centralizers.gl_centralizer_structure
+
+    def planted(data):
+        dim_j, factors = real(data)
+        return dim_j + 1, factors
+
+    monkeypatch.setattr(centralizers, "gl_centralizer_structure", planted)
+
+
 def test_centralizers_failure_names_the_permutation(monkeypatch):
     """centralizers with the order of (0 1)(2 3) in S_5 planted at twice
-    its value: one failure, named by n and the image list.  The brute
-    counts for n <= 7 come from the cycle-type formula here, which the
-    unpatched suite checks against them, to keep this test short."""
+    its value, and dim J read one too large in every matrix fingerprint:
+    the permutation is named by n and the image list, and each of the 25
+    dichotomy cases fails, the block elements as "niceblock core" (order
+    char^(n^2 + 1)) and the semisimple ones as "semisimple core" (order
+    char).  The brute counts for n <= 7 come from the cycle-type formula
+    here, which the unpatched suite checks against them, to keep this test
+    short."""
     from msg_lab.centralizers import (WREATH_BLOCK, CentralizerDescriptor,
                                       FactorRecord)
     from msg_lab.groups import Permutation
@@ -313,12 +330,25 @@ def test_centralizers_failure_names_the_permutation(monkeypatch):
     assert "failures,1\n" in result.csv_text
     assert result.details == ("S_5 [1, 0, 3, 2, 4] order",)
 
+    _plant_dim_j_plus_one(monkeypatch)
+    result = suites.suite_centralizer_structure()
+    assert not result.ok
+    assert "dichotomy_cases,25\n" in result.csv_text
+    assert "failures,26\n" in result.csv_text
+    assert result.details == (
+        ("S_5 [1, 0, 3, 2, 4] order",)
+        + tuple("niceblock core p=2 n=%d" % n for n in (2, 3, 4))
+        + tuple("semisimple core p=2 char=%d n=%d" % (char, n)
+                for char, n in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1),
+                                (5, 2))))
+
 
 def test_fingerprint_family_failure_names_the_prime(monkeypatch):
     """fingerprint-family with the fingerprint raising for p = 3, the
     characteristic of GF(9): the CSV carries the error row of each n, and
     the details name the error and the missing large core there, while
-    p = 2 and 5 still pass."""
+    p = 2 and 5 still pass.  Then with dim J read one too large: the p = 3
+    core order is 9^(n^2 + 1), and p = 2 and 5 are flagged large."""
     from msg_lab import experiments
     from msg_lab.constructions import NiceblockCertificate
     from msg_lab.errors import UnsupportedCaseError
@@ -343,6 +373,20 @@ def test_fingerprint_family_failure_names_the_prime(monkeypatch):
         + tuple(line % n for n in (2, 3, 4)
                 for line in ("p = 3 core not large at n = %d",
                              "p = 3 core order wrong at n = %d")))
+
+    monkeypatch.setattr(experiments, "characteristic_fingerprint", real)
+    _plant_dim_j_plus_one(monkeypatch)
+    result = suites.suite_fingerprint_family()
+    assert not result.ok
+    for i, n in enumerate((2, 3, 4)):
+        assert "%d,%d,9,0,p3_core_order,%d\n" % (i, n, 9 ** (n * n + 1)) \
+            in result.csv_text
+        assert "%d,%d,9,0,p2_large_core,true\n" % (i, n) in result.csv_text
+    assert result.details == tuple(
+        line % n for n in (2, 3, 4)
+        for line in ("p = 3 core order wrong at n = %d",
+                     "p = 2 core flagged large at n = %d",
+                     "p = 5 core flagged large at n = %d"))
 
 
 def test_niceblock_failure_names_the_certificate(monkeypatch):

@@ -167,3 +167,5 @@ def test_parse_fraction():
     assert textio.parse_fraction("2") == Fraction(2)
     with pytest.raises(ValueError):
         textio.parse_fraction("x")
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        textio.parse_fraction(" 1/0")
