@@ -6,10 +6,11 @@ fields, one per irreducible factor of T^k - alpha acting on L, with the
 eigenvalue-1 block absorbing S.  For permutations the centralizer is a
 product of wreath products C_k wr S_{m_k} over the cycle lengths.  A
 matrix fingerprint's p-core is the unipotent radical 1 + J of C_GL(x), of
-order q^(dim J), read off the Jordan data with its GL factors.  For x of
-prime order p, J != 0 exactly when p is the characteristic: a unipotent x
-has x - 1 as a nonzero nilpotent central element of its commutant, and
-any other x is semisimple, so J = 0.
+order q^(dim J), read off the Jordan data with its GL factors, and its
+has_large_p_core is derived, p_core_order > 1.  For x of prime order p,
+J != 0 exactly when p is the characteristic: a unipotent x has x - 1 as a
+nonzero nilpotent central element of its commutant, and any other x is
+semisimple, so J = 0.
 """
 
 import dataclasses

@@ -428,8 +428,8 @@ def test_class_sizes_match_enumeration_on_random_elements(rng):
     assert checked > 100
 
 
-def _jordan_twisted(field, blocks, rng):
-    """P diag(J_k(a) ...) P^-1 for the (k, a) in blocks and a random P."""
+def _jordan_sum(field, blocks):
+    """diag(J_k(a) ...) for the (k, a) in blocks."""
     n = sum(k for k, _ in blocks)
     rows = [[0] * n for _ in range(n)]
     i = 0
@@ -439,8 +439,18 @@ def _jordan_twisted(field, blocks, rng):
             if j + 1 < k:
                 rows[i + j][i + j + 1] = field.one
         i += k
-    P = random_invertible(n, field, rng)
-    return P @ Matrix.from_packed(field, rows) @ P.inverse()
+    return Matrix.from_packed(field, rows)
+
+
+def _conjugated(m, rng):
+    """P m P^-1 for a random P."""
+    P = random_invertible(m.nrows, m.field, rng)
+    return P @ m @ P.inverse()
+
+
+def _jordan_twisted(field, blocks, rng):
+    """P diag(J_k(a) ...) P^-1 for the (k, a) in blocks and a random P."""
+    return _conjugated(_jordan_sum(field, blocks), rng)
 
 
 def _twist_invariant_elements(rng):
@@ -622,41 +632,37 @@ def test_centralizer_structure_matches_macdonald_closed_form():
     assert checked == 7 * 2 * 66
 
 
-def _jordan_sum(field, blocks):
-    """diag(J_k(a) ...) for the (k, a) in blocks."""
-    n = sum(k for k, _ in blocks)
-    rows = [[0] * n for _ in range(n)]
-    i = 0
-    for k, a in blocks:
-        for j in range(k):
-            rows[i + j][i + j] = a
-            if j + 1 < k:
-                rows[i + j][i + j + 1] = field.one
-        i += k
-    return Matrix.from_packed(field, rows)
-
-
 def _outside_the_constructors(rng):
     """(x, dim J or None) for elements no constructor of the package
-    builds, each conjugated by a random P: transvections I + E_(0, n-1)
-    (dim J = 2n - 3), the block element [[I_h, I_h], [0, I_h]]
-    (dim J = h^2), direct sums of Jordan blocks, and random elements."""
-    def twisted(m):
-        P = random_invertible(m.nrows, m.field, rng)
-        return P @ m @ P.inverse()
-
+    builds: transvections I + E_(0, n-1) (dim J = 2n - 3), the block
+    element [[I_h, I_h], [0, I_h]] (dim J = h^2), direct sums of Jordan
+    blocks, and [[C, I], [0, C]] (+ C) for the companion matrix C of an
+    irreducible quadratic (dim J = 2, 6), each conjugated by a random P;
+    and random elements."""
     for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)):
         field = GF(p, e)
         one = field.one
+        c0, c1 = next((c0, c1) for c0 in field.elements()
+                      for c1 in field.elements()
+                      if all(field.add(field.mul(t, field.add(t, c1)), c0)
+                             for t in field.elements()))
+        comp = Matrix.from_packed(field, [[0, field.neg(c0)],
+                                          [1, field.neg(c1)]])
+        block = Matrix.block2(comp, Matrix.identity(field, 2),
+                              Matrix.zeros(field, 2, 2), comp)
+        yield _conjugated(block, rng), 2
+        yield _conjugated(Matrix.block2(block, Matrix.zeros(field, 4, 2),
+                                        Matrix.zeros(field, 2, 4), comp),
+                          rng), 6
         for n in range(2, 7):
             blocks = [(2, one)] + [(1, one)] * (n - 2)
-            yield twisted(_jordan_sum(field, blocks)), 2 * n - 3
+            yield _jordan_twisted(field, blocks, rng), 2 * n - 3
         for h in (1, 2, 3):
-            yield twisted(_jordan_sum(field, [(2, one)] * h)), h * h
+            yield _jordan_twisted(field, [(2, one)] * h, rng), h * h
         a = field.neg(one) if p > 2 else one
         for blocks in ([(3, one), (1, one)], [(2, one), (2, a), (1, a)],
                        [(3, a), (2, a), (1, one)], [(4, one), (2, one)]):
-            yield twisted(_jordan_sum(field, blocks)), None
+            yield _jordan_twisted(field, blocks, rng), None
         for n in (2, 3, 4, 5):
             yield random_invertible(n, field, rng), None
 
