@@ -17,7 +17,10 @@ Matrices and polynomials compute through Field.kernel(), the one place
 that picks their arithmetic: inline mod p when e == 1 (a product packs
 the rows of its right factor into 64-bit slots, _packed_row_product); the
 q x q pair tables when e > 1 and q <= _PAIR_TABLE_MAX; the scalar Field
-operations above that.
+operations above that.  The kernel's scalar mul is that regime's product
+(a b mod p, a pair-table lookup, Field.mul), the one that charpoly, peval,
+pderiv and the class-size twist take.  Over GF(2) its array product is
+a & b and its array fma x ^ (a & b).
 """
 
 from __future__ import annotations
@@ -143,6 +146,7 @@ class Field:
         self.zero = 0
         self.one = 1
         self._generator = None
+        self._roots_of_unity = {}
         self._exp = None
         self._log = None
         self._inv_table = None
@@ -251,10 +255,14 @@ class Field:
 
     def roots_of_unity(self, n: int) -> list[int]:
         """The lambda in F^x with lambda^n = 1, ascending: the g = gcd(n,
-        q - 1) powers of gamma^((q-1)/g) for the generator gamma."""
+        q - 1) powers of gamma^((q-1)/g) for the generator gamma, computed
+        once per g and kept; each call returns a fresh copy."""
         g = math.gcd(n, self.q - 1)
-        zeta = self.pow(self.multiplicative_generator(), (self.q - 1) // g)
-        return sorted(self.pow(zeta, j) for j in range(g))
+        if g not in self._roots_of_unity:
+            zeta = self.pow(self.multiplicative_generator(), (self.q - 1) // g)
+            self._roots_of_unity[g] = sorted(self.pow(zeta, j)
+                                             for j in range(g))
+        return list(self._roots_of_unity[g])
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(_unpack_int(a, self.p, self.e))
@@ -372,11 +380,13 @@ class Field:
 # having ncols columns, as tuples of row tuples; pivot(R, r, c, reduce_up),
 # one Gauss-Jordan step in the row lists R, zero left of column c from row
 # r down: row r is scaled by Field.inv of R[r][c] != 0, then column c is
-# cleared in the other rows, or only below r unless reduce_up; neg(a);
-# arrays(), built on its first call: (mul, fma, inv) elementwise on int64
-# arrays, fma(x, a, b) = x + a b; the inverse table waits for the first
-# inv.
-Kernel = namedtuple("Kernel", "axpy add sub scale matmul pivot neg arrays")
+# cleared in the other rows, or only below r unless reduce_up; the scalars
+# neg(a) and mul(a, b); arrays(), built on its first call: (mul, fma, inv)
+# elementwise on int64 arrays, fma(x, a, b) = x + a b, over GF(2) a & b,
+# x ^ (a & b) and the identity; elsewhere the inverse table waits for the
+# first inv.
+Kernel = namedtuple("Kernel",
+                    "axpy add sub scale matmul pivot neg mul arrays")
 
 
 def _prime_kernel(f: Field) -> Kernel:
@@ -418,11 +428,13 @@ def _prime_kernel(f: Field) -> Kernel:
 
     @lru_cache(maxsize=None)
     def arrays():
+        if p == 2:  # a product is an and, a sum an xor, 1 its own inverse
+            return (operator.and_, lambda x, a, b: x ^ (a & b), lambda a: a)
         return (lambda a, b: a * b % p, lambda x, a, b: (x + a * b) % p,
                 _array_inv(f))
 
     return Kernel(axpy, add, sub, scale, matmul, pivot, lambda a: -a % p,
-                  arrays)
+                  lambda a, b: a * b % p, arrays)
 
 
 def _table_kernel(f: Field) -> Kernel:
@@ -473,7 +485,8 @@ def _table_kernel(f: Field) -> Kernel:
                 lambda x, a, b: add[x * q + mul[a * q + b]], _array_inv(f))
 
     return Kernel(axpy, entrywise(add_t), entrywise(sub_t), scale, matmul,
-                  pivot, sub_t[0].__getitem__, arrays)
+                  pivot, sub_t[0].__getitem__, lambda a, b: mul_t[a][b],
+                  arrays)
 
 
 def _scalar_kernel(f: Field) -> Kernel:
@@ -516,7 +529,7 @@ def _scalar_kernel(f: Field) -> Kernel:
         return (mul, lambda x, a, b: add(x, mul(a, b)), _array_inv(f))
 
     return Kernel(axpy, entrywise(f.add), entrywise(f.sub), scale, matmul,
-                  pivot, f.neg, arrays)
+                  pivot, f.neg, f.mul, arrays)
 
 
 def _array_inv(f: Field):

@@ -14,6 +14,7 @@ transvections, which is enough for property testing but is not claimed to
 be uniform on Sp.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -372,8 +373,9 @@ def enumerate_psl2(field):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def gl_order(n, q):
-    """|GL_n(q)| = q^(n(n - 1)/2) prod_(j <= n) (q^j - 1)."""
+    """|GL_n(q)| = q^(n(n - 1)/2) prod_(j <= n) (q^j - 1), kept per (n, q)."""
     return q ** (n * (n - 1) // 2) * math.prod(q**j - 1 for j in range(1, n + 1))
 
 

@@ -9,8 +9,9 @@ ride one Gauss-Jordan routine with first-nonzero pivot selection, so
 pivot choice is deterministic; rank and det clear only below the pivots.
 A subspace is one n x d Matrix whose columns are a basis of it: kernels,
 primary components and the halves of a split all come in that form.
-charpoly reduces to Hessenberg form with the kernel's axpy, and
-min_rank_shift computes ranks only at the repeated roots of the
+charpoly reduces to Hessenberg form with the kernel's axpy, and takes the
+scalar products of the reduction and of the recurrence from the kernel's
+mul.  min_rank_shift computes ranks only at the repeated roots of the
 characteristic polynomial in F^x; a simple root alpha has a one-dimensional
 eigenspace, so rank n - 1 without elimination.  The roots come from
 poly.proots: a scan of every element at q <= gf._PAIR_TABLE_MAX, and above
@@ -354,16 +355,17 @@ def twisted_commutant_basis(x: Matrix, lam: int) -> list[Matrix]:
     if x.ncols != n:
         raise ValueError("commutant needs a square matrix")
     # unknown M[c][d] sits at index c n + d; equation (a, b) reads
-    # (M x)[a][b] - lam (x M)[a][b] = 0
+    # (M x)[a][b] - lam (x M)[a][b] = 0: column b of x at the indices
+    # a n + d, row a of -lam x at c n + b, the two meeting at a n + b
     minus_lam_x = x.scale(field.neg(lam)).rows
+    cols = list(zip(*x.rows))
     system = []
     for a in range(n):
         for b in range(n):
             eq = [0] * (n * n)
-            for d in range(n):
-                eq[a * n + d] = x.rows[d][b]
-            for c in range(n):
-                eq[c * n + b] = field.add(eq[c * n + b], minus_lam_x[a][c])
+            eq[b::n] = minus_lam_x[a]
+            eq[a * n:(a + 1) * n] = cols[b]
+            eq[a * n + b] = field.add(cols[b][b], minus_lam_x[a][a])
             system.append(eq)
     kernel = x._new(system, n * n).kernel_basis()
     return [x._new(vec[i * n:(i + 1) * n] for i in range(n))
@@ -389,7 +391,7 @@ def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
     if m.ncols != n:
         raise ValueError("charpoly needs a square matrix")
     kernel = f.kernel()
-    axpy, neg = kernel.axpy, kernel.neg
+    axpy, neg, mul = kernel.axpy, kernel.neg, kernel.mul
     H = [list(row) for row in m.rows]
     for c in range(n - 2):
         # clear column c below the subdiagonal with pivot row k
@@ -405,7 +407,7 @@ def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
         for i in range(k + 1, n):
             if H[i][c]:
                 # row i -= u row k, then column k += u column i
-                u = f.mul(H[i][c], inv)
+                u = mul(H[i][c], inv)
                 H[i] = axpy(H[i], neg(u), H[k])
                 col = axpy([row[k] for row in H], u, [row[i] for row in H])
                 for row, v in zip(H, col):
@@ -418,10 +420,10 @@ def _charpoly_hessenberg(m: Matrix) -> tuple[poly.Poly, Matrix]:
         nxt = axpy([0] + prev, neg(H[j][j]), prev + [0])
         t = f.one
         for i in range(j - 1, -1, -1):
-            t = f.mul(t, H[i + 1][i])
+            t = mul(t, H[i + 1][i])
             if not t:
                 break
-            nxt = axpy(nxt, neg(f.mul(t, H[i][j])), chars[i]) + nxt[i + 1:]
+            nxt = axpy(nxt, neg(mul(t, H[i][j])), chars[i]) + nxt[i + 1:]
         chars.append(nxt)
     return tuple(chars[n]), m._new(H)
 

@@ -196,9 +196,16 @@ def class_size_matrix(x):
     sl_cent = gl_cent * g // (q - 1)
     if x.group_tag == SL:
         return sl_order(n, q) // sl_cent
-    t = 1 + sum({tuple(field.mul(c, field.pow(lam, len(P) - 1 - k))
-                       for k, c in enumerate(P)): v
-                 for P, v in data.items()} == data
+    mul = field.kernel().mul
+
+    def twist(lam):  # coefficient k of P times lam^(deg P - k)
+        powers = [field.one]
+        for _ in range(n):
+            powers.append(mul(powers[-1], lam))
+        return {tuple(mul(c, powers[len(P) - 1 - k])
+                      for k, c in enumerate(P)): v for P, v in data.items()}
+
+    t = 1 + sum(twist(lam) == data
                 for lam in field.roots_of_unity(n) if lam != field.one)
     return sl_order(n, q) // (sl_cent * t)
 

@@ -5,16 +5,16 @@ trailing zeros; the zero polynomial is ().  The field argument `K` is a
 gf.Field.  Sums, products and remainders all run on one row kernel,
 axpy(ys, c, xs) = ys + c xs (K.kernel().axpy).  K also supplies the
 scalar operations (add/mul/inv/neg/pow, zero, one, p, q, elements) for
-the one inverse per division and the scalar helpers peval, pderiv and
-psquarefree_part's p-th roots.  Sizes here are tiny (degree <= a few
-dozen), so everything is plain Python except the root scan at q <=
-gf._PAIR_TABLE_MAX: it evaluates f at all q elements at once on the
-kernel's int64 arrays, and gives proots and every linear factor.  Above
-that cap they are split out of gcd(T^(q-1) - 1, f) and gcd(T^q - T, f).
-The scan also settles squarefreeness when every root a is simple (f'(a)
-!= 0) and the part of f with no root in F has degree <= 3; then
-pfactor_distinct and pfactor_once_repeated take no gcd(f, f'), and
-psquarefree_part runs only on the other inputs.
+the one inverse per division and psquarefree_part's p-th roots; peval and
+pderiv take their products from the kernel's scalar mul.  Sizes here are
+tiny (degree <= a few dozen), so everything is plain Python except the
+root scan at q <= gf._PAIR_TABLE_MAX: it evaluates f at all q elements at
+once on the kernel's int64 arrays, and gives proots and every linear
+factor.  Above that cap they are split out of gcd(T^(q-1) - 1, f) and
+gcd(T^q - T, f).  The scan also settles squarefreeness when every root a
+is simple (f'(a) != 0) and the part of f with no root in F has degree
+<= 3; then pfactor_distinct and pfactor_once_repeated take no gcd(f, f'),
+and psquarefree_part runs only on the other inputs.
 """
 
 from __future__ import annotations
@@ -158,15 +158,17 @@ def ppowmod(K, base: Poly, exp: int, mod: Poly) -> Poly:
 
 
 def peval(K, f: Poly, a: int) -> int:
+    mul = K.kernel().mul
     acc = K.zero
     for c in reversed(f):
-        acc = K.add(K.mul(acc, a), c)
+        acc = K.add(mul(acc, a), c)
     return acc
 
 
 def pderiv(K, f: Poly) -> Poly:
     """The derivative; the integer i acts as the packed element i mod p."""
-    return pnorm([K.mul(i % K.p, c) for i, c in enumerate(f) if i])
+    mul, p = K.kernel().mul, K.p
+    return pnorm([mul(i % p, c) for i, c in enumerate(f) if i])
 
 
 _X: Poly = (0, 1)
@@ -301,9 +303,10 @@ def _scan_roots(K, f: Poly):
     kernel's array fma (a Chien search); None when q > gf._PAIR_TABLE_MAX."""
     if K.q > gf._PAIR_TABLE_MAX:
         return None
+    kernel = K.kernel()
     if len(f) == 2:  # a linear f needs no scan
-        return [K.neg(K.mul(f[0], K.inv(f[1])))]
-    _, fma, _ = K.kernel().arrays()
+        return [kernel.neg(kernel.mul(f[0], K.inv(f[1])))]
+    _, fma, _ = kernel.arrays()
     xs = np.arange(K.q, dtype=np.int64)
     acc = np.full(K.q, f[-1], dtype=np.int64)
     for c in reversed(f[:-1]):

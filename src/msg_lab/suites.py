@@ -172,9 +172,9 @@ def suite_approx_centralize(seed=DEFAULT_SEED, scale=None):
 
 def suite_centralizer_factors(seed=DEFAULT_SEED, scale=None):
     """Centralizer factorization: at most k + 1 factors on every
-    instance; predicted order equals the brute-force count of invertible
-    commuting matrices whenever the commutant has at most SPAN_BUDGET
-    members."""
+    instance (centralizer_factorization raises otherwise); predicted order
+    equals the brute-force count of invertible commuting matrices whenever
+    the commutant has at most SPAN_BUDGET members."""
     per_field = 500 if scale is None else scale
     t0 = time.perf_counter()
     count = 0
@@ -185,8 +185,6 @@ def suite_centralizer_factors(seed=DEFAULT_SEED, scale=None):
         try:
             x, dec = prepare_near_root(y, k, alpha)
             fac = centralizer_factorization(x, dec)
-            if len(fac.factors) > k + 1:
-                raise AssertionError("%d factors > k + 1" % len(fac.factors))
             basis = commutant_basis(x)
             if field.q ** len(basis) <= SPAN_BUDGET:
                 brute = span_invertible_counts(basis)[0]

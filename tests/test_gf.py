@@ -304,7 +304,10 @@ def test_generator_searched_once_per_field(monkeypatch):
     """multiplicative_generator keeps its result on the Field, above the
     exp/log table cap too: repeated generator and roots_of_unity calls on
     a fresh GF(2^31 - 1) search once, and the values are the ones the
-    search gave on every call before (q = 65537 read exp[1] of the tables)."""
+    search gave on every call before (q = 65537 read exp[1] of the tables).
+    roots_of_unity computes once per order g = gcd(n, q - 1), n = 7 and
+    n = 35 sharing g = 7, and a caller that changes the list it got leaves
+    the next call's list as it was."""
     searches = []
     search = Field._generator_search
 
@@ -314,12 +317,14 @@ def test_generator_searched_once_per_field(monkeypatch):
 
     monkeypatch.setattr(Field, "_generator_search", counted)
     big = Field(2**31 - 1, 1, (0, 1))
+    seventh = [1, 894255406, 1205362885, 1537170743, 1599590586, 1600955193,
+               1752599774]
     for _ in range(3):
         assert big.multiplicative_generator() == 7
         assert big.roots_of_unity(2) == [1, big.q - 1]
         assert big.roots_of_unity(3) == [1, 634005911, 1513477735]
-        assert big.roots_of_unity(7) == [1, 894255406, 1205362885, 1537170743,
-                                         1599590586, 1600955193, 1752599774]
+        assert big.roots_of_unity(7) == seventh
+        assert big.roots_of_unity(35) == seventh
     assert searches == [big.q]
     mid = Field(65537, 1, (0, 1))
     for _ in range(3):
@@ -327,6 +332,24 @@ def test_generator_searched_once_per_field(monkeypatch):
         assert mid.roots_of_unity(2) == [1, 65536]
         assert mid.roots_of_unity(3) == [1]
     assert searches == [big.q, mid.q]
+
+    powers = []
+
+    def counted_pow(self, a, k):
+        powers.append(k)
+        return gf.power(self.mul, a, k)
+
+    monkeypatch.setattr(Field, "pow", counted_pow)
+    small = Field(7, 1, (0, 1))
+    for n in (3, 6, 9, 2, 4):
+        small.roots_of_unity(n)
+    # g = 3 once (n = 3, 9), g = 6 once, g = 2 once (n = 2, 4): one power
+    # of the generator and g powers of zeta each time
+    assert len(powers) == (1 + 3) + (1 + 6) + (1 + 2)
+    got = small.roots_of_unity(3)
+    got.append(5)
+    got[0] = 0
+    assert small.roots_of_unity(3) == [1, 2, 4]
 
 
 def test_zero_inverse_rejected():
@@ -382,7 +405,7 @@ def _pivot_input(field, rows, cols, r, c, value, rng):
 
 
 def _check_kernel_rows(field, ys, xs, scalars, rng):
-    """axpy, add, sub, scale, neg and arrays on the rows ys and xs of
+    """axpy, add, sub, scale, neg, mul and arrays on the rows ys and xs of
     equal length, at every scalar in scalars."""
     k = field.kernel()
     width = int(len(ys) ** 0.5) or 1
@@ -391,6 +414,7 @@ def _check_kernel_rows(field, ys, xs, scalars, rng):
     assert k.add(A, B) == tuple(tuple(map(field.add, a, b)) for a, b in zip(A, B))
     assert k.sub(A, B) == tuple(tuple(map(field.sub, a, b)) for a, b in zip(A, B))
     assert [k.neg(y) for y in ys] == [field.neg(y) for y in ys]
+    assert list(map(k.mul, ys, xs)) == list(map(field.mul, ys, xs))
     for c in scalars:
         assert k.axpy(ys, c, xs) == [field.add(y, field.mul(c, x))
                                      for y, x in zip(ys, xs)]
@@ -435,7 +459,7 @@ def _check_kernel_matrices(field, rng, values):
 def test_kernel_exhaustive_small_fields(rng):
     """Every kernel member over GF(2), GF(7), GF(4) and GF(9): axpy and
     scale at every scalar on the rows of all pairs (a, b), add, sub, neg,
-    the array mul, fma and inv on all of them, the q x q matrices of all
+    the scalar mul and the array mul, fma and inv on all of them, the q x q matrices of all
     pairs multiplied, and a pivot at every nonzero pivot value."""
     for field in KERNEL_EXHAUSTIVE:
         elems = list(field.elements())

@@ -236,6 +236,44 @@ def test_centralizer_factors_failure_carries_a_reproducer(monkeypatch):
     assert parse_matrix(field, fields["y"]) == y
 
 
+def test_centralizer_factors_reports_too_many_factors(monkeypatch):
+    """centralizer-factors at scale 1 with primary_blocks planted to return
+    k + 1 blocks too many on the last instance, 2 x 2 over GF(9):
+    centralizer_factorization refuses more than k + 1 factors, and the
+    suite counts that instance with its reproducer."""
+    import msg_lab.centralizers as centralizers
+    from msg_lab.linalg import Matrix
+    from msg_lab.textio import parse_field, parse_matrix
+
+    instances = list(suites._split_instances(DEFAULT_SEED, 1))
+    real = centralizers.primary_blocks
+    calls = []
+
+    def planted(x, k, alpha):
+        blocks = real(x, k, alpha)
+        calls.append(k)
+        if len(calls) < 6:
+            return blocks
+        # T^j, j = 1..k + 1, each with a j-dimensional block: distinct
+        # factors that x, being invertible, never has
+        return blocks + [((0,) * j + (1,), Matrix.zeros(x.field, x.nrows, j))
+                         for j in range(1, k + 2)]
+
+    monkeypatch.setattr(centralizers, "primary_blocks", planted)
+    result = suites.suite_centralizer_factors(scale=1)
+    assert not result.ok
+    assert "instances,6\n" in result.csv_text
+    assert "failures,1\n" in result.csv_text
+    assert len(result.details) == 1
+    fields, message = _reproducer_fields(result.details[0])
+    assert message == "more than k + 1 centralizer factors"
+    field, n, k, alpha, y, _ = instances[5]
+    assert (field.q, n) == (9, 2)
+    assert parse_field(fields["field"]) == field
+    assert (int(fields["k"]), int(fields["alpha"])) == (k, alpha)
+    assert parse_matrix(field, fields["y"]) == y
+
+
 def test_metric_axioms_failures_name_the_triple_and_axiom(monkeypatch):
     """metric-axioms at scale 1 with d(b, a) planted off d(a, b) on the
     first triple of three metrics: the Hamming distance by 10^-12, and the
