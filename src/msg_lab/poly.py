@@ -303,10 +303,9 @@ def _scan_roots(K, f: Poly):
     kernel's array fma (a Chien search); None when q > gf._PAIR_TABLE_MAX."""
     if K.q > gf._PAIR_TABLE_MAX:
         return None
-    kernel = K.kernel()
     if len(f) == 2:  # a linear f needs no scan
-        return [kernel.neg(kernel.mul(f[0], K.inv(f[1])))]
-    _, fma, _ = kernel.arrays()
+        return [K.neg(K.mul(f[0], K.inv(f[1])))]
+    _, fma, _ = K.kernel().arrays()
     xs = np.arange(K.q, dtype=np.int64)
     acc = np.full(K.q, f[-1], dtype=np.int64)
     for c in reversed(f[:-1]):
