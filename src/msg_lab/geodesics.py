@@ -13,19 +13,25 @@ support, costing 2/n each.  The second repair is the first one conjugated
 by the intervening increments, so the chain product is unchanged.
 
 rank_metric_chain peels the alpha-twisted target X = alpha^-1 g (alpha the
-smallest rank minimizer) into exactly r rank-one factors I + R, r =
-min_alpha rank(g - alpha I), by Wedderburn elimination: R = (D w)(z^T D) /
-(z^T D w) with D = X - I and w, z drawn deterministically from standard
-vectors and their pairwise sums so that both z^T D w and z^T D X w are
-nonzero; the latter is det(I + R), so every factor is invertible and the
-rank drops by exactly one per step.  Chain elements are matrix
-representatives of projective points (intermediate products need not admit
-determinant-one scalings), and the endpoint matches the target up to a
-scalar.
+smallest rank minimizer) into exactly r rank-one factors I + u v^T, r =
+min_alpha rank(g - alpha I), by Wedderburn elimination: u = D w / (z^T D w)
+and v^T = z^T D with D = X - I.  The probes are the standard vectors, then
+their pairwise sums: w is the first with D w and D X w nonzero (always a
+standard vector, since D X = D + D^2 would vanish otherwise), z the first
+with z^T D w and z^T D X w nonzero.  Their ratio is det(I + u v^T) =
+1 + v^T u, so every factor is invertible and the rank drops by exactly one
+per step.  Besides the product D X and the rank check, a step is O(n^2)
+row updates: a probe's images are columns and entries of D and D X, the
+factor comes off by Sherman-Morrison, X <- X - u (v^T X) / (1 + v^T u),
+and goes onto the running product as acc + (acc u) v^T.  Chain elements
+are matrix representatives of projective points (intermediate products
+need not admit determinant-one scalings), and the endpoint matches the
+target up to a scalar.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .groups import Permutation, proj_equal
 from .linalg import Matrix, min_rank_shift
@@ -199,20 +205,20 @@ def _assemble(elements, kind, target, splits, repairs, n, ms):
     )
 
 
-def _probe_vectors(field, n):
-    """Standard vectors then pairwise sums, in a fixed order."""
-    vecs = []
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        vecs.append(Matrix.from_packed(field, [[c] for c in v]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i] = 1
-            v[j] = 1
-            vecs.append(Matrix.from_packed(field, [[c] for c in v]))
-    return vecs
+def _first_probe(add, images):
+    """The image of the first probe vector whose image has nonzero first
+    and second rows, or None.  The probes are the standard vectors e_i,
+    then the sums e_i + e_j for i < j; images[i] is the image of e_i as a
+    sequence of rows, and a sum maps to the sum of two images (the
+    kernel's add)."""
+    for image in images:
+        if any(image[0]) and any(image[1]):
+            return image
+    for i, j in combinations(range(len(images)), 2):
+        image = add(images[i], images[j])
+        if any(image[0]) and any(image[1]):
+            return image
+    return None
 
 
 def rank_metric_chain(g, max_step):
@@ -220,7 +226,10 @@ def rank_metric_chain(g, max_step):
 
     Each step has projective rank distance exactly 1/n; the number of
     steps equals min over alpha of rank(g - alpha I), so the overshoot is
-    always zero.
+    always zero.  A step costs one n x n product (D X), one elimination
+    (the rank check) and O(n^2) row updates: the factor I + u v^T comes
+    off by Sherman-Morrison and goes onto the running product as
+    acc + (acc u) v^T.
     """
     mat = _as_matrix(g)
     field = mat.field
@@ -237,45 +246,46 @@ def rank_metric_chain(g, max_step):
     alpha = shift.argmins[0]
     x = mat.scale(field.inv(alpha))
     ident = Matrix.identity(field, n)
+    kernel = field.kernel()
+    add, axpy, matmul, scale = (kernel.add, kernel.axpy, kernel.matmul,
+                                kernel.scale)
 
-    probes = _probe_vectors(field, n)
-    factors = []
     current = x
-    r = (current - ident).rank()
+    d = current - ident
+    r = d.rank()
     assert r == shift.r
+    acc = ident
+    elements = [ident]
     while r > 0:
+        # a probe's images D v and D X v are columns of D and DX, or sums
+        # of two; z^T picks entries of D w and D X w, and rows of D and DX
+        dx = d @ current
+        found = _first_probe(add, list(zip(zip(*d.rows), zip(*dx.rows))))
+        assert found is not None
+        dw, dxw = found
+        found = _first_probe(add, list(zip(zip(dw), zip(dxw), d.rows,
+                                           dx.rows)))
+        assert found is not None
+        (pivot,), _, vt, vt_x = found
+        # the factor I + u v^T, u = D w / (z^T D w) and v^T = z^T D; its
+        # determinant 1 + v^T u is z^T D X w / (z^T D w), so inv raises
+        # ZeroDivisionError on a singular factor
+        u = scale(field.inv(pivot), (dw,))[0]
+        u_col = tuple(zip(u))
+        det = field.add(field.one, matmul((vt,), u_col, 1)[0][0])
+        # current <- current - u (v^T current) / det, v^T current = z^T D X
+        coeffs = scale(field.neg(field.inv(det)), (u,))[0]
+        current = Matrix(field, tuple([tuple(axpy(row, c, vt_x)) for row, c
+                                       in zip(current.rows, coeffs)]), n)
+        acc_u = matmul(acc.rows, u_col, 1)
+        acc = Matrix(field, tuple([tuple(axpy(row, c, vt))
+                                   for row, (c,) in zip(acc.rows, acc_u)]), n)
+        elements.append(acc)
         d = current - ident
-        w = None
-        for v in probes:
-            if (d @ v) != Matrix.zeros(field, n, 1) and \
-                    (d @ (current @ v)) != Matrix.zeros(field, n, 1):
-                w = v
-                break
-        assert w is not None
-        dw = d @ w
-        dxw = d @ (current @ w)
-        z = None
-        for v in probes:
-            if (v.transpose() @ dw).entry(0, 0) != field.zero and \
-                    (v.transpose() @ dxw).entry(0, 0) != field.zero:
-                z = v
-                break
-        assert z is not None
-        pivot = (z.transpose() @ dw).entry(0, 0)
-        correction = (dw @ (z.transpose() @ d)).scale(field.inv(pivot))
-        factor = ident + correction
-        factors.append(factor)
-        current = factor.inverse() @ current
-        new_r = (current - ident).rank()
+        new_r = d.rank()
         assert new_r == r - 1
         r = new_r
     assert current == ident
-
-    elements = [ident]
-    acc = ident
-    for f in factors:
-        acc = acc @ f
-        elements.append(acc)
     assert acc == x
     return _assemble(elements, PRANK, g, 0, 0, n, None)
 

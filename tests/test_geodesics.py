@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from msg_lab.geodesics import hamming_chain, rank_metric_chain, verify_chain
 from msg_lab.gf import GF
 from msg_lab.groups import (Permutation, proj_equal, random_perm, random_sl)
 from msg_lab.linalg import Matrix, min_rank_shift
-from msg_lab.metrics import MetricValue, hamming_distance
+from msg_lab.metrics import (MetricValue, hamming_distance,
+                             projective_rank_distance)
 
 from conftest import FIELDS
 
@@ -157,6 +159,86 @@ def test_rank_chain_random_property(rng):
             assert s.value == Fraction(1, n)
         assert chain.overshoot == 0
         assert proj_equal(chain.elements[-1], g.matrix)
+
+
+def _reference_chain(g):
+    """The elements of rank_metric_chain(g) as the construction with
+    Matrix products computes them, and how many of its probes were pairwise
+    sums: each probe is a column vector, the factor I + R is peeled off by
+    its inverse, and each element is the product of the factors so far."""
+    field, n = g.field, g.nrows
+    ident = Matrix.identity(field, n)
+    zero = Matrix.zeros(field, n, 1)
+    alpha = min_rank_shift(g, ident).argmins[0]
+    x = g.scale(field.inv(alpha))
+    probes = [Matrix.from_packed(field, [[int(k in idx)] for k in range(n)])
+              for idx in [(i,) for i in range(n)]
+              + list(itertools.combinations(range(n), 2))]
+    factors = []
+    pairs = 0
+    current = x
+    while (current - ident).rank():
+        d = current - ident
+        w = next(v for v in probes
+                 if d @ v != zero and d @ (current @ v) != zero)
+        dw = d @ w
+        dxw = d @ (current @ w)
+        z = next(v for v in probes
+                 if (v.transpose() @ dw).entry(0, 0)
+                 and (v.transpose() @ dxw).entry(0, 0))
+        pairs += probes.index(w) >= n
+        pairs += probes.index(z) >= n
+        pivot = (z.transpose() @ dw).entry(0, 0)
+        factor = ident + (dw @ (z.transpose() @ d)).scale(field.inv(pivot))
+        factors.append(factor)
+        current = factor.inverse() @ current
+    elements = [ident]
+    for f in factors:
+        elements.append(elements[-1] @ f)
+    return elements, pairs
+
+
+# over GF(2), targets whose z probe is a pairwise sum; at n = 3 and 4 a
+# later pair also qualifies and gives another chain, so the order counts
+PAIR_PROBE_TARGETS = [[[1, 1], [1, 0]], [[0, 0, 1], [1, 1, 0], [0, 1, 0]],
+                      [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 1]]]
+
+
+def test_rank_chain_matches_the_matrix_construction(rng, monkeypatch):
+    """Rank-one updates give the elements, step lengths and total of the
+    construction by Matrix products, with no inverse and at most one
+    product per step, in every kernel regime: GF(2), GF(7), the pair
+    tables of GF(4), GF(9), GF(2^6), and the scalar regime of GF(2^11) and
+    GF(65537), at n = 2 ... 8."""
+    calls = {"inverse": 0, "__matmul__": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(Matrix, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(Matrix, name, counted)
+
+    two = GF(2)
+    cases = [Matrix.from_packed(two, rows) for rows in PAIR_PROBE_TARGETS]
+    for field in (two, GF(2, 2), GF(7), GF(3, 2), GF(2, 6), GF(2, 11),
+                  GF(65537)):
+        cases += [random_sl(n, field, rng.randrange(10**6)).matrix
+                  for n in range(2, 9)]
+    pairs = []
+    for g in cases:
+        expected, used = _reference_chain(g)
+        pairs.append(used)
+        for name in calls:
+            calls[name] = 0
+        chain = rank_metric_chain(g, Fraction(1, g.nrows))
+        steps = len(chain.step_lengths)
+        assert calls["inverse"] == 0
+        assert calls["__matmul__"] <= steps
+        assert chain.elements == tuple(expected)
+        lengths = [projective_rank_distance(a, b)
+                   for a, b in zip(expected, expected[1:])]
+        assert list(chain.step_lengths) == lengths
+        assert chain.total == sum(s.value for s in lengths)
+    assert all(pairs[:len(PAIR_PROBE_TARGETS)])
 
 
 def test_verify_chain_detects_tampering():
