@@ -247,8 +247,10 @@ class Matrix:
         for c in range(cols):
             if r == rows:
                 break
-            i = next((i for i in range(r, rows) if R[i][c]), None)
-            if i is None:
+            for i in range(r, rows):
+                if R[i][c]:
+                    break
+            else:
                 continue
             if i != r:
                 R[r], R[i] = R[i], R[r]
