@@ -9,6 +9,8 @@ characteristic fingerprint), geodesics (stepwise chains), experiments
 and suites (reproducible reports), textio (one-line text formats), cli.
 """
 
+import importlib
+
 from .centralizers import (CentralizerDescriptor, FactorRecord,
                            FingerprintRecord, centralizer_factorization,
                            characteristic_fingerprint,
@@ -20,9 +22,6 @@ from .constructions import (NiceblockCertificate, SplitDecomposition,
                             project_to_sl)
 from .errors import (BoundViolationError, BudgetError, MsgLabError,
                      UnsupportedCaseError)
-from .experiments import (ExperimentReport, FamilyDescriptor, derive_seed,
-                          equivalence_experiment, fingerprint_experiment,
-                          format_family, parse_family, rng_for)
 from .geodesics import (ChainPath, VerifyReport, hamming_chain,
                         rank_metric_chain, verify_chain)
 from .gf import GF, Field
@@ -37,6 +36,25 @@ from .metrics import (CONJ, HAMMING, PRANK, ClassLog, MetricValue,
                       class_size_matrix, class_size_perm, conjugacy_distance,
                       hamming_distance, length, perm_centralizer_order,
                       projective_rank_distance)
-from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"
+
+# The reporting layer, which no computation uses, is imported on the first
+# use of one of its names (PEP 562), so that `import msg_lab` does not
+# compile experiments, suites, textio and statistics in every process.
+_REPORTING = {
+    "ExperimentReport": "experiments", "FamilyDescriptor": "experiments",
+    "derive_seed": "experiments", "equivalence_experiment": "experiments",
+    "fingerprint_experiment": "experiments", "format_family": "experiments",
+    "parse_family": "experiments", "rng_for": "experiments",
+    "SUITES": "suites", "run_suite": "suites",
+}
+
+
+def __getattr__(name):
+    if name not in _REPORTING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _REPORTING[name], __name__),
+                    name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,13 @@
 """Runner-level checks for the verification suite harness; the suites
 themselves run at full scale in test_acceptance.py."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import msg_lab
 import msg_lab.suites as suites
 from msg_lab.suites import (DEFAULT_SEED, SUITES, SuiteResult, parse_config,
                             run_suite, suite_approx_centralize,
@@ -19,6 +24,33 @@ def test_registry_names():
     assert list(SUITES) == EXPECTED_NAMES
     for fn in SUITES.values():
         assert callable(fn)
+
+
+# run in a fresh interpreter, where nothing has imported the reporting layer
+LAZY_IMPORT_CHECK = """
+import sys
+import msg_lab
+reporting = ("msg_lab.experiments", "msg_lab.suites", "msg_lab.textio",
+             "statistics")
+assert not [m for m in reporting if m in sys.modules]
+from msg_lab import SUITES, run_suite
+import msg_lab.suites
+assert (SUITES, run_suite) == (msg_lab.suites.SUITES, msg_lab.suites.run_suite)
+"""
+
+
+def test_reporting_layer_loads_on_first_use():
+    """import msg_lab leaves experiments, suites, textio and statistics
+    unloaded; each reporting name of the package is its module's object,
+    and an unknown name is an AttributeError."""
+    src = os.path.dirname(os.path.dirname(msg_lab.__file__))
+    subprocess.run([sys.executable, "-c", LAZY_IMPORT_CHECK], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    for name, module in msg_lab._REPORTING.items():
+        assert getattr(msg_lab, name) is getattr(
+            sys.modules["msg_lab." + module], name)
+    with pytest.raises(AttributeError):
+        msg_lab.no_such_name
 
 
 def test_parse_config(tmp_path):
