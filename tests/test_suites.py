@@ -45,7 +45,7 @@ def test_reporting_layer_loads_on_first_use():
     and an unknown name is an AttributeError."""
     src = os.path.dirname(os.path.dirname(msg_lab.__file__))
     subprocess.run([sys.executable, "-c", LAZY_IMPORT_CHECK], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+                   env={**os.environ, "PYTHONPATH": src}, timeout=60)
     for name, module in msg_lab._REPORTING.items():
         assert getattr(msg_lab, name) is getattr(
             sys.modules["msg_lab." + module], name)
